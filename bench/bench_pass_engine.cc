@@ -80,6 +80,13 @@ Measurement Measure(EdgeId edges, int reps, const PassFn& pass) {
   return m;
 }
 
+/// Median of `samples` (upper median for even counts).
+double Median(std::vector<double> samples) {
+  std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
+                   samples.end());
+  return samples[samples.size() / 2];
+}
+
 void Report(const char* stream_name, const char* config, Measurement m,
             double baseline_eps, StatusOr<CsvWriter>& csv,
             bench::BenchJson& json) {
@@ -188,25 +195,33 @@ int main(int argc, char** argv) {
   // of the same binary with the registry disabled. The pass hot loop is
   // atomic-free — instrumentation fires per round, not per edge — so a
   // breach means someone moved a metric write into the inner loop.
+  // Metrics-off and metrics-on repetitions alternate (ABAB) after one
+  // warm-up, so host drift lands on both sides alike, and the gate compares
+  // the medians.
   {
     PassEngine engine(PassEngineOptions{.num_threads = 1});
     const int orep = std::max(reps * 5, 15);  // passes are cheap; drown noise
-    auto run_pass = [&] {
-      return engine.RunUndirected(list_stream, word_alive, degrees).weight;
+    auto timed_pass = [&](bool metrics) {
+      obs::MetricsRegistry::Get().set_enabled(metrics);
+      WallTimer timer;
+      (void)engine.RunUndirected(list_stream, word_alive, degrees);
+      return timer.ElapsedSeconds();
     };
-    obs::MetricsRegistry::Get().set_enabled(false);
-    Measurement off = Measure(num_edges, orep, run_pass);
-    obs::MetricsRegistry::Get().set_enabled(true);
-    Measurement on = Measure(num_edges, orep, run_pass);
-    const double overhead =
-        off.edges_per_sec > 0 ? 1.0 - on.edges_per_sec / off.edges_per_sec
-                              : 0.0;
+    (void)timed_pass(true);  // warm-up
+    std::vector<double> off_s, on_s;
+    for (int r = 0; r < orep; ++r) {
+      off_s.push_back(timed_pass(false));
+      on_s.push_back(timed_pass(true));
+    }
+    const double off = Median(off_s);
+    const double on = Median(on_s);
+    const double overhead = off > 0 ? on / off - 1.0 : 0.0;
+    const double edges = static_cast<double>(num_edges);
     std::printf("obs overhead: metrics-on %.2f Medges/s vs metrics-off "
                 "%.2f Medges/s (%+.2f%%, gate < 2%%)\n",
-                on.edges_per_sec / 1e6, off.edges_per_sec / 1e6,
-                100 * overhead);
-    json.Add("obs.metrics_on_edges_per_sec", on.edges_per_sec);
-    json.Add("obs.metrics_off_edges_per_sec", off.edges_per_sec);
+                edges / on / 1e6, edges / off / 1e6, 100 * overhead);
+    json.Add("obs.metrics_on_edges_per_sec", edges / on);
+    json.Add("obs.metrics_off_edges_per_sec", edges / off);
     json.Add("obs.overhead_frac", overhead);
     if (overhead > 0.02) {
       std::fprintf(stderr,

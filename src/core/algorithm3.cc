@@ -78,15 +78,8 @@ StatusOr<CSearchResult> RunCSearch(EdgeStream& stream,
 
   const std::vector<Algorithm3Options> grid = CSearchGrid(n, options);
 
-  // The one configuration where fused accumulation is not bit-identical to
-  // a solo PassEngine run: a weighted stream with a CSR view (the engine's
-  // row kernel associates the FP sums differently). Fall back to run-by-run
-  // there so RunCSearch's results never depend on the `fused` flag.
-  const bool fuse = options.fused && (stream.HasUnitWeights() ||
-                                      stream.DirectedCsrView() == nullptr);
-
   CSearchResult out;
-  if (fuse) {
+  if (options.fused) {
     // All c values share every physical scan: one MultiRunEngine pass feeds
     // the whole grid, so the stream is scanned max-passes times instead of
     // sum-of-passes times (the paper's "can be tried in parallel" remark).

@@ -78,10 +78,7 @@ struct CSearchOptions {
   /// every pass of the stream feeds all still-active c values at once, so
   /// the stream is scanned max-over-c(passes) times instead of
   /// sum-over-c(passes) times. Results are identical either way; this only
-  /// changes IO. (For the one stream shape whose fused accumulation could
-  /// differ in low-order FP bits — weighted with a CSR view — RunCSearch
-  /// quietly runs run-by-run, keeping that guarantee unconditional.)
-  /// false forces one independent run per c.
+  /// changes IO. false forces one independent run per c.
   bool fused = true;
   /// Engine for the fused path; nullptr = a private MultiRunEngine per
   /// call. Supply one to reuse its scratch across sweeps or to pick the

@@ -4,6 +4,7 @@
 #include <array>
 #include <limits>
 #include <thread>
+#include <type_traits>
 
 #include "core/peel_runs.h"
 #include "obs/metrics.h"
@@ -18,35 +19,37 @@ constexpr size_t kSlots = MultiRunEngine::kShardSlots;
 /// Sentinel shard index: the task walks the whole round sequentially.
 constexpr uint32_t kWholeRound = std::numeric_limits<uint32_t>::max();
 
-/// One degree plane of a fused run: either a single direct vector
-/// (unit-weight streams driven run-major — integer-exact sums make every
-/// accumulation order the same bits) or PassEngine's slot vectors reduced
-/// in index order (general weights, and any stream whose round may be
-/// shard-split work-major, replicating the engine's deterministic
-/// schedule). In direct mode every slot aliases `values`, so the
-/// accumulation loop is identical either way — but aliased slots must
-/// never be written concurrently, which is what parallel_shards() guards.
+/// One degree plane of a fused run. Pulled passes write `values` directly.
+/// Record rounds accumulate either into `values` too (direct mode:
+/// unit-weight streams driven run-major — integer-exact sums make every
+/// accumulation order the same bits) or into PassEngine's slot vectors,
+/// reduced in index order and allocated by the first record pass. In
+/// direct mode every slot aliases `values`, so the accumulation loop is
+/// identical either way — but aliased slots must never be written
+/// concurrently, which is what parallel_shards() guards.
 struct AccumPlane {
   std::vector<double> values;              // the reduced per-node result
   std::vector<std::vector<double>> slots;  // empty in direct mode
+  bool direct = true;
 
-  void Init(size_t n, bool direct) {
+  void Init(size_t n, bool direct_mode) {
     values.assign(n, 0.0);
-    if (!direct) {
-      slots.assign(kSlots, std::vector<double>(n, 0.0));
+    direct = direct_mode;
+  }
+  void BeginRecordPass() {
+    if (direct) {
+      std::fill(values.begin(), values.end(), 0.0);
+    } else if (slots.empty()) {
+      // Slot vectors are zero by invariant afterwards (Reduce re-zeroes).
+      slots.assign(kSlots, std::vector<double>(values.size(), 0.0));
     }
   }
-  void BeginPass() {
-    // Slot vectors are zero by invariant (Reduce re-zeroes them).
-    if (slots.empty()) std::fill(values.begin(), values.end(), 0.0);
-  }
-  bool slotted() const { return !slots.empty(); }
-  double* Slot(size_t s) { return slots.empty() ? values.data() : slots[s].data(); }
+  double* Slot(size_t s) { return direct ? values.data() : slots[s].data(); }
   // Mirrors PassEngine::ReduceAndClear: slots summed in index order per
   // node, re-zeroed for the next pass. Keep the two in sync — the summation
   // order is part of the fused/sequential bit-identity contract.
   void Reduce() {
-    if (slots.empty()) return;
+    if (direct) return;
     const size_t n = values.size();
     for (size_t u = 0; u < n; ++u) {
       double total = 0.0;
@@ -59,9 +62,10 @@ struct AccumPlane {
   }
 };
 
-/// Per-slot weight/count totals, mirroring PassEngine's slot_weight_ /
-/// slot_edges_ (summed in slot order at end of pass). Distinct shards
-/// write distinct slots, so work-major tasks never share an entry.
+/// Per-slot weight/count totals of record rounds, mirroring PassEngine's
+/// slot_weight_ / slot_edges_ (summed in slot order at end of pass).
+/// Distinct shards write distinct slots, so work-major tasks never share
+/// an entry.
 struct SlotTotals {
   std::array<double, kSlots> weight{};
   std::array<EdgeId, kSlots> count{};
@@ -82,6 +86,109 @@ struct SlotTotals {
   }
 };
 
+/// Fused Algorithm 1 or 2 run: peel logic plus its private degree
+/// accumulation on either schedule. Algorithm 1 honors §6.3 compaction: in
+/// kCollectPass mode the pass also collects survivors in stream order —
+/// directly in record rounds, which then stay sequential within the round,
+/// or shard by shard through the pull's finish — after which the run
+/// finishes over its buffer via FinishOffStream, costing no further
+/// physical scans.
+template <typename Logic>
+class FusedUndirectedRun final : public MultiRunEngine::FusedRun {
+  static constexpr bool kCompacts = std::is_same_v<Logic, Algorithm1Run>;
+
+ public:
+  template <typename Options>
+  FusedUndirectedRun(NodeId n, const Options& options, bool direct)
+      : logic_(n, options), cancel_(options.cancel) {
+    deg_.Init(n, direct);
+  }
+
+  bool done() const override { return logic_.done(); }
+  bool wants_stream() const override {
+    if constexpr (kCompacts) {
+      return !done() && logic_.mode() != Algorithm1Run::PassMode::kBuffer;
+    }
+    return !done();
+  }
+  bool CanPull(const CsrView& view) const override {
+    return view.undirected != nullptr;
+  }
+  void BeginPass(const CsrView* view) override {
+    pulled_ = view != nullptr;
+    collect_ = nullptr;
+    if constexpr (kCompacts) {
+      if (logic_.mode() == Algorithm1Run::PassMode::kCollectPass) {
+        collect_ = &logic_.buffer();
+      }
+    }
+    if (pulled_) {
+      pull_.Begin(view->shards.size(), collect_ != nullptr);
+    } else {
+      deg_.BeginRecordPass();
+      totals_.BeginPass();
+    }
+  }
+  void PullShard(const CsrView& view, size_t shard) override {
+    pull_.Undirected(view, shard, logic_.alive(), deg_.values);
+  }
+  bool parallel_shards() const override {
+    return !deg_.direct && collect_ == nullptr;
+  }
+  void AccumulateShard(std::span<const Edge> shard, size_t slot) override {
+    const NodeSet& alive = logic_.alive();
+    double* acc = deg_.Slot(slot);
+    double weight = 0.0;
+    EdgeId edges = 0;
+    for (const Edge& e : shard) {
+      if (alive.ContainsBoth(e.u, e.v)) {
+        acc[e.u] += e.w;
+        acc[e.v] += e.w;
+        weight += e.w;
+        ++edges;
+        if (collect_ != nullptr) collect_->push_back(e);
+      }
+    }
+    totals_.weight[slot] += weight;
+    totals_.count[slot] += edges;
+  }
+  void FinishPass() override {
+    UndirectedPassResult stats;
+    if (pulled_) {
+      stats = pull_.FinishUndirected(collect_);
+    } else {
+      deg_.Reduce();
+      stats.weight = totals_.TotalWeight();
+      stats.edges = totals_.TotalCount();
+    }
+    logic_.ApplyPass(stats, deg_.values);
+  }
+  void FinishOffStream(PassEngine& engine) override {
+    if constexpr (kCompacts) {
+      while (!logic_.done()) {
+        // A cancelled run stops peeling mid-buffer; Drive's own poll then
+        // aborts the sweep before any partial result escapes.
+        if (ShouldStop(cancel_)) break;
+        UndirectedPassResult stats = engine.RunUndirectedBuffer(
+            logic_.buffer(), logic_.alive(), deg_.values, /*compact=*/true,
+            cancel_);
+        if (ShouldStop(cancel_)) break;
+        logic_.ApplyPass(stats, deg_.values);
+      }
+    }
+  }
+  UndirectedDensestResult TakeResult() { return logic_.TakeResult(); }
+
+ private:
+  Logic logic_;
+  const CancelToken* cancel_;
+  AccumPlane deg_;
+  SlotTotals totals_;
+  RowPull pull_;
+  bool pulled_ = false;
+  std::vector<Edge>* collect_ = nullptr;  // set for the collect pass
+};
+
 /// Fused Algorithm 3 run: peel logic + its private accumulators.
 class FusedDirectedRun final : public MultiRunEngine::FusedRun {
  public:
@@ -92,12 +199,24 @@ class FusedDirectedRun final : public MultiRunEngine::FusedRun {
   }
 
   bool done() const override { return logic_.done(); }
-  void BeginPass() override {
-    out_.BeginPass();
-    in_.BeginPass();
-    totals_.BeginPass();
+  bool CanPull(const CsrView& view) const override {
+    return view.directed != nullptr;
   }
-  bool parallel_shards() const override { return out_.slotted(); }
+  void BeginPass(const CsrView* view) override {
+    pulled_ = view != nullptr;
+    if (pulled_) {
+      pull_.Begin(view->shards.size());
+    } else {
+      out_.BeginRecordPass();
+      in_.BeginRecordPass();
+      totals_.BeginPass();
+    }
+  }
+  void PullShard(const CsrView& view, size_t shard) override {
+    pull_.Directed(view, shard, logic_.s(), logic_.t(), out_.values,
+                   in_.values);
+  }
+  bool parallel_shards() const override { return !out_.direct; }
   void AccumulateShard(std::span<const Edge> shard, size_t slot) override {
     const NodeSet& s_set = logic_.s();
     const NodeSet& t_set = logic_.t();
@@ -117,11 +236,15 @@ class FusedDirectedRun final : public MultiRunEngine::FusedRun {
     totals_.count[slot] += arcs;
   }
   void FinishPass() override {
-    out_.Reduce();
-    in_.Reduce();
     DirectedPassResult stats;
-    stats.weight = totals_.TotalWeight();
-    stats.arcs = totals_.TotalCount();
+    if (pulled_) {
+      stats = pull_.FinishDirected();
+    } else {
+      out_.Reduce();
+      in_.Reduce();
+      stats.weight = totals_.TotalWeight();
+      stats.arcs = totals_.TotalCount();
+    }
     logic_.ApplyPass(stats, out_.values, in_.values);
   }
   DirectedDensestResult TakeResult() { return logic_.TakeResult(); }
@@ -130,162 +253,18 @@ class FusedDirectedRun final : public MultiRunEngine::FusedRun {
   Algorithm3Run logic_;
   AccumPlane out_, in_;
   SlotTotals totals_;
+  RowPull pull_;
+  bool pulled_ = false;
 };
 
-/// Fused Algorithm 1 run. Honors §6.3 compaction: in kCollectPass mode the
-/// shard loop additionally appends survivors (in stream order — the run
-/// reports parallel_shards() false for that pass so its shards stay
-/// sequential), after which the run finishes over its buffer via
-/// FinishOffStream, costing no further physical scans.
-class FusedAlg1Run final : public MultiRunEngine::FusedRun {
- public:
-  FusedAlg1Run(NodeId n, const Algorithm1Options& options, bool direct)
-      : logic_(n, options), cancel_(options.cancel) {
-    deg_.Init(n, direct);
-  }
-
-  bool done() const override { return logic_.done(); }
-  bool wants_stream() const override {
-    return !logic_.done() && logic_.mode() != Algorithm1Run::PassMode::kBuffer;
-  }
-  void BeginPass() override {
-    deg_.BeginPass();
-    totals_.BeginPass();
-  }
-  bool parallel_shards() const override {
-    // The collect pass appends survivors in stream order — order a
-    // shard-split round would not preserve.
-    return deg_.slotted() &&
-           logic_.mode() != Algorithm1Run::PassMode::kCollectPass;
-  }
-  void AccumulateShard(std::span<const Edge> shard, size_t slot) override {
-    const NodeSet& alive = logic_.alive();
-    double* acc = deg_.Slot(slot);
-    double weight = 0.0;
-    EdgeId edges = 0;
-    if (logic_.mode() == Algorithm1Run::PassMode::kCollectPass) {
-      std::vector<Edge>& buffer = logic_.buffer();
-      for (const Edge& e : shard) {
-        if (alive.ContainsBoth(e.u, e.v)) {
-          acc[e.u] += e.w;
-          acc[e.v] += e.w;
-          weight += e.w;
-          ++edges;
-          buffer.push_back(e);
-        }
-      }
-    } else {
-      for (const Edge& e : shard) {
-        if (alive.ContainsBoth(e.u, e.v)) {
-          acc[e.u] += e.w;
-          acc[e.v] += e.w;
-          weight += e.w;
-          ++edges;
-        }
-      }
-    }
-    totals_.weight[slot] += weight;
-    totals_.count[slot] += edges;
-  }
-  void FinishPass() override {
-    deg_.Reduce();
-    UndirectedPassResult stats;
-    stats.weight = totals_.TotalWeight();
-    stats.edges = totals_.TotalCount();
-    logic_.ApplyPass(stats, deg_.values);
-  }
-  void FinishOffStream(PassEngine& engine) override {
-    while (!logic_.done()) {
-      // A cancelled run stops peeling mid-buffer; Drive's own poll then
-      // aborts the sweep before any partial result escapes.
-      if (ShouldStop(cancel_)) break;
-      UndirectedPassResult stats = engine.RunUndirectedBuffer(
-          logic_.buffer(), logic_.alive(), deg_.values, /*compact=*/true,
-          cancel_);
-      if (ShouldStop(cancel_)) break;
-      logic_.ApplyPass(stats, deg_.values);
-    }
-  }
-  UndirectedDensestResult TakeResult() { return logic_.TakeResult(); }
-
- private:
-  Algorithm1Run logic_;
-  const CancelToken* cancel_;
-  AccumPlane deg_;
-  SlotTotals totals_;
-};
-
-/// Fused Algorithm 2 run.
-class FusedAlg2Run final : public MultiRunEngine::FusedRun {
- public:
-  FusedAlg2Run(NodeId n, const Algorithm2Options& options, bool direct)
-      : logic_(n, options) {
-    deg_.Init(n, direct);
-  }
-
-  bool done() const override { return logic_.done(); }
-  void BeginPass() override {
-    deg_.BeginPass();
-    totals_.BeginPass();
-  }
-  bool parallel_shards() const override { return deg_.slotted(); }
-  void AccumulateShard(std::span<const Edge> shard, size_t slot) override {
-    const NodeSet& alive = logic_.alive();
-    double* acc = deg_.Slot(slot);
-    double weight = 0.0;
-    EdgeId edges = 0;
-    for (const Edge& e : shard) {
-      if (alive.ContainsBoth(e.u, e.v)) {
-        acc[e.u] += e.w;
-        acc[e.v] += e.w;
-        weight += e.w;
-        ++edges;
-      }
-    }
-    totals_.weight[slot] += weight;
-    totals_.count[slot] += edges;
-  }
-  void FinishPass() override {
-    deg_.Reduce();
-    UndirectedPassResult stats;
-    stats.weight = totals_.TotalWeight();
-    stats.edges = totals_.TotalCount();
-    logic_.ApplyPass(stats, deg_.values);
-  }
-  UndirectedDensestResult TakeResult() { return logic_.TakeResult(); }
-
- private:
-  Algorithm2Run logic_;
-  AccumPlane deg_;
-  SlotTotals totals_;
-};
-
-/// Collects pointers to the concrete runs for Drive().
-template <typename RunT>
-std::vector<MultiRunEngine::FusedRun*> AsFusedRuns(std::vector<RunT>& states) {
-  std::vector<MultiRunEngine::FusedRun*> runs;
-  runs.reserve(states.size());
-  for (RunT& run : states) runs.push_back(&run);
-  return runs;
-}
-
-/// The token governing a fused sweep: the first non-null per-run token.
-/// The physical scan is shared, so one run cannot be cancelled without
-/// stopping the whole sweep; sweep builders set one token on every run.
-template <typename OptionsT>
-const CancelToken* SweepCancel(const std::vector<OptionsT>& runs) {
-  for (const OptionsT& options : runs) {
-    if (options.cancel != nullptr) return options.cancel;
-  }
-  return nullptr;
-}
+/// Stream passes a run consumed: its run-by-run scan cost.
+uint64_t StreamPasses(const UndirectedDensestResult& r) { return r.io_passes; }
+uint64_t StreamPasses(const DirectedDensestResult& r) { return r.passes; }
 
 }  // namespace
 
 MultiRunEngine::MultiRunEngine(const MultiRunOptions& options) {
   num_threads_ = options.num_threads;
-  fan_out_ = options.fan_out;
-  default_cancel_ = options.cancel;
   if (num_threads_ == 0) {
     num_threads_ = std::max<size_t>(1, std::thread::hardware_concurrency());
   }
@@ -305,18 +284,78 @@ void MultiRunEngine::Dispatch(size_t count,
   }
 }
 
-Status MultiRunEngine::Drive(EdgeStream& stream,
-                             std::span<FusedRun* const> runs) {
-  return Drive(stream, runs, default_cancel_);
+void MultiRunEngine::ScanRounds(PassCursor& cursor,
+                                std::span<FusedRun* const> active,
+                                const CancelToken* cancel) {
+  batch_.resize(kShardSlots * kShardEdges);
+  std::array<std::span<const Edge>, kShardSlots> shards;
+  for (;;) {
+    if (ShouldStop(cancel)) break;
+    // PassEngine's own shard-boundary schedule, pulled through the cursor
+    // so physical-scan accounting stays in one place.
+    const size_t count = PassEngine::FillShardRound(
+        [&cursor](Edge* scratch, size_t cap) {
+          return cursor.NextChunk(scratch, cap);
+        },
+        batch_.data(), shards);
+    if (count == 0) break;
+    DENSEST_TRACE_SPAN("core.fused_round");
+    DENSEST_METRIC_COUNTER("core.fused_rounds").Inc();
+    if (pool_ != nullptr && active.size() < num_threads_) {
+      // Work-major fan-out: each (run, shard) pair is a task — shard s
+      // feeds slot s, so same-run tasks write disjoint slot planes. Runs
+      // whose round must stay sequential become one whole-round task.
+      task_scratch_.clear();
+      for (size_t i = 0; i < active.size(); ++i) {
+        if (active[i]->parallel_shards()) {
+          for (size_t s = 0; s < count; ++s) {
+            task_scratch_.emplace_back(static_cast<uint32_t>(i),
+                                       static_cast<uint32_t>(s));
+          }
+        } else {
+          task_scratch_.emplace_back(static_cast<uint32_t>(i), kWholeRound);
+        }
+      }
+      Dispatch(task_scratch_.size(), [&](size_t t) {
+        const auto [i, s] = task_scratch_[t];
+        if (s == kWholeRound) {
+          for (size_t k = 0; k < count; ++k) {
+            active[i]->AccumulateShard(shards[k], k);
+          }
+        } else {
+          active[i]->AccumulateShard(shards[s], s);
+        }
+      });
+    } else {
+      // Run-major fan-out: each task owns one run's accumulators and walks
+      // the round's shards in order, so threads share nothing mutable.
+      Dispatch(active.size(), [&](size_t i) {
+        for (size_t s = 0; s < count; ++s) {
+          active[i]->AccumulateShard(shards[s], s);
+        }
+      });
+    }
+    if (count < kShardSlots) break;
+  }
 }
 
 Status MultiRunEngine::Drive(EdgeStream& stream,
                              std::span<FusedRun* const> runs,
                              const CancelToken* cancel) {
-  if (cancel == nullptr) cancel = default_cancel_;
   last_physical_passes_ = last_logical_passes_ = last_edges_scanned_ = 0;
-  batch_.resize(kShardSlots * kShardEdges);
   PassCursor cursor(stream);
+
+  // Pull rows when the stream has a CSR view every run can take.
+  CsrView view = CsrView::Of(stream);
+  for (FusedRun* run : runs) {
+    if (!run->CanPull(view)) {
+      view = CsrView{};
+      break;
+    }
+  }
+  const CsrView* pulled =
+      view.undirected != nullptr || view.directed != nullptr ? &view
+                                                             : nullptr;
 
   std::vector<FusedRun*> active;
   active.reserve(runs.size());
@@ -339,58 +378,21 @@ Status MultiRunEngine::Drive(EdgeStream& stream,
   };
   refresh_active();
 
-  std::array<std::span<const Edge>, kShardSlots> shards;
   while (!active.empty()) {
-    for (FusedRun* run : active) run->BeginPass();
+    for (FusedRun* run : active) run->BeginPass(pulled);
     cursor.BeginPass();
-    for (;;) {
-      if (ShouldStop(cancel)) break;
-      // PassEngine's own shard-boundary schedule, pulled through the
-      // cursor so physical-scan accounting stays in one place.
-      const size_t count = PassEngine::FillShardRound(
-          [&cursor](Edge* scratch, size_t cap) {
-            return cursor.NextChunk(scratch, cap);
-          },
-          batch_.data(), shards);
-      if (count == 0) break;
+    if (pulled == nullptr) {
+      ScanRounds(cursor, active, cancel);
+    } else if (!ShouldStop(cancel)) {
+      // One shard-major round: each task pulls its row shard into every
+      // active run.
       DENSEST_TRACE_SPAN("core.fused_round");
       DENSEST_METRIC_COUNTER("core.fused_rounds").Inc();
-      if (UseWorkMajor(active.size())) {
-        // Work-major fan-out: each (run, shard) pair is a task — shard s
-        // feeds slot s, so same-run tasks write disjoint slot planes. Runs
-        // whose round must stay sequential become one whole-round task.
-        task_scratch_.clear();
-        for (size_t i = 0; i < active.size(); ++i) {
-          if (active[i]->parallel_shards()) {
-            for (size_t s = 0; s < count; ++s) {
-              task_scratch_.emplace_back(static_cast<uint32_t>(i),
-                                         static_cast<uint32_t>(s));
-            }
-          } else {
-            task_scratch_.emplace_back(static_cast<uint32_t>(i), kWholeRound);
-          }
-        }
-        Dispatch(task_scratch_.size(), [&](size_t t) {
-          const auto [i, s] = task_scratch_[t];
-          if (s == kWholeRound) {
-            for (size_t k = 0; k < count; ++k) {
-              active[i]->AccumulateShard(shards[k], k);
-            }
-          } else {
-            active[i]->AccumulateShard(shards[s], s);
-          }
-        });
-      } else {
-        // Run-major fan-out: each task owns one run's accumulators and
-        // walks the round's shards in order, so threads share nothing
-        // mutable.
-        Dispatch(active.size(), [&](size_t i) {
-          for (size_t s = 0; s < count; ++s) {
-            active[i]->AccumulateShard(shards[s], s);
-          }
-        });
-      }
-      if (count < kShardSlots) break;
+      Dispatch(view.shards.size(), [&](size_t i) {
+        if (ShouldStop(cancel)) return;
+        for (FusedRun* run : active) run->PullShard(view, i);
+      });
+      cursor.CountViewPass(view.edges);
     }
     // A failing stream ends the pass early and silently; the accumulated
     // statistics describe a truncated edge set. Abort before peeling on
@@ -410,7 +412,7 @@ Status MultiRunEngine::Drive(EdgeStream& stream,
       last_edges_scanned_ = cursor.edges_scanned();
       return c;
     }
-    // Reduce + peel, also run-major: only run-private state mutates.
+    // Combine + peel, run-major: only run-private state mutates.
     Dispatch(active.size(), [&](size_t i) { active[i]->FinishPass(); });
     refresh_active();
   }
@@ -420,104 +422,71 @@ Status MultiRunEngine::Drive(EdgeStream& stream,
   return Status::OK();
 }
 
-StatusOr<std::vector<DirectedDensestResult>> MultiRunEngine::RunDirectedRuns(
-    EdgeStream& stream, const std::vector<Algorithm3Options>& runs) {
+template <typename RunT, typename ResultT, typename OptionsT,
+          typename CheckFn>
+StatusOr<std::vector<ResultT>> MultiRunEngine::RunFused(
+    EdgeStream& stream, const std::vector<OptionsT>& runs,
+    const CheckFn& check) {
   last_physical_passes_ = last_logical_passes_ = last_edges_scanned_ = 0;
-  if (runs.empty()) return std::vector<DirectedDensestResult>{};
+  if (runs.empty()) return std::vector<ResultT>{};
   const NodeId n = stream.num_nodes();
   if (n == 0) return Status::InvalidArgument("graph has no nodes");
-  for (const Algorithm3Options& options : runs) {
+  for (const OptionsT& options : runs) {
     if (options.epsilon < 0) {
       return Status::InvalidArgument("epsilon must be >= 0");
     }
-    if (!(options.c > 0)) return Status::InvalidArgument("c must be > 0");
+    if (Status s = check(options, n); !s.ok()) return s;
   }
 
   const bool direct = UseDirectPlanes(stream, runs.size());
-  std::vector<FusedDirectedRun> states;
+  std::vector<RunT> states;
   states.reserve(runs.size());
-  for (const Algorithm3Options& options : runs) {
-    states.emplace_back(n, options, direct);
+  for (const OptionsT& options : runs) states.emplace_back(n, options, direct);
+  std::vector<FusedRun*> fused;
+  for (RunT& run : states) fused.push_back(&run);
+  // One token governs the shared scan: the first non-null per-run token.
+  // The scan is physically shared, so one run cannot be cancelled without
+  // stopping the whole sweep; sweep builders set one token on every run.
+  const CancelToken* cancel = nullptr;
+  for (const OptionsT& options : runs) {
+    if (cancel == nullptr) cancel = options.cancel;
   }
-  std::vector<FusedRun*> fused = AsFusedRuns(states);
-  if (Status s = Drive(stream, fused, SweepCancel(runs)); !s.ok()) return s;
+  if (Status s = Drive(stream, fused, cancel); !s.ok()) return s;
 
-  std::vector<DirectedDensestResult> results;
+  std::vector<ResultT> results;
   results.reserve(states.size());
   uint64_t logical = 0;
-  for (FusedDirectedRun& run : states) {
+  for (RunT& run : states) {
     results.push_back(run.TakeResult());
-    logical += results.back().passes;
+    logical += StreamPasses(results.back());
   }
   RecordLogicalPasses(logical);
   return results;
+}
+
+StatusOr<std::vector<DirectedDensestResult>> MultiRunEngine::RunDirectedRuns(
+    EdgeStream& stream, const std::vector<Algorithm3Options>& runs) {
+  return RunFused<FusedDirectedRun, DirectedDensestResult>(
+      stream, runs, [](const Algorithm3Options& options, NodeId) {
+        return options.c > 0 ? Status::OK()
+                             : Status::InvalidArgument("c must be > 0");
+      });
 }
 
 StatusOr<std::vector<UndirectedDensestResult>> MultiRunEngine::RunUndirectedRuns(
     EdgeStream& stream, const std::vector<Algorithm1Options>& runs) {
-  last_physical_passes_ = last_logical_passes_ = last_edges_scanned_ = 0;
-  if (runs.empty()) return std::vector<UndirectedDensestResult>{};
-  const NodeId n = stream.num_nodes();
-  if (n == 0) return Status::InvalidArgument("graph has no nodes");
-  for (const Algorithm1Options& options : runs) {
-    if (options.epsilon < 0) {
-      return Status::InvalidArgument("epsilon must be >= 0");
-    }
-  }
-
-  const bool direct = UseDirectPlanes(stream, runs.size());
-  std::vector<FusedAlg1Run> states;
-  states.reserve(runs.size());
-  for (const Algorithm1Options& options : runs) {
-    states.emplace_back(n, options, direct);
-  }
-  std::vector<FusedRun*> fused = AsFusedRuns(states);
-  if (Status s = Drive(stream, fused, SweepCancel(runs)); !s.ok()) return s;
-
-  std::vector<UndirectedDensestResult> results;
-  results.reserve(states.size());
-  uint64_t logical = 0;
-  for (FusedAlg1Run& run : states) {
-    results.push_back(run.TakeResult());
-    logical += results.back().io_passes;
-  }
-  RecordLogicalPasses(logical);
-  return results;
+  return RunFused<FusedUndirectedRun<Algorithm1Run>, UndirectedDensestResult>(
+      stream, runs, [](const Algorithm1Options&, NodeId) { return Status::OK(); });
 }
 
 StatusOr<std::vector<UndirectedDensestResult>> MultiRunEngine::RunUndirectedRuns(
     EdgeStream& stream, const std::vector<Algorithm2Options>& runs) {
-  last_physical_passes_ = last_logical_passes_ = last_edges_scanned_ = 0;
-  if (runs.empty()) return std::vector<UndirectedDensestResult>{};
-  const NodeId n = stream.num_nodes();
-  if (n == 0) return Status::InvalidArgument("graph has no nodes");
-  for (const Algorithm2Options& options : runs) {
-    if (options.epsilon < 0) {
-      return Status::InvalidArgument("epsilon must be >= 0");
-    }
-    if (options.min_size > n) {
-      return Status::InvalidArgument("min_size exceeds the node count");
-    }
-  }
-
-  const bool direct = UseDirectPlanes(stream, runs.size());
-  std::vector<FusedAlg2Run> states;
-  states.reserve(runs.size());
-  for (const Algorithm2Options& options : runs) {
-    states.emplace_back(n, options, direct);
-  }
-  std::vector<FusedRun*> fused = AsFusedRuns(states);
-  if (Status s = Drive(stream, fused, SweepCancel(runs)); !s.ok()) return s;
-
-  std::vector<UndirectedDensestResult> results;
-  results.reserve(states.size());
-  uint64_t logical = 0;
-  for (FusedAlg2Run& run : states) {
-    results.push_back(run.TakeResult());
-    logical += results.back().passes;
-  }
-  RecordLogicalPasses(logical);
-  return results;
+  return RunFused<FusedUndirectedRun<Algorithm2Run>, UndirectedDensestResult>(
+      stream, runs, [](const Algorithm2Options& options, NodeId n) {
+        return options.min_size <= n
+                   ? Status::OK()
+                   : Status::InvalidArgument("min_size exceeds the node count");
+      });
 }
 
 StatusOr<UndirectedDensestResult> MultiRunEngine::RecomputeUndirected(
@@ -537,20 +506,6 @@ StatusOr<std::vector<UndirectedDensestResult>> RunAlgorithm1EpsilonSweep(
     Algorithm1Options options = base;
     options.epsilon = eps;
     runs.push_back(options);
-  }
-  // Same guarantee as RunCSearch: results never depend on fusing. The one
-  // shape whose fused accumulation could differ in low-order FP bits —
-  // weighted with a CSR view — runs run-by-run instead (`engine`'s scan
-  // counters are untouched in that case).
-  if (!stream.HasUnitWeights() && stream.UndirectedCsrView() != nullptr) {
-    std::vector<UndirectedDensestResult> results;
-    results.reserve(runs.size());
-    for (const Algorithm1Options& options : runs) {
-      StatusOr<UndirectedDensestResult> r = RunAlgorithm1(stream, options);
-      if (!r.ok()) return r.status();
-      results.push_back(std::move(*r));
-    }
-    return results;
   }
   if (engine != nullptr) return engine->RunUndirectedRuns(stream, runs);
   MultiRunEngine local{MultiRunOptions{}};

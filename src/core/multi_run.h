@@ -9,44 +9,34 @@
 // observation as a subsystem. It holds K independent peeling runs (each
 // with its own alive sets, degree accumulators and threshold rule from
 // core/peel_runs.h) and drives all of them from ONE physical scan per
-// pass: each chunk pulled through a PassCursor is fanned across the active
-// runs on the ThreadPool. Runs that converge drop out of the fan-out; the
-// pass loop ends when all runs are done. Total physical scans = max over
-// runs of their pass count, instead of the sum.
+// pass. Runs that converge drop out; the pass loop ends when all runs are
+// done. Total physical scans = max over runs of their pass count, instead
+// of the sum.
 //
-// Fan-out has two shapes, selected automatically per chunk round:
-//   run-major  — a thread owns ONE run's accumulators for the whole round
-//                and walks the round's shards in order. No two threads
-//                share anything mutable. The right shape while active runs
-//                K >= threads.
-//   work-major — once K < threads (a small sweep, or a big one whose runs
-//                have mostly converged), run-major would idle cores. Each
-//                (run, shard) pair becomes its own task instead: shard s of
-//                a round feeds accumulator slot s of its run — exactly
-//                PassEngine's shard/slot schedule — so tasks for the same
-//                run write disjoint slot planes and can proceed
-//                concurrently. Runs whose accumulation is order-dependent
-//                within a pass (FusedRun::parallel_shards() == false, e.g.
-//                the sketched runs whose Count-Sketch updates must follow
-//                stream order) stay whole-round tasks.
+// A pass round takes PassEngine's schedule for the stream's shape:
+//   row pull      — on a stream with a CSR view, the round walks the row
+//                   shards once (shard-major): each task pulls its shard
+//                   into every active run with the run's own RowPull, the
+//                   kernel a solo PassEngine pass uses. Runs write disjoint
+//                   rows, so the round needs no slots.
+//   record rounds — otherwise chunks pulled through a PassCursor are cut
+//                   into PassEngine's shard/slot schedule. While active runs
+//                   K >= threads, each task owns one run for the whole round
+//                   (run-major); once K < threads, each (run, shard) pair
+//                   is a task feeding slot s of its run (work-major). Runs
+//                   that must see edges in stream order (parallel_shards()
+//                   false, e.g. the sketched runs) stay whole-round tasks.
 //
-// Determinism: each run consumes shard s into accumulator slot s and slots
-// are reduced in index order (PassEngine's schedule: kShardEdges-edge
-// shards, shard i of a round into slot i), so every per-run result is
-// bit-identical to a sequential run on the same stream — for any fan-out
-// thread count and either fan-out shape; threading only changes who
-// executes a shard, never what any accumulator sums or in which order. The
-// one caveat: a *weighted* stream that exposes a CSR view is accumulated
-// here through the batched schedule, while a solo PassEngine run would use
-// its CSR row kernel, whose floating-point order differs; unit-weight
-// streams (the common case, where sums are exact) and weighted record
-// streams agree bit-for-bit on every path.
+// Determinism: each run executes exactly the per-shard work a solo
+// PassEngine pass would, and combines it in the same order, so every
+// per-run result is bit-identical to a sequential run on the same stream —
+// for any thread count, weighted or not.
 //
-// Memory: per run, one n-sized double plane per degree array on
-// unit-weight streams driven run-major; kShardSlots planes per degree
-// array on weighted streams, and on unit-weight streams when work-major
-// shard-splitting may engage (the price of slot-isolated concurrency) —
-// O(K n) either way, the semi-streaming budget times the fused width.
+// Memory: per run, one n-sized double plane per degree array; record
+// rounds on streams without unit weights, or that may go work-major, add
+// kShardSlots planes per degree array (the price of slot-isolated
+// concurrency) — O(K n) either way, the semi-streaming budget times the
+// fused width.
 
 #ifndef DENSEST_CORE_MULTI_RUN_H_
 #define DENSEST_CORE_MULTI_RUN_H_
@@ -68,18 +58,7 @@
 
 namespace densest {
 
-/// \brief How Drive() spreads a chunk round's accumulation across threads.
-enum class MultiRunFanOut {
-  /// Run-major while active runs >= threads, work-major once fewer runs
-  /// than threads remain. The default: never idles cores, never pays the
-  /// task-splitting overhead while run-major already saturates the pool.
-  kAuto,
-  /// Always one task per run (PR 2's original behaviour).
-  kRunMajor,
-  /// Always split shards within runs (testing, and few-runs/many-threads
-  /// sweeps where every round benefits).
-  kWorkMajor,
-};
+class PassCursor;
 
 /// \brief Knobs for a MultiRunEngine.
 struct MultiRunOptions {
@@ -87,15 +66,6 @@ struct MultiRunOptions {
   /// sequential. Any value yields bit-identical results; it only changes
   /// wall-clock time.
   size_t num_threads = 0;
-  /// Fan-out shape (see MultiRunFanOut). Any value yields bit-identical
-  /// results.
-  MultiRunFanOut fan_out = MultiRunFanOut::kAuto;
-  /// Optional cooperative cancellation for Drive() (the repo-wide options
-  /// convention, common/cancel.h): polled once per chunk round of the
-  /// shared scan. The sweep entry points (Run*Runs) ignore this and take
-  /// their token from the per-run option structs instead — the scan is
-  /// physically shared, so one token governs the whole sweep.
-  const CancelToken* cancel = nullptr;
 };
 
 /// \brief Drives K independent peeling runs from shared physical scans.
@@ -127,10 +97,18 @@ class MultiRunEngine {
     /// Algorithm 1 after §6.3 compaction); Drive() then calls
     /// FinishOffStream once and excludes it from further fan-out.
     virtual bool wants_stream() const { return !done(); }
-    /// Starts a pass: zero whatever the accumulators need zeroed.
-    virtual void BeginPass() = 0;
-    /// Folds one shard into accumulator slot `slot`. Shards of one round
-    /// arrive either in order from a single thread (run-major, or
+    /// Whether the run can take its passes as row pulls of `view`. False
+    /// (the default) for runs that must see edges in stream order.
+    virtual bool CanPull(const CsrView&) const { return false; }
+    /// Starts a pass: zero whatever the accumulators need zeroed. `view`
+    /// is the CSR view the pass pulls, or null when the pass arrives as
+    /// record rounds through AccumulateShard.
+    virtual void BeginPass(const CsrView* view) = 0;
+    /// Pulls row shard `shard` of the view given to BeginPass. Distinct
+    /// shards of a pass arrive concurrently; they write disjoint rows.
+    virtual void PullShard(const CsrView&, size_t) {}
+    /// Folds one record shard into accumulator slot `slot`. Shards of one
+    /// round arrive either in order from a single thread (run-major, or
     /// parallel_shards() == false) or concurrently from several threads
     /// with distinct `slot` values (work-major).
     virtual void AccumulateShard(std::span<const Edge> shard,
@@ -142,7 +120,7 @@ class MultiRunEngine {
     /// updates in stream order, a survivor buffer appended in stream
     /// order — return false and stay sequential within each round.
     virtual bool parallel_shards() const = 0;
-    /// Ends a pass: reduce slots, apply the peel step.
+    /// Ends a pass: combine the shard totals, apply the peel step.
     virtual void FinishPass() = 0;
     /// Finishes a run that left the scan (wants_stream() false, done()
     /// false) over its private state; costs no physical scans.
@@ -158,53 +136,35 @@ class MultiRunEngine {
   /// Resolved fan-out width (1 means sequential).
   size_t num_threads() const { return num_threads_; }
 
-  /// True when Drive() may split shards within a run (a pool exists and
-  /// the fan-out mode permits work-major rounds). Runs backing such a
-  /// sweep must allocate slot-isolated accumulators to honour
-  /// parallel_shards(); unit-weight sums are integer-exact, so the slotted
-  /// planes change memory, never bits.
-  bool may_split_shards() const {
-    return pool_ != nullptr && fan_out_ != MultiRunFanOut::kRunMajor;
-  }
-
   /// Drives every run in `runs` to completion over shared physical scans
   /// of `stream`. Updates last_physical_passes() / last_edges_scanned().
   /// Fails (abandoning the partial results) when the stream reports an IO
   /// error — a failing stream ends passes early and silently, and peeling
   /// on truncated statistics would yield plausible-looking wrong answers.
-  /// MultiRunOptions::cancel is polled once per chunk round of the shared
-  /// scan; on cancellation Drive abandons the sweep the same way and
-  /// returns kCancelled / kDeadlineExceeded.
-  Status Drive(EdgeStream& stream, std::span<FusedRun* const> runs);
-
-  /// Deprecated spelling: pass the token through MultiRunOptions::cancel
-  /// (or, for the sweep entry points, through the per-run option structs).
-  /// Kept as a thin forwarding shim so existing callers compile; a
-  /// non-null `cancel` here overrides the options token for this call.
+  /// A non-null `cancel` is polled once per record round or row shard of
+  /// the shared scan; on cancellation Drive abandons the sweep the same way
+  /// and returns kCancelled / kDeadlineExceeded.
   Status Drive(EdgeStream& stream, std::span<FusedRun* const> runs,
-               const CancelToken* cancel);
+               const CancelToken* cancel = nullptr);
 
   /// Fused Algorithm 3: one directed peeling run per entry of `runs`, all
   /// fed from shared scans of `stream`. Results are positionally matched
-  /// to `runs` and identical to sequential RunAlgorithm3 calls (see the
-  /// determinism note above — including its weighted-CSR caveat; RunCSearch
-  /// wraps this with a fallback that makes its guarantee unconditional).
-  /// Per-run `engine` fields are ignored. The shared scan polls the first
+  /// to `runs` and identical to sequential RunAlgorithm3 calls. Per-run
+  /// `engine` fields are ignored. The shared scan polls the first
   /// non-null per-run `cancel` token (the sweep entry points assume one
   /// token governs the whole sweep — the scan is physically shared, so one
   /// run cannot be cancelled without stopping the others).
   StatusOr<std::vector<DirectedDensestResult>> RunDirectedRuns(
       EdgeStream& stream, const std::vector<Algorithm3Options>& runs);
 
-  /// Fused Algorithm 1 (the epsilon-sweep workhorse; the weighted-CSR
-  /// caveat above applies — RunAlgorithm1EpsilonSweep adds the fallback).
-  /// §6.3 compaction is honored per run: once a run buffers its survivors
-  /// it leaves the fan-out and finishes over its private buffer, costing no
-  /// further physical scans — exactly as it would alone.
+  /// Fused Algorithm 1 (the epsilon-sweep workhorse). §6.3 compaction is
+  /// honored per run: once a run buffers its survivors it leaves the
+  /// fan-out and finishes over its private buffer, costing no further
+  /// physical scans — exactly as it would alone.
   StatusOr<std::vector<UndirectedDensestResult>> RunUndirectedRuns(
       EdgeStream& stream, const std::vector<Algorithm1Options>& runs);
 
-  /// Fused Algorithm 2 (the weighted-CSR caveat above applies).
+  /// Fused Algorithm 2.
   StatusOr<std::vector<UndirectedDensestResult>> RunUndirectedRuns(
       EdgeStream& stream, const std::vector<Algorithm2Options>& runs);
 
@@ -234,36 +194,38 @@ class MultiRunEngine {
 
  private:
   void Dispatch(size_t count, const std::function<void(size_t)>& fn);
-  /// Whether a K-way sweep over `stream` may use the single direct
-  /// accumulation plane per degree array: unit weights (any order is the
-  /// same bits) and no prospect of work-major shard-splitting, which needs
-  /// slot-isolated planes. Work-major engages from the first round when
-  /// forced, or under kAuto when the sweep starts with fewer runs than
-  /// threads; a wide kAuto sweep keeps the frugal direct planes — if it
-  /// later narrows below the thread count, its direct runs simply stay
-  /// whole-round tasks (parallel_shards() false), trading late-sweep
-  /// speedup for 8x less accumulator memory.
+  /// Shared body of the Run*Runs entry points: validates every options
+  /// entry (epsilon, then `check(options, n)`), builds one RunT per entry
+  /// and drives them all.
+  template <typename RunT, typename ResultT, typename OptionsT,
+            typename CheckFn>
+  StatusOr<std::vector<ResultT>> RunFused(EdgeStream& stream,
+                                          const std::vector<OptionsT>& runs,
+                                          const CheckFn& check);
+  /// One pass of record rounds pulled through `cursor` (see the header).
+  void ScanRounds(PassCursor& cursor, std::span<FusedRun* const> active,
+                  const CancelToken* cancel);
+  /// Whether a K-way sweep over `stream` may keep a single accumulation
+  /// plane per degree array in record rounds: unit weights (any order is
+  /// the same bits) and no prospect of work-major shard-splitting, which
+  /// needs slot-isolated planes. A sweep that starts with at least as many
+  /// runs as threads keeps the frugal planes — if it later narrows below
+  /// the thread count, its runs simply stay whole-round tasks
+  /// (parallel_shards() false), trading late-sweep speedup for 8x less
+  /// accumulator memory.
   bool UseDirectPlanes(const EdgeStream& stream, size_t num_runs) const {
-    if (!stream.HasUnitWeights()) return false;
-    if (!may_split_shards()) return true;
-    return fan_out_ != MultiRunFanOut::kWorkMajor && num_runs >= num_threads_;
-  }
-  /// Whether this round should split shards within runs.
-  bool UseWorkMajor(size_t active_runs) const {
-    if (!may_split_shards()) return false;
-    return fan_out_ == MultiRunFanOut::kWorkMajor ||
-           active_runs < num_threads_;
+    return stream.HasUnitWeights() &&
+           (pool_ == nullptr || num_runs >= num_threads_);
   }
 
   size_t num_threads_ = 1;
-  MultiRunFanOut fan_out_ = MultiRunFanOut::kAuto;
-  const CancelToken* default_cancel_ = nullptr;  // MultiRunOptions::cancel
   // Concurrency contract (no mutex by design, same as PassEngine): every
-  // task of a round writes one (run, slot) accumulator plane no other task
-  // of that round touches, and the round's ParallelFor completion barrier
-  // is the only publication point — caller writes happen-before the
-  // tasks, task writes happen-before the slot-order reduction that reads
-  // them. No engine state may be touched while a round is in flight.
+  // task of a round writes run state no other task of that round touches —
+  // one (run, slot) plane in record rounds, one shard's rows of every run
+  // in pulled rounds — and the round's ParallelFor completion barrier is
+  // the only publication point: caller writes happen-before the tasks,
+  // task writes happen-before FinishPass reads them. No engine state may
+  // be touched while a round is in flight.
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads_ == 1
   std::vector<Edge> batch_;           // kShardSlots * kShardEdges capacity
   /// (run, shard) task list scratch for work-major rounds.

@@ -4,18 +4,14 @@
 #include <cstring>
 #include <thread>
 
+#include "graph/directed_graph.h"
+#include "graph/undirected_graph.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace densest {
 
 namespace {
-
-/// Contiguous row range of a CSR kernel shard.
-struct RowShard {
-  NodeId begin = 0;
-  NodeId end = 0;  // exclusive
-};
 
 /// Splits [0, n) into row ranges of roughly `entries_per_shard` adjacency
 /// entries each (rows are never split). Depends only on the graph shape,
@@ -40,7 +36,133 @@ std::vector<RowShard> ShardRows(NodeId n, const DegreeFn& degree,
   return shards;
 }
 
+constexpr size_t kRowShardEntries = 2 * PassEngine::kShardEdges;
+
+/// Sum of w(row, v) over the entries v of one row with keep(v), in row
+/// order; adds the number of such entries to `count`. A self-loop entry
+/// (v == self) counts twice, as in a record stream. Unit weights (`ws`
+/// empty) count in an integer register: exact, and free of the FP add
+/// latency chain.
+template <typename KeepFn>
+double PullRow(std::span<const NodeId> nbrs, std::span<const Weight> ws,
+               NodeId self, const KeepFn& keep, EdgeId& count) {
+  EdgeId kept = 0;
+  if (ws.empty()) {
+    for (NodeId v : nbrs) kept += EdgeId{keep(v)} << (v == self);
+    count += kept;
+    return static_cast<double>(kept);
+  }
+  double sum = 0.0;
+  for (size_t i = 0; i < nbrs.size(); ++i) {
+    const EdgeId times = EdgeId{keep(nbrs[i])} << (nbrs[i] == self);
+    kept += times;
+    sum += static_cast<double>(times) * ws[i];
+  }
+  count += kept;
+  return sum;
+}
+
 }  // namespace
+
+CsrView CsrView::Of(const EdgeStream& stream) {
+  CsrView view;
+  if ((view.undirected = stream.UndirectedCsrView()) != nullptr) {
+    const UndirectedGraph& g = *view.undirected;
+    view.edges = g.num_edges();
+    view.shards = ShardRows(
+        g.num_nodes(), [&g](NodeId u) { return g.Degree(u); },
+        kRowShardEntries);
+  } else if ((view.directed = stream.DirectedCsrView()) != nullptr) {
+    const DirectedGraph& g = *view.directed;
+    view.edges = g.num_edges();
+    view.shards = ShardRows(
+        g.num_nodes(),
+        [&g](NodeId u) { return g.OutDegree(u) + g.InDegree(u); },
+        kRowShardEntries);
+  }
+  return view;
+}
+
+void RowPull::Begin(size_t shards, bool collect) {
+  weight_.assign(shards, 0.0);
+  count_.assign(shards, 0);
+  survivors_.resize(collect ? shards : 0);
+  for (std::vector<Edge>& run : survivors_) run.clear();
+}
+
+void RowPull::Undirected(const CsrView& view, size_t shard,
+                         const NodeSet& alive, std::vector<double>& degrees) {
+  const UndirectedGraph& g = *view.undirected;
+  const auto keep = [&alive](NodeId v) { return alive.Contains(v); };
+  std::vector<Edge>* survivors =
+      survivors_.empty() ? nullptr : &survivors_[shard];
+  for (NodeId u = view.shards[shard].begin; u < view.shards[shard].end; ++u) {
+    if (!alive.Contains(u)) {
+      degrees[u] = 0.0;
+      continue;
+    }
+    const std::span<const NodeId> nbrs = g.Neighbors(u);
+    const std::span<const Weight> ws = g.NeighborWeights(u);
+    degrees[u] = PullRow(nbrs, ws, u, keep, count_[shard]);
+    weight_[shard] += degrees[u];
+    if (survivors == nullptr) continue;
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      if (nbrs[i] >= u && alive.Contains(nbrs[i])) {
+        survivors->push_back({u, nbrs[i], ws.empty() ? 1.0 : ws[i]});
+      }
+    }
+  }
+}
+
+void RowPull::Directed(const CsrView& view, size_t shard, const NodeSet& s,
+                       const NodeSet& t, std::vector<double>& out_to_t,
+                       std::vector<double>& in_from_s) {
+  const DirectedGraph& g = *view.directed;
+  const auto in_s = [&s](NodeId v) { return s.Contains(v); };
+  const auto in_t = [&t](NodeId v) { return t.Contains(v); };
+  // An arc is one entry of each of its two rows, never a doubled self
+  // entry: pass an owner id no neighbor carries.
+  constexpr NodeId kNoSelf = static_cast<NodeId>(-1);
+  EdgeId in_count = 0;  // equals the out-side arc count; not reported
+  for (NodeId u = view.shards[shard].begin; u < view.shards[shard].end; ++u) {
+    out_to_t[u] = s.Contains(u) ? PullRow(g.OutNeighbors(u),
+                                          g.OutNeighborWeights(u), kNoSelf,
+                                          in_t, count_[shard])
+                                : 0.0;
+    weight_[shard] += out_to_t[u];
+    in_from_s[u] = t.Contains(u) ? PullRow(g.InNeighbors(u),
+                                           g.InNeighborWeights(u), kNoSelf,
+                                           in_s, in_count)
+                                 : 0.0;
+  }
+}
+
+UndirectedPassResult RowPull::FinishUndirected(std::vector<Edge>* survivors) {
+  double twice_weight = 0.0;
+  EdgeId twice_edges = 0;
+  for (size_t i = 0; i < weight_.size(); ++i) {
+    twice_weight += weight_[i];
+    twice_edges += count_[i];
+  }
+  if (survivors != nullptr) {
+    for (const std::vector<Edge>& run : survivors_) {
+      survivors->insert(survivors->end(), run.begin(), run.end());
+    }
+  }
+  UndirectedPassResult out;
+  out.weight = twice_weight / 2.0;
+  out.edges = twice_edges / 2;
+  return out;
+}
+
+DirectedPassResult RowPull::FinishDirected() const {
+  DirectedPassResult out;
+  for (size_t i = 0; i < weight_.size(); ++i) {
+    out.weight += weight_[i];
+    out.arcs += count_[i];
+  }
+  return out;
+}
 
 PassEngine::PassEngine(const PassEngineOptions& options) {
   num_threads_ = options.num_threads;
@@ -125,14 +247,15 @@ UndirectedPassResult PassEngine::RunUndirectedImpl(
     std::vector<Edge>* survivors, const CancelToken* cancel) {
   DENSEST_TRACE_SPAN("core.pass_undirected");
   DENSEST_METRIC_COUNTER("core.passes").Inc();
-  if (survivors == nullptr) {
-    if (const UndirectedGraph* g = stream.UndirectedCsrView()) {
-      stream.Reset();  // keeps pass accounting uniform with the batch path
-      return RunUndirectedCsr(*g, alive, degrees, cancel);
-    }
+  stream.Reset();  // keeps pass accounting uniform across the schedules
+  if (const CsrView view = CsrView::Of(stream); view.undirected != nullptr) {
+    pull_.Begin(view.shards.size(), survivors != nullptr);
+    DispatchRound(view.shards.size(), [&](size_t i) {
+      if (!ShouldStop(cancel)) pull_.Undirected(view, i, alive, degrees);
+    });
+    return pull_.FinishUndirected(survivors);
   }
   EnsureBatchBuffer();
-  stream.Reset();
 
   if (UseDirectPath(stream)) {
     // Unit weights, sequential: accumulate straight into `degrees`. Exact
@@ -214,142 +337,6 @@ UndirectedPassResult PassEngine::RunUndirectedImpl(
   return out;
 }
 
-UndirectedPassResult PassEngine::RunUndirectedCsr(
-    const UndirectedGraph& g, const NodeSet& alive,
-    std::vector<double>& degrees, const CancelToken* cancel) {
-  const NodeId n = g.num_nodes();
-  const bool weighted = g.is_weighted();
-  // The sequential kernels below have no round structure, so they poll the
-  // token every ~kShardEdges adjacency entries — the same bounded unit of
-  // work as one shard. poll_countdown counts entries down to the next poll.
-  size_t poll_countdown = kShardEdges;
-  // Every undirected edge {u, v} occupies the adjacency slot (u, v) AND
-  // (v, u) — a self-loop only (u, u). Walking ALL slots therefore adds each
-  // edge's weight to both endpoint degrees with purely sequential reads;
-  // edge/weight totals are halved at the end (self-loops counted twice via
-  // `self` so the halving stays exact).
-  if (pool_ == nullptr && !weighted) {
-    std::fill(degrees.begin(), degrees.end(), 0.0);
-    double twice_weight = 0.0;
-    double self_weight = 0.0;
-    if (!g.has_self_loops()) {
-      // Two-way unroll with independent row accumulators: breaks the
-      // serial FP-add dependency chain. Reassociation is safe — unit
-      // weights sum exactly, so every order gives the same bits.
-      for (NodeId u = 0; u < n; ++u) {
-        if (!alive.Contains(u)) continue;  // whole dead rows cost nothing
-        auto nbrs = g.Neighbors(u);
-        if (nbrs.size() >= poll_countdown) {
-          if (ShouldStop(cancel)) break;
-          poll_countdown = kShardEdges;
-        } else {
-          poll_countdown -= nbrs.size();
-        }
-        double row0 = 0.0, row1 = 0.0;
-        size_t i = 0;
-        for (; i + 2 <= nbrs.size(); i += 2) {
-          const NodeId v0 = nbrs[i];
-          const NodeId v1 = nbrs[i + 1];
-          const double k0 = alive.Contains(v0) ? 1.0 : 0.0;
-          const double k1 = alive.Contains(v1) ? 1.0 : 0.0;
-          degrees[v0] += k0;
-          degrees[v1] += k1;
-          row0 += k0;
-          row1 += k1;
-        }
-        if (i < nbrs.size()) {
-          const NodeId v = nbrs[i];
-          const double k = alive.Contains(v) ? 1.0 : 0.0;
-          degrees[v] += k;
-          row0 += k;
-        }
-        twice_weight += row0 + row1;
-      }
-    } else {
-      for (NodeId u = 0; u < n; ++u) {
-        if (!alive.Contains(u)) continue;
-        auto nbrs = g.Neighbors(u);
-        if (nbrs.size() >= poll_countdown) {
-          if (ShouldStop(cancel)) break;
-          poll_countdown = kShardEdges;
-        } else {
-          poll_countdown -= nbrs.size();
-        }
-        double row = 0.0;
-        for (NodeId v : nbrs) {
-          const double keep = alive.Contains(v) ? 1.0 : 0.0;
-          degrees[v] += keep;
-          row += keep;
-          if (v == u) {  // self-loop: single slot, degree counts it twice
-            degrees[u] += keep;
-            self_weight += keep;
-          }
-        }
-        twice_weight += row;
-      }
-    }
-    UndirectedPassResult out;
-    out.weight = (twice_weight + self_weight) / 2.0;
-    out.edges = static_cast<EdgeId>(twice_weight + self_weight) / 2;
-    return out;
-  }
-
-  EnsureAccumulators(n, /*planes=*/1);
-  const std::vector<RowShard> shards = ShardRows(
-      n, [&g](NodeId u) { return g.Degree(u); }, 2 * kShardEdges);
-  std::array<double, kShardSlots> slot_self_weight{};
-  std::array<EdgeId, kShardSlots> slot_self_edges{};
-  for (size_t base = 0; base < shards.size(); base += kShardSlots) {
-    if (ShouldStop(cancel)) break;
-    const size_t count = std::min(kShardSlots, shards.size() - base);
-    DispatchRound(count, [&](size_t s) {
-      const RowShard shard = shards[base + s];
-      std::vector<double>& acc = acc_[s];
-      double twice_weight = 0.0;
-      double self_weight = 0.0;
-      EdgeId twice_edges = 0;
-      EdgeId self_edges = 0;
-      for (NodeId u = shard.begin; u < shard.end; ++u) {
-        if (!alive.Contains(u)) continue;
-        auto nbrs = g.Neighbors(u);
-        auto ws = g.NeighborWeights(u);
-        for (size_t i = 0; i < nbrs.size(); ++i) {
-          const NodeId v = nbrs[i];
-          if (!alive.Contains(v)) continue;
-          const double w = weighted ? ws[i] : 1.0;
-          acc[v] += w;
-          twice_weight += w;
-          ++twice_edges;
-          if (v == u) {
-            acc[u] += w;
-            self_weight += w;
-            ++self_edges;
-          }
-        }
-      }
-      slot_weight_[s] += twice_weight;
-      slot_self_weight[s] += self_weight;
-      slot_edges_[s] += twice_edges;
-      slot_self_edges[s] += self_edges;
-    });
-  }
-  double twice_weight = 0.0;
-  double self_weight = 0.0;
-  EdgeId twice_edges = 0;
-  EdgeId self_edges = 0;
-  for (size_t s = 0; s < kShardSlots; ++s) {
-    twice_weight += slot_weight_[s];
-    self_weight += slot_self_weight[s];
-    twice_edges += slot_edges_[s];
-    self_edges += slot_self_edges[s];
-  }
-  UndirectedPassResult out;
-  out.weight = (twice_weight + self_weight) / 2.0;
-  out.edges = (twice_edges + self_edges) / 2;
-  ReduceAndClear(/*plane=*/0, degrees);
-  return out;
-}
-
 UndirectedPassResult PassEngine::RunUndirectedBuffer(
     std::vector<Edge>& edges, const NodeSet& alive,
     std::vector<double>& degrees, bool compact, const CancelToken* cancel) {
@@ -426,12 +413,17 @@ DirectedPassResult PassEngine::RunDirected(EdgeStream& stream,
                                            const CancelToken* cancel) {
   DENSEST_TRACE_SPAN("core.pass_directed");
   DENSEST_METRIC_COUNTER("core.passes").Inc();
-  if (const DirectedGraph* g = stream.DirectedCsrView()) {
-    stream.Reset();
-    return RunDirectedCsr(*g, s_set, t_set, out_to_t, in_from_s, cancel);
+  stream.Reset();
+  if (const CsrView view = CsrView::Of(stream); view.directed != nullptr) {
+    pull_.Begin(view.shards.size());
+    DispatchRound(view.shards.size(), [&](size_t i) {
+      if (!ShouldStop(cancel)) {
+        pull_.Directed(view, i, s_set, t_set, out_to_t, in_from_s);
+      }
+    });
+    return pull_.FinishDirected();
   }
   EnsureBatchBuffer();
-  stream.Reset();
 
   if (UseDirectPath(stream)) {
     std::fill(out_to_t.begin(), out_to_t.end(), 0.0);
@@ -479,85 +471,6 @@ DirectedPassResult PassEngine::RunDirected(EdgeStream& stream,
     if (count < kShardSlots) break;
   }
 
-  DirectedPassResult out;
-  for (size_t s = 0; s < kShardSlots; ++s) {
-    out.weight += slot_weight_[s];
-    out.arcs += slot_edges_[s];
-  }
-  ReduceAndClear(/*plane=*/0, out_to_t);
-  ReduceAndClear(/*plane=*/1, in_from_s);
-  return out;
-}
-
-DirectedPassResult PassEngine::RunDirectedCsr(const DirectedGraph& g,
-                                              const NodeSet& s_set,
-                                              const NodeSet& t_set,
-                                              std::vector<double>& out_to_t,
-                                              std::vector<double>& in_from_s,
-                                              const CancelToken* cancel) {
-  const NodeId n = g.num_nodes();
-  const bool weighted = g.is_weighted();
-  size_t poll_countdown = kShardEdges;  // see RunUndirectedCsr
-  // Arcs occupy exactly one adjacency slot, so no halving is needed; the
-  // out-degree of a row accumulates in a register and stores once.
-  if (pool_ == nullptr && !weighted) {
-    std::fill(out_to_t.begin(), out_to_t.end(), 0.0);
-    std::fill(in_from_s.begin(), in_from_s.end(), 0.0);
-    DirectedPassResult out;
-    for (NodeId u = 0; u < n; ++u) {
-      if (!s_set.Contains(u)) continue;
-      auto nbrs = g.OutNeighbors(u);
-      if (nbrs.size() >= poll_countdown) {
-        if (ShouldStop(cancel)) break;
-        poll_countdown = kShardEdges;
-      } else {
-        poll_countdown -= nbrs.size();
-      }
-      double row = 0.0;
-      for (NodeId v : nbrs) {
-        const double keep = t_set.Contains(v) ? 1.0 : 0.0;
-        in_from_s[v] += keep;
-        row += keep;
-      }
-      out_to_t[u] = row;
-      out.weight += row;
-    }
-    out.arcs = static_cast<EdgeId>(out.weight);
-    return out;
-  }
-
-  EnsureAccumulators(n, /*planes=*/2);
-  const std::vector<RowShard> shards = ShardRows(
-      n, [&g](NodeId u) { return g.OutDegree(u); }, 2 * kShardEdges);
-  for (size_t base = 0; base < shards.size(); base += kShardSlots) {
-    if (ShouldStop(cancel)) break;
-    const size_t count = std::min(kShardSlots, shards.size() - base);
-    DispatchRound(count, [&](size_t s) {
-      const RowShard shard = shards[base + s];
-      std::vector<double>& out_acc = acc_[s];
-      std::vector<double>& in_acc = acc_[kShardSlots + s];
-      double weight = 0.0;
-      EdgeId arcs = 0;
-      for (NodeId u = shard.begin; u < shard.end; ++u) {
-        if (!s_set.Contains(u)) continue;
-        auto nbrs = g.OutNeighbors(u);
-        auto ws = g.OutNeighborWeights(u);
-        double row = 0.0;
-        for (size_t i = 0; i < nbrs.size(); ++i) {
-          const NodeId v = nbrs[i];
-          if (!t_set.Contains(v)) continue;
-          const double w = weighted ? ws[i] : 1.0;
-          in_acc[v] += w;
-          row += w;
-          ++arcs;
-        }
-        out_acc[u] += row;
-        weight += row;
-      }
-      slot_weight_[s] += weight;
-      slot_edges_[s] += arcs;
-    });
-  }
   DirectedPassResult out;
   for (size_t s = 0; s < kShardSlots; ++s) {
     out.weight += slot_weight_[s];

@@ -4,26 +4,32 @@
 // sketched variant) drains its stream through this engine instead of the
 // one-virtual-call-per-edge scalar loop.
 //
-// The engine is fast at three layers:
-//   1. batching    — edges are pulled kShardEdges at a time through
-//                    EdgeStream::NextBatch, so the per-edge virtual dispatch
-//                    disappears from the hot loop;
-//   2. word-packed — alive-set membership is tested with NodeSet's
-//                    branchless word-packed ContainsBoth;
-//   3. parallel    — each round of kShardSlots shards fans out across a
-//                    ThreadPool into per-slot degree accumulators.
+// A pass takes one of two schedules, picked by the stream's shape:
+//   row pull      — a stream backed by an in-memory CSR graph exposes it,
+//                   and a pass pulls each alive node's degree into S from
+//                   its own adjacency row: deg_S(u) = sum over v in N(u) of
+//                   [v in S] w(u, v). Directed passes pull out_to_t over
+//                   the out-rows of S and in_from_s over the in-rows of T.
+//                   No Edge record is materialized.
+//   record rounds — every other stream is pulled kShardEdges edges at a
+//                   time through EdgeStream::NextView; each round of
+//                   kShardSlots shards fans out across a ThreadPool into
+//                   per-slot degree accumulators, reduced in slot order.
 //
-// Determinism: shard boundaries are fixed by the stream order (never by the
-// thread count), shard i of every round feeds accumulator slot i, and the
-// final reduction sums slots in index order. Results are therefore
-// bit-identical for 1, 2, ... N threads — threading changes only who
-// executes a shard, never what any accumulator sums or in which order.
+// Determinism: the work partition is fixed by the input, never by the
+// thread count — row shards by the graph's degree sequence, record shards
+// by the stream order. A pulled row is written once, by the one task that
+// owns its shard, summing its entries in row order; record slots are summed
+// in slot order; per-shard totals are summed in shard order. Threading only
+// changes who executes a shard, so results are bit-identical for 1, 2, ... N
+// threads, on weighted graphs and self-loops too.
 
 #ifndef DENSEST_CORE_PASS_ENGINE_H_
 #define DENSEST_CORE_PASS_ENGINE_H_
 
 #include <array>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -49,6 +55,64 @@ struct [[nodiscard]] DirectedPassResult {
   double weight = 0;
 };
 
+/// \brief Contiguous row range [begin, end) of a CSR graph: the unit of work
+/// of the row-pull schedule.
+struct RowShard {
+  NodeId begin = 0;
+  NodeId end = 0;  // exclusive
+};
+
+/// \brief A stream's CSR view cut into row shards of roughly 2 *
+/// PassEngine::kShardEdges adjacency entries each (rows are never split).
+/// Shard boundaries depend only on the graph.
+struct CsrView {
+  const UndirectedGraph* undirected = nullptr;  // at most one of the two
+  const DirectedGraph* directed = nullptr;      // graphs is set
+  std::vector<RowShard> shards;
+  EdgeId edges = 0;  // edges one scan of the stream would deliver
+
+  /// The view of `stream`; holds no graph when the stream exposes none.
+  static CsrView Of(const EdgeStream& stream);
+};
+
+/// \brief The row-pull kernel plus the per-shard state of one pulled pass.
+///
+/// Each shard writes its own rows of the degree arrays (every row of the
+/// shard: alive rows their degree, dead rows 0) and its own totals entry,
+/// so distinct shards of a pass may be pulled concurrently. Finish* sums
+/// the totals in shard order. PassEngine holds one for solo passes; every
+/// fused run (core/multi_run.h) holds its own, so fused and solo passes
+/// share the kernel and therefore the bits.
+class RowPull {
+ public:
+  /// Starts a pass over `shards` shards. With `collect`, Undirected also
+  /// stages the surviving edges of each shard for FinishUndirected.
+  void Begin(size_t shards, bool collect = false);
+
+  /// deg_S(u) for every row u of shard `shard` of `view.undirected`. A
+  /// self-loop occupies one adjacency slot and counts twice, as in
+  /// a record stream.
+  void Undirected(const CsrView& view, size_t shard, const NodeSet& alive,
+                  std::vector<double>& degrees);
+  /// out_to_t[u] for u in S and in_from_s[u] for u in T, for every row u
+  /// of shard `shard` of `view.directed`.
+  void Directed(const CsrView& view, size_t shard, const NodeSet& s,
+                const NodeSet& t, std::vector<double>& out_to_t,
+                std::vector<double>& in_from_s);
+
+  /// Pass totals; with `survivors`, appends the staged survivors in the
+  /// stream's own order (row u, then v >= u in row order).
+  UndirectedPassResult FinishUndirected(std::vector<Edge>* survivors);
+  DirectedPassResult FinishDirected() const;
+
+ private:
+  // Per shard: undirected passes count every adjacency entry, so an edge
+  // counts once from each endpoint row and the finish halves the sums.
+  std::vector<double> weight_;
+  std::vector<EdgeId> count_;
+  std::vector<std::vector<Edge>> survivors_;  // empty unless collecting
+};
+
 /// \brief Knobs for a PassEngine.
 struct PassEngineOptions {
   /// Worker threads for shard accumulation. 0 = hardware concurrency;
@@ -59,22 +123,21 @@ struct PassEngineOptions {
 
 /// \brief Batched, optionally multi-threaded executor of streaming passes.
 ///
-/// Holds reusable scratch (the batch buffer and the per-slot accumulators),
-/// so one engine should be reused across the passes of an algorithm run.
-/// An engine is NOT safe for concurrent use from multiple threads; create
-/// one engine per concurrent algorithm run instead (every algorithm
-/// options struct accepts an `engine` pointer for this).
-/// Memory: the deterministic parallel path keeps kShardSlots accumulator
-/// vectors of n doubles per plane (8n doubles undirected, 16n directed) —
-/// still O(n), but a constant worth knowing at paper scale. Sequential
-/// unit-weight passes skip the slots entirely.
+/// Holds reusable scratch (the batch buffer, the per-slot accumulators and
+/// the row-pull state), so one engine should be reused across the passes of
+/// an algorithm run. An engine is NOT safe for concurrent use from multiple
+/// threads; create one engine per concurrent algorithm run instead (every
+/// algorithm options struct accepts an `engine` pointer for this).
+/// Memory: pulled passes write the output arrays directly. Record rounds
+/// on a pool or with general weights keep kShardSlots accumulator vectors
+/// of n doubles per plane (8n doubles undirected, 16n directed).
 class PassEngine {
  public:
-  /// Edges per shard. A shard is the unit of work handed to one thread and
-  /// the granularity of the deterministic reduction.
+  /// Edges per record shard. A shard is the unit of work handed to one
+  /// thread and the granularity of the deterministic reduction.
   static constexpr size_t kShardEdges = 1 << 14;
-  /// Shards (and accumulator slots) per round. Fixed independently of the
-  /// thread count so that results never depend on parallelism.
+  /// Record shards (and accumulator slots) per round. Fixed independently
+  /// of the thread count so that results never depend on parallelism.
   static constexpr size_t kShardSlots = 8;
 
   explicit PassEngine(const PassEngineOptions& options = {});
@@ -111,11 +174,12 @@ class PassEngine {
   /// `degrees` must have size num_nodes and is overwritten.
   ///
   /// Cancellation (all Run* methods): a non-null `cancel` is polled once
-  /// per shard round (≤ kShardSlots * kShardEdges edges of work between
-  /// polls). On cancellation the pass stops early and returns partial
-  /// stats; the caller must poll the token itself (CheckCancel) exactly
-  /// like it checks stream.status(), and must not peel on the truncated
-  /// stats. A null token costs one pointer test per round.
+  /// per record round (≤ kShardSlots * kShardEdges edges of work between
+  /// polls) or once per row shard. On cancellation the pass stops early
+  /// and returns partial stats; the caller must poll the token itself
+  /// (CheckCancel) exactly like it checks stream.status(), and must not
+  /// peel on the truncated stats. A null token costs one pointer test per
+  /// round or shard.
   UndirectedPassResult RunUndirected(EdgeStream& stream, const NodeSet& alive,
                                      std::vector<double>& degrees,
                                      const CancelToken* cancel = nullptr);
@@ -148,9 +212,9 @@ class PassEngine {
                                  const CancelToken* cancel = nullptr);
 
   /// Batched drain: invokes fn(edge) sequentially, in stream order, for
-  /// every edge of one full pass. Replaces scalar ForEachEdge on hot paths
-  /// whose per-edge work is not a degree accumulation (graph ingestion,
-  /// sketch updates). Zero-copy where the stream supports NextView.
+  /// every edge of one full pass, for hot paths whose per-edge work is not
+  /// a degree accumulation (graph ingestion, sketch updates). Zero-copy
+  /// where the stream supports NextView.
   template <typename Fn>
   void ForEachEdgeBatched(EdgeStream& stream, Fn&& fn) {
     stream.Reset();
@@ -177,20 +241,6 @@ class PassEngine {
                                          std::vector<Edge>* survivors,
                                          const CancelToken* cancel);
 
-  /// CSR kernels: walk the adjacency arrays directly (no Edge records).
-  /// In the undirected graph every edge occupies two adjacency slots (a
-  /// self-loop one), so degrees accumulate naturally and the totals are
-  /// halved at the end.
-  UndirectedPassResult RunUndirectedCsr(const UndirectedGraph& g,
-                                        const NodeSet& alive,
-                                        std::vector<double>& degrees,
-                                        const CancelToken* cancel);
-  DirectedPassResult RunDirectedCsr(const DirectedGraph& g, const NodeSet& s,
-                                    const NodeSet& t,
-                                    std::vector<double>& out_to_t,
-                                    std::vector<double>& in_from_s,
-                                    const CancelToken* cancel);
-
   /// FillShardRound over the stream and this engine's batch buffer.
   size_t FillShards(EdgeStream& stream,
                     std::array<std::span<const Edge>, kShardSlots>& shards);
@@ -199,7 +249,8 @@ class PassEngine {
   /// each and resets the per-slot totals. Slot vectors are zero on entry to
   /// every pass (freshly allocated or re-zeroed by the previous reduction).
   void EnsureAccumulators(size_t n, size_t planes);
-  /// Runs fn(slot) for each shard of the round, on the pool if present.
+  /// Runs fn(i) for each shard of the round (record or row shards), on the
+  /// pool if present.
   void DispatchRound(size_t shards, const std::function<void(size_t)>& fn);
   /// degrees[u] = sum over slots (in slot order) of plane[slot][u]; re-zeros
   /// the slot vectors so the next pass starts clean without a memset.
@@ -236,6 +287,9 @@ class PassEngine {
   // Per-slot survivor staging for RunUndirectedCollect (flushed in slot
   // order after every round to preserve stream order).
   std::array<std::vector<Edge>, kShardSlots> slot_survivors_;
+  // Pulled passes: each row shard is one DispatchRound task writing its own
+  // rows and totals entry; same barrier hand-off as the slots.
+  RowPull pull_;
 };
 
 /// Process-wide shared engine (hardware-concurrency threads) used by the

@@ -1,8 +1,9 @@
 // Copyright 2026 The densest Authors.
 // Between-pass state of the streaming peeling algorithms: O(n) memory per
 // the semi-streaming model — alive bitmaps and degree counters per node
-// (the engine's parallel path keeps up to kShardSlots accumulator copies,
-// a constant factor on top of that). The pass result types and the batched
+// (record rounds on a pool keep up to kShardSlots accumulator copies, a
+// constant factor on top of that; CSR row pulls keep none). The pass
+// result types and the batched
 // execution live in core/pass_engine.h; these free functions are
 // convenience wrappers over the process-wide default engine and are not
 // safe for concurrent calls — concurrent runs need a private PassEngine.

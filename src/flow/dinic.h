@@ -46,10 +46,6 @@ class Dinic {
   /// Restores residual capacities to the configured capacities.
   void ResetFlow();
 
-  /// Deprecated spelling: pass the token through DinicOptions::cancel at
-  /// construction. Kept as a thin shim so existing callers compile.
-  void set_cancel(const CancelToken* cancel) { cancel_ = cancel; }
-
   /// Computes the max flow from s to t over the current residual network
   /// (call ResetFlow() first to solve from scratch).
   double MaxFlow(int s, int t);

@@ -58,8 +58,8 @@ StatusOr<ExactDensestResult> ExactDensestSubgraph(
   double best_density = total_weight / static_cast<double>(n);
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    // Per-iteration poll; MaxFlow additionally polls per BFS phase (via
-    // set_cancel above) and returns a partial flow when tripped, so the
+    // Per-iteration poll; MaxFlow additionally polls per BFS phase (the
+    // token rides in DinicOptions above) and returns a partial flow when tripped, so the
     // re-check after the solve is what keeps a truncated flow value from
     // being mistaken for a converged one.
     if (Status c = CheckCancel(options.cancel); !c.ok()) return c;

@@ -31,14 +31,21 @@ DirectedGraph DirectedGraph::FromEdgeList(const EdgeList& arcs) {
 
   g.out_neighbors_.resize(g.num_edges_);
   g.in_neighbors_.resize(g.num_edges_);
-  if (weighted) g.out_weights_.resize(g.num_edges_);
+  if (weighted) {
+    g.out_weights_.resize(g.num_edges_);
+    g.in_weights_.resize(g.num_edges_);
+  }
   std::vector<EdgeId> out_cursor = g.out_offsets_;
   std::vector<EdgeId> in_cursor = g.in_offsets_;
   for (const Edge& e : arcs.edges()) {
     EdgeId po = out_cursor[e.u]++;
     g.out_neighbors_[po] = e.v;
-    if (weighted) g.out_weights_[po] = e.w;
-    g.in_neighbors_[in_cursor[e.v]++] = e.u;
+    EdgeId pi = in_cursor[e.v]++;
+    g.in_neighbors_[pi] = e.u;
+    if (weighted) {
+      g.out_weights_[po] = e.w;
+      g.in_weights_[pi] = e.w;
+    }
   }
   return g;
 }

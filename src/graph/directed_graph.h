@@ -57,6 +57,12 @@ class DirectedGraph {
     return {out_weights_.data() + out_offsets_[u],
             static_cast<size_t>(out_offsets_[u + 1] - out_offsets_[u])};
   }
+  /// Weights parallel to InNeighbors(v); empty for unweighted graphs.
+  std::span<const Weight> InNeighborWeights(NodeId v) const {
+    if (in_weights_.empty()) return {};
+    return {in_weights_.data() + in_offsets_[v],
+            static_cast<size_t>(in_offsets_[v + 1] - in_offsets_[v])};
+  }
 
   /// Re-materializes the arc list.
   EdgeList ToEdgeList() const;
@@ -67,7 +73,8 @@ class DirectedGraph {
   Weight total_weight_ = 0;
   std::vector<EdgeId> out_offsets_, in_offsets_;
   std::vector<NodeId> out_neighbors_, in_neighbors_;
-  std::vector<Weight> out_weights_;  // parallel to out_neighbors_
+  // Parallel to out_neighbors_ / in_neighbors_; both empty if unweighted.
+  std::vector<Weight> out_weights_, in_weights_;
 };
 
 }  // namespace densest

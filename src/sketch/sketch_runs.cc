@@ -114,7 +114,7 @@ class FusedSketchedRun final : public MultiRunEngine::FusedRun {
       : run_(n, std::move(oracle), options) {}
 
   bool done() const override { return run_.done(); }
-  void BeginPass() override {
+  void BeginPass(const CsrView*) override {
     run_.oracle().BeginPass();
     weight_ = 0.0;
     edges_ = 0;

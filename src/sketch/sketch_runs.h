@@ -19,9 +19,9 @@
 // parallel_shards() false so work-major rounds never split it. Its exact
 // scalar aggregates (pass weight, edge count) are summed the same way.
 // That makes fused results bit-identical to sequential ones on EVERY
-// stream shape — including weighted CSR streams, where the plane-based
-// fused runs need a fallback; the sequential sketched driver uses the same
-// stream-order scalar drain.
+// stream shape; the sequential sketched driver uses the same stream-order
+// scalar drain. A sketched run never pulls CSR rows (CanPull false), so a
+// sweep over a CSR stream still arrives as record rounds.
 
 #ifndef DENSEST_SKETCH_SKETCH_RUNS_H_
 #define DENSEST_SKETCH_SKETCH_RUNS_H_

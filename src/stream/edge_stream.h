@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 
 #include "common/retry.h"
@@ -94,14 +93,6 @@ class EdgeStream {
   /// Number of edges per pass, if known (0 if unknown).
   virtual EdgeId SizeHint() const { return 0; }
 };
-
-/// Runs `fn` on every edge of one full pass (Reset + drain).
-template <typename Fn>
-void ForEachEdge(EdgeStream& stream, Fn&& fn) {
-  stream.Reset();
-  Edge e;
-  while (stream.Next(&e)) fn(e);
-}
 
 }  // namespace densest
 

@@ -43,6 +43,11 @@ class PassCursor {
     return view;
   }
 
+  /// Accounts a pass its consumer walked through the stream's CSR view
+  /// instead of NextChunk: the view holds exactly the `edges` one scan
+  /// would deliver.
+  void CountViewPass(uint64_t edges) { edges_scanned_ += edges; }
+
   EdgeStream& stream() { return *stream_; }
   /// Physical passes started so far (BeginPass calls).
   uint64_t passes() const { return passes_; }

@@ -17,10 +17,12 @@
 #include "core/algorithm1.h"
 #include "core/algorithm2.h"
 #include "core/algorithm3.h"
+#include "core/multi_run.h"
 #include "dynamic/dynamic_densest.h"
 #include "dynamic/replay.h"
 #include "flow/goldberg.h"
 #include "gen/erdos_renyi.h"
+#include "graph/directed_graph.h"
 #include "graph/undirected_graph.h"
 #include "mapreduce/job.h"
 #include "stream/memory_stream.h"
@@ -156,6 +158,47 @@ TEST(CancelTest, UncancelledTokenChangesNothing) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->density, b->density);  // bit-for-bit: polls must not perturb
   EXPECT_EQ(a->nodes.size(), b->nodes.size());
+}
+
+// CSR views take the row-pull schedule, which polls once per row shard
+// instead of once per record round: the same contract must hold there.
+void ExpectCsrRunsStop(const CancelToken& token, Status::Code code) {
+  EdgeList edges = ErdosRenyiGnm(400, 40000, 9);
+  const UndirectedGraph g = UndirectedGraph::FromEdgeList(edges);
+  const DirectedGraph d = DirectedGraph::FromEdgeList(edges);
+  {
+    Algorithm1Options opt;
+    opt.cancel = &token;
+    StatusOr<UndirectedDensestResult> r = RunAlgorithm1(g, opt);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), code);
+  }
+  {
+    UndirectedGraphStream stream(g);
+    Algorithm1Options base;
+    base.cancel = &token;
+    auto r = RunAlgorithm1EpsilonSweep(stream, base, {0.0, 0.5, 1.0});
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), code);
+  }
+  {
+    CSearchOptions opt;
+    opt.cancel = &token;
+    StatusOr<CSearchResult> r = RunCSearch(d, opt);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), code);
+  }
+}
+
+TEST(CancelTest, CsrRunsReturnCancelled) {
+  CancelToken token;
+  token.Cancel();
+  ExpectCsrRunsStop(token, Status::Code::kCancelled);
+}
+
+TEST(CancelTest, CsrRunsReturnDeadlineExceeded) {
+  const CancelToken expired = CancelToken::WithDeadlineAfterMs(0.0);
+  ExpectCsrRunsStop(expired, Status::Code::kDeadlineExceeded);
 }
 
 // -------------------------------------------------------- exact flow path --

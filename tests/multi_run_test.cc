@@ -84,8 +84,9 @@ std::vector<Algorithm3Options> DirectedGrid() {
 }
 
 /// Fused results over `stream` must equal sequential RunAlgorithm3 per
-/// options, for every fan-out thread count and both fan-out shapes
-/// (run-major, and work-major where (run, shard) pairs are the tasks).
+/// options, for every fan-out thread count. On record streams the 7-run
+/// grid starts work-major at 8 threads ((run, shard) pairs are the tasks)
+/// and run-major below, so both shapes are covered.
 void CheckDirectedEquivalence(EdgeStream& stream, const std::string& label) {
   const std::vector<Algorithm3Options> grid = DirectedGrid();
 
@@ -96,28 +97,22 @@ void CheckDirectedEquivalence(EdgeStream& stream, const std::string& label) {
     seq.push_back(std::move(*r));
   }
 
-  for (MultiRunFanOut fan_out :
-       {MultiRunFanOut::kAuto, MultiRunFanOut::kRunMajor,
-        MultiRunFanOut::kWorkMajor}) {
-    for (size_t threads : {1u, 2u, 4u, 8u}) {
-      MultiRunEngine engine(
-          MultiRunOptions{.num_threads = threads, .fan_out = fan_out});
-      auto fused = engine.RunDirectedRuns(stream, grid);
-      ASSERT_TRUE(fused.ok()) << label;
-      ASSERT_EQ(fused->size(), grid.size()) << label;
-      uint64_t max_passes = 0;
-      for (size_t i = 0; i < grid.size(); ++i) {
-        ExpectSameDirected(
-            seq[i], (*fused)[i],
-            label + " fan_out=" + std::to_string(static_cast<int>(fan_out)) +
-                " threads=" + std::to_string(threads) +
-                " run=" + std::to_string(i));
-        max_passes = std::max(max_passes, (*fused)[i].passes);
-      }
-      // The fused engine scans once per pass round: exactly the longest
-      // run.
-      EXPECT_EQ(engine.last_physical_passes(), max_passes) << label;
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    MultiRunEngine engine(MultiRunOptions{.num_threads = threads});
+    auto fused = engine.RunDirectedRuns(stream, grid);
+    ASSERT_TRUE(fused.ok()) << label;
+    ASSERT_EQ(fused->size(), grid.size()) << label;
+    uint64_t max_passes = 0;
+    for (size_t i = 0; i < grid.size(); ++i) {
+      ExpectSameDirected(
+          seq[i], (*fused)[i],
+          label + " threads=" + std::to_string(threads) +
+              " run=" + std::to_string(i));
+      max_passes = std::max(max_passes, (*fused)[i].passes);
     }
+    // The fused engine scans once per pass round: exactly the longest
+    // run.
+    EXPECT_EQ(engine.last_physical_passes(), max_passes) << label;
   }
 }
 
@@ -195,26 +190,20 @@ void CheckEpsilonSweepEquivalence(EdgeStream& stream,
     seq.push_back(std::move(*r));
   }
 
-  for (MultiRunFanOut fan_out :
-       {MultiRunFanOut::kAuto, MultiRunFanOut::kRunMajor,
-        MultiRunFanOut::kWorkMajor}) {
-    for (size_t threads : {1u, 2u, 4u, 8u}) {
-      MultiRunEngine engine(
-          MultiRunOptions{.num_threads = threads, .fan_out = fan_out});
-      auto fused = RunAlgorithm1EpsilonSweep(stream, base, epsilons, &engine);
-      ASSERT_TRUE(fused.ok()) << label;
-      ASSERT_EQ(fused->size(), epsilons.size()) << label;
-      uint64_t max_io = 0;
-      for (size_t i = 0; i < epsilons.size(); ++i) {
-        ExpectSameUndirected(
-            seq[i], (*fused)[i],
-            label + " fan_out=" + std::to_string(static_cast<int>(fan_out)) +
-                " threads=" + std::to_string(threads) +
-                " eps=" + std::to_string(epsilons[i]));
-        max_io = std::max(max_io, (*fused)[i].io_passes);
-      }
-      EXPECT_EQ(engine.last_physical_passes(), max_io) << label;
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    MultiRunEngine engine(MultiRunOptions{.num_threads = threads});
+    auto fused = RunAlgorithm1EpsilonSweep(stream, base, epsilons, &engine);
+    ASSERT_TRUE(fused.ok()) << label;
+    ASSERT_EQ(fused->size(), epsilons.size()) << label;
+    uint64_t max_io = 0;
+    for (size_t i = 0; i < epsilons.size(); ++i) {
+      ExpectSameUndirected(
+          seq[i], (*fused)[i],
+          label + " threads=" + std::to_string(threads) +
+              " eps=" + std::to_string(epsilons[i]));
+      max_io = std::max(max_io, (*fused)[i].io_passes);
     }
+    EXPECT_EQ(engine.last_physical_passes(), max_io) << label;
   }
 }
 
@@ -252,9 +241,8 @@ TEST(MultiRunEpsilonSweepTest, CirculantEdgeStream) {
 }
 
 TEST(MultiRunEpsilonSweepTest, WeightedCsrStreamMatchesSequential) {
-  // Weighted + CSR view: RunAlgorithm1EpsilonSweep must fall back to
-  // run-by-run execution (like RunCSearch) so results never depend on
-  // fusing, bit for bit.
+  // Weighted + CSR view: fused and solo passes share the row-pull kernel,
+  // so the fused sweep matches run-by-run execution bit for bit.
   GraphBuilder b;
   EdgeList el = ErdosRenyiGnm(200, 2500, 89);
   Rng rng(97);
@@ -291,6 +279,18 @@ TEST(MultiRunEpsilonSweepTest, CompactionLeavesTheSharedScan) {
                                2000);
 }
 
+TEST(MultiRunEpsilonSweepTest, WeightedCsrCompactionFusedMatchesSolo) {
+  // The §6.3 collect pass pulls rows too, solo and fused: the buffered
+  // survivors, and every in-memory pass after them, must agree bit for bit.
+  EdgeList el = ErdosRenyiGnm(300, 6000, 101);
+  Rng rng(103);
+  for (Edge& e : el.mutable_edges()) e.w = 0.25 + rng.UniformDouble();
+  UndirectedGraph g = UndirectedGraph::FromEdgeList(el);
+  UndirectedGraphStream stream(g);
+  CheckEpsilonSweepEquivalence(stream, "weighted-csr-compacting",
+                               /*compact_below_edges=*/2000);
+}
+
 TEST(MultiRunAlgorithm2Test, FusedMatchesSequential) {
   EdgeList el = ErdosRenyiGnm(300, 4000, 61);
   EdgeListStream stream(el);
@@ -312,19 +312,16 @@ TEST(MultiRunAlgorithm2Test, FusedMatchesSequential) {
     seq.push_back(std::move(*r));
   }
 
-  for (MultiRunFanOut fan_out :
-       {MultiRunFanOut::kAuto, MultiRunFanOut::kWorkMajor}) {
-    for (size_t threads : {1u, 4u}) {
-      MultiRunEngine engine(
-          MultiRunOptions{.num_threads = threads, .fan_out = fan_out});
-      auto fused = engine.RunUndirectedRuns(stream, grid);
-      ASSERT_TRUE(fused.ok());
-      ASSERT_EQ(fused->size(), grid.size());
-      for (size_t i = 0; i < grid.size(); ++i) {
-        ExpectSameUndirected(seq[i], (*fused)[i],
-                             "alg2 threads=" + std::to_string(threads) +
-                                 " run=" + std::to_string(i));
-      }
+  // 8 threads > 6 runs: work-major; 4 threads: run-major.
+  for (size_t threads : {1u, 4u, 8u}) {
+    MultiRunEngine engine(MultiRunOptions{.num_threads = threads});
+    auto fused = engine.RunUndirectedRuns(stream, grid);
+    ASSERT_TRUE(fused.ok());
+    ASSERT_EQ(fused->size(), grid.size());
+    for (size_t i = 0; i < grid.size(); ++i) {
+      ExpectSameUndirected(seq[i], (*fused)[i],
+                           "alg2 threads=" + std::to_string(threads) +
+                               " run=" + std::to_string(i));
     }
   }
 }
@@ -386,9 +383,8 @@ TEST(MultiRunCSearchTest, FusedMatchesSequentialAndSavesScans) {
 }
 
 TEST(MultiRunCSearchTest, WeightedCsrStreamIdenticalAcrossFusedFlag) {
-  // Weighted + CSR view is the one shape where fused accumulation could
-  // differ in low-order FP bits; RunCSearch must fall back run-by-run so
-  // the flag never changes results.
+  // Weighted + CSR view: fused and solo passes share the row-pull kernel,
+  // so the `fused` flag never changes results.
   GraphBuilder b;
   EdgeList el = ErdosRenyiDirectedGnm(120, 1500, 73);
   Rng rng(79);

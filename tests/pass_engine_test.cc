@@ -1,12 +1,15 @@
 // Unit tests for the batched pass engine and the NextBatch stream contract:
 // every stream type must produce exactly the same edge sequence through
-// NextBatch as through repeated Next, and PassEngine results must be
-// bit-identical regardless of thread count.
+// NextBatch as through repeated Next, and PassEngine results — record
+// rounds and CSR row pulls alike — must be bit-identical regardless of
+// thread count.
 
 #include "core/pass_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -376,6 +379,181 @@ TEST(PassEngineTest, MultiRoundStreamsSpanRounds) {
   UndirectedPassResult r = engine.RunUndirected(stream, alive, got);
   EXPECT_EQ(r.edges, ref.edges);
   EXPECT_EQ(got, want);
+}
+
+// ---------------------------------------------------------------------------
+// Row-pull kernels over CSR views.
+
+/// Reference scalar directed pass over the stream's records.
+DirectedPassResult ScalarDirectedPass(EdgeStream& stream, const NodeSet& s,
+                                      const NodeSet& t,
+                                      std::vector<double>& out_to_t,
+                                      std::vector<double>& in_from_s) {
+  std::fill(out_to_t.begin(), out_to_t.end(), 0.0);
+  std::fill(in_from_s.begin(), in_from_s.end(), 0.0);
+  DirectedPassResult out;
+  stream.Reset();
+  Edge e;
+  while (stream.Next(&e)) {
+    if (s.Contains(e.u) && t.Contains(e.v)) {
+      out_to_t[e.u] += e.w;
+      in_from_s[e.v] += e.w;
+      out.weight += e.w;
+      ++out.arcs;
+    }
+  }
+  return out;
+}
+
+/// Enough edges for several row shards (2 * kShardEdges entries each),
+/// with self-loops and parallel edges kept. `weighted` draws weights in
+/// [0.25, 1.25).
+EdgeList PullTestEdges(NodeId n, bool weighted, uint64_t seed) {
+  EdgeList el = ErdosRenyiGnm(n, 5 * PassEngine::kShardEdges, seed);
+  Rng rng(seed + 1);
+  for (int i = 0; i < 300; ++i) {
+    const NodeId u = static_cast<NodeId>(rng.UniformU64(n));
+    el.Add(u, u);  // self-loop
+    el.Add(u, (u + 1) % n);  // parallel to an existing edge, or a new one
+  }
+  if (weighted) {
+    for (Edge& e : el.mutable_edges()) e.w = 0.25 + rng.UniformDouble();
+  }
+  return el;
+}
+
+void ExpectRelNear(double got, double want, const std::string& what) {
+  EXPECT_LE(std::abs(got - want), 1e-12 * std::max(1.0, std::abs(want)))
+      << what << ": " << got << " vs " << want;
+}
+
+void CheckUndirectedPull(bool weighted) {
+  const NodeId n = 3000;
+  UndirectedGraph g =
+      UndirectedGraph::FromEdgeList(PullTestEdges(n, weighted, 211));
+  ASSERT_TRUE(g.has_self_loops());
+  ASSERT_EQ(g.is_weighted(), weighted);
+  UndirectedGraphStream stream(g);
+  NodeSet alive = EveryThirdDead(n);
+
+  std::vector<double> want(n);
+  const UndirectedPassResult ref =
+      ScalarUndirectedPass(stream, alive, want);
+
+  std::vector<double> deg1;
+  UndirectedPassResult r1{};
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    PassEngine engine(PassEngineOptions{.num_threads = threads});
+    std::vector<double> got(n, -1.0);
+    const UndirectedPassResult r = engine.RunUndirected(stream, alive, got);
+    if (threads == 1) {
+      deg1 = got;
+      r1 = r;
+      EXPECT_EQ(r.edges, ref.edges);
+      if (weighted) {
+        ExpectRelNear(r.weight, ref.weight, "weight");
+        for (NodeId u = 0; u < n; ++u) {
+          ExpectRelNear(got[u], want[u], "deg " + std::to_string(u));
+        }
+      } else {
+        EXPECT_EQ(r.weight, ref.weight);  // unit weights: exact
+        EXPECT_EQ(got, want);
+      }
+    }
+    // Bit-identical across thread counts, not NEAR.
+    EXPECT_EQ(r.edges, r1.edges) << threads;
+    EXPECT_EQ(r.weight, r1.weight) << threads;
+    EXPECT_EQ(got, deg1) << threads;
+  }
+}
+
+TEST(RowPullTest, UndirectedUnitWeightsWithSelfLoops) {
+  CheckUndirectedPull(/*weighted=*/false);
+}
+
+TEST(RowPullTest, UndirectedWeightedWithSelfLoops) {
+  CheckUndirectedPull(/*weighted=*/true);
+}
+
+void CheckDirectedPull(bool weighted) {
+  const NodeId n = 3000;
+  EdgeList arcs = ErdosRenyiDirectedGnm(n, 5 * PassEngine::kShardEdges, 223);
+  Rng rng(227);
+  if (weighted) {
+    for (Edge& e : arcs.mutable_edges()) e.w = 0.25 + rng.UniformDouble();
+  }
+  DirectedGraph g = DirectedGraph::FromEdgeList(arcs);
+  ASSERT_EQ(g.is_weighted(), weighted);
+  DirectedGraphStream stream(g);
+  NodeSet s = EveryThirdDead(n);
+  NodeSet t(n, /*full=*/true);
+  for (NodeId u = 1; u < n; u += 5) t.Remove(u);
+
+  std::vector<double> want_out(n), want_in(n);
+  const DirectedPassResult ref =
+      ScalarDirectedPass(stream, s, t, want_out, want_in);
+
+  std::vector<double> out1, in1;
+  DirectedPassResult r1{};
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    PassEngine engine(PassEngineOptions{.num_threads = threads});
+    std::vector<double> out(n, -1.0), in(n, -1.0);
+    const DirectedPassResult r = engine.RunDirected(stream, s, t, out, in);
+    if (threads == 1) {
+      out1 = out;
+      in1 = in;
+      r1 = r;
+      EXPECT_EQ(r.arcs, ref.arcs);
+      if (weighted) {
+        ExpectRelNear(r.weight, ref.weight, "weight");
+        for (NodeId u = 0; u < n; ++u) {
+          ExpectRelNear(out[u], want_out[u], "out " + std::to_string(u));
+          ExpectRelNear(in[u], want_in[u], "in " + std::to_string(u));
+        }
+      } else {
+        EXPECT_EQ(r.weight, ref.weight);
+        EXPECT_EQ(out, want_out);
+        EXPECT_EQ(in, want_in);
+      }
+    }
+    EXPECT_EQ(r.arcs, r1.arcs) << threads;
+    EXPECT_EQ(r.weight, r1.weight) << threads;
+    EXPECT_EQ(out, out1) << threads;
+    EXPECT_EQ(in, in1) << threads;
+  }
+}
+
+TEST(RowPullTest, DirectedUnitWeights) { CheckDirectedPull(false); }
+
+TEST(RowPullTest, DirectedWeighted) { CheckDirectedPull(true); }
+
+TEST(RowPullTest, CollectEmitsSurvivorsInStreamOrder) {
+  const NodeId n = 3000;
+  UndirectedGraph g =
+      UndirectedGraph::FromEdgeList(PullTestEdges(n, /*weighted=*/true, 229));
+  UndirectedGraphStream stream(g);
+  NodeSet alive = EveryThirdDead(n);
+
+  std::vector<Edge> want;
+  for (const Edge& e : DrainScalar(stream)) {
+    if (alive.Contains(e.u) && alive.Contains(e.v)) want.push_back(e);
+  }
+  std::vector<double> plain(n);
+  PassEngine reference(PassEngineOptions{.num_threads = 1});
+  const UndirectedPassResult r0 = reference.RunUndirected(stream, alive, plain);
+
+  for (size_t threads : {1u, 4u}) {
+    PassEngine engine(PassEngineOptions{.num_threads = threads});
+    std::vector<double> degrees(n);
+    std::vector<Edge> survivors;
+    const UndirectedPassResult r =
+        engine.RunUndirectedCollect(stream, alive, degrees, &survivors);
+    EXPECT_EQ(survivors, want) << threads;
+    EXPECT_EQ(r.edges, want.size()) << threads;
+    // Collecting changes nothing about the pulled statistics.
+    EXPECT_EQ(r.weight, r0.weight) << threads;
+    EXPECT_EQ(degrees, plain) << threads;
+  }
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // a fused Table 4 grid — sketch oracles of several dimensions and seeds
 // plus the exact-counting baseline — must produce results bit-identical to
 // sequential RunAlgorithm1WithOracle / RunSketchedAlgorithm1 calls, across
-// 1..8 fan-out threads, both fan-out modes (run-major and work-major),
-// and weighted streams, while physically scanning the stream only
+// 1..8 fan-out threads (8 threads turn work-major once fewer than 8 runs
+// remain active), and weighted streams, while physically scanning the stream only
 // max-over-runs(passes) times.
 
 #include "sketch/sketch_runs.h"
@@ -94,28 +94,22 @@ void CheckSketchedEquivalence(EdgeStream& stream, const std::string& label) {
     seq.push_back(std::move(*r));
   }
 
-  for (MultiRunFanOut fan_out :
-       {MultiRunFanOut::kAuto, MultiRunFanOut::kRunMajor,
-        MultiRunFanOut::kWorkMajor}) {
-    for (size_t threads : {1u, 2u, 4u, 8u}) {
-      MultiRunEngine engine(
-          MultiRunOptions{.num_threads = threads, .fan_out = fan_out});
-      auto fused = RunSketchedSweep(stream, grid, &engine);
-      ASSERT_TRUE(fused.ok()) << label;
-      ASSERT_EQ(fused->size(), grid.size()) << label;
-      uint64_t max_passes = 0;
-      for (size_t i = 0; i < grid.size(); ++i) {
-        ExpectSameSketched(
-            seq[i], (*fused)[i],
-            label + " fan_out=" + std::to_string(static_cast<int>(fan_out)) +
-                " threads=" + std::to_string(threads) +
-                " run=" + std::to_string(i));
-        max_passes = std::max(max_passes, (*fused)[i].result.passes);
-      }
-      // The fused sweep scans once per pass round: exactly the longest run.
-      EXPECT_EQ(engine.last_physical_passes(), max_passes) << label;
-      EXPECT_GT(engine.last_logical_passes(), 0u) << label;
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    MultiRunEngine engine(MultiRunOptions{.num_threads = threads});
+    auto fused = RunSketchedSweep(stream, grid, &engine);
+    ASSERT_TRUE(fused.ok()) << label;
+    ASSERT_EQ(fused->size(), grid.size()) << label;
+    uint64_t max_passes = 0;
+    for (size_t i = 0; i < grid.size(); ++i) {
+      ExpectSameSketched(
+          seq[i], (*fused)[i],
+          label + " threads=" + std::to_string(threads) +
+              " run=" + std::to_string(i));
+      max_passes = std::max(max_passes, (*fused)[i].result.passes);
     }
+    // The fused sweep scans once per pass round: exactly the longest run.
+    EXPECT_EQ(engine.last_physical_passes(), max_passes) << label;
+    EXPECT_GT(engine.last_logical_passes(), 0u) << label;
   }
 }
 
@@ -143,9 +137,9 @@ TEST(SketchFusionTest, UndirectedGraphStream) {
 }
 
 TEST(SketchFusionTest, WeightedCsrStreamNeedsNoFallback) {
-  // Weighted + CSR view is the one shape where the PLANE-based fused runs
-  // need a run-by-run fallback; the sketched runs accumulate in stream
-  // order on both paths, so they are bit-identical here with no fallback.
+  // Sketched runs never pull CSR rows: over a weighted CSR stream they
+  // still take record rounds in stream order, bit-identical to the
+  // sequential scalar drain.
   GraphBuilder b;
   EdgeList el = ErdosRenyiGnm(200, 2500, 113);
   Rng rng(127);
