@@ -32,7 +32,7 @@ int main() {
   std::printf("unconstrained (Algorithm 1): rho=%.3f |S|=%zu\n\n",
               unconstrained->density, unconstrained->nodes.size());
 
-  // All k values of the grid run fused through MultiRunEngine — one
+  // All k values of the grid run fused through one PassEngine — one
   // physical scan per pass round feeds every still-active k.
   const NodeId kValues[] = {1u, 10u, 100u, 1000u, 10000u, 50000u, 100000u};
   std::vector<Algorithm2Options> grid;
@@ -44,7 +44,7 @@ int main() {
     grid.push_back(opt);
   }
   UndirectedGraphStream stream(g);
-  MultiRunEngine engine;
+  PassEngine engine;
   auto sweep = engine.RunUndirectedRuns(stream, grid);
   if (!sweep.ok()) return 1;
 

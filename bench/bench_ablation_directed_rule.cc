@@ -28,11 +28,11 @@ int main() {
               "seconds");
 
   // One fused sweep per rule (all three c values share physical scans
-  // through MultiRunEngine); keeping the rules in separate sweeps preserves
+  // through the PassEngine); keeping the rules in separate sweeps preserves
   // the per-rule wall-clock comparison this ablation is about.
   uint64_t fused_scans = 0;
   uint64_t logical_scans = 0;
-  MultiRunEngine engine;
+  PassEngine engine;
   for (auto rule : {DirectedRemovalRule::kSizeRatio,
                     DirectedRemovalRule::kMaxDegree}) {
     const double cs[] = {0.25, 1.0, 4.0};

@@ -38,7 +38,7 @@ int main() {
     }
   };
 
-  // The whole epsilon grid runs fused through MultiRunEngine: one physical
+  // The whole epsilon grid runs fused through one PassEngine: one physical
   // scan per pass round feeds all four runs, so the reported seconds are
   // for the entire sweep (per-eps wall time is no longer separable).
   {
@@ -46,7 +46,7 @@ int main() {
     Algorithm1Options base;
     base.record_trace = false;
     UndirectedGraphStream stream(g);
-    MultiRunEngine engine;
+    PassEngine engine;
     WallTimer t;
     auto sweep = RunAlgorithm1EpsilonSweep(stream, base, epsilons, &engine);
     if (!sweep.ok()) return 1;

@@ -8,7 +8,7 @@
 #include "core/algorithm1.h"
 #include "core/charikar.h"
 #include "core/kcore.h"
-#include "core/peel_state.h"
+#include "core/pass_engine.h"
 #include "flow/goldberg.h"
 #include "gen/chung_lu.h"
 #include "gen/erdos_renyi.h"
@@ -38,7 +38,7 @@ void BM_StreamingPass(benchmark::State& state) {
   NodeSet alive(g.num_nodes(), true);
   std::vector<double> degrees(g.num_nodes());
   for (auto _ : state) {
-    auto r = RunUndirectedPass(stream, alive, degrees);
+    auto r = DefaultPassEngine().RunUndirected(stream, alive, degrees);
     benchmark::DoNotOptimize(r.weight);
   }
   state.SetItemsProcessed(state.iterations() * g.num_edges());

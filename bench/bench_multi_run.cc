@@ -1,4 +1,4 @@
-// Self-checking harness for the fused MultiRunEngine (core/multi_run.h).
+// Self-checking harness for fused PassEngine sweeps (core/pass_engine.h).
 //
 // Runs the Figure 6.4 directed c-sweep and a Figure 6.1-style epsilon
 // sweep twice — once run-by-run (each configuration scans the stream for
@@ -154,7 +154,7 @@ SectionOutcome EpsilonSweep(const UndirectedGraph& g) {
   UndirectedGraphStream fused_inner(g);
   PassStats fused_stats;
   CountingEdgeStream fused_stream(fused_inner, fused_stats);
-  MultiRunEngine engine;
+  PassEngine engine;
   WallTimer fused_timer;
   auto fused = RunAlgorithm1EpsilonSweep(fused_stream, base, epsilons, &engine);
   out.fused_wall_s = fused_timer.ElapsedSeconds();

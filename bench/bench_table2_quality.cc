@@ -2,7 +2,7 @@
 // Algorithm 1 for eps in {0.001, 0.1, 1} on seven SNAP-scale graphs.
 // The paper computed rho* with an LP (CLP); we use the exact max-flow
 // solver (same optimum — see DESIGN.md section 3). The three-eps grid per
-// graph runs fused through MultiRunEngine (one physical scan per pass
+// graph runs fused through one PassEngine (one physical scan per pass
 // round feeds all epsilons) instead of once per epsilon.
 
 #include <cstdio>
@@ -31,7 +31,7 @@ int main() {
   std::printf("%-14s %8s %9s | %9s %9s | %-8s %-8s %-8s\n", "G", "|V|",
               "|E|", "paper rho*", "our rho*", "e=0.001", "e=0.1", "e=1");
 
-  MultiRunEngine engine;  // reused across the per-graph sweeps
+  PassEngine engine;  // reused across the per-graph sweeps
   uint64_t fused_scans = 0;
   uint64_t logical_scans = 0;
   for (const SnapStandInSpec& spec : Table2Specs()) {

@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
   UndirectedGraphStream fused_inner(g);
   PassStats fused_stats;
   CountingEdgeStream fused_stream(fused_inner, fused_stats);
-  MultiRunEngine engine;
+  PassEngine engine;
   WallTimer fused_timer;
   auto fused = RunSketchedSweep(fused_stream, grid, &engine);
   const double fused_wall_s = fused_timer.ElapsedSeconds();

@@ -1,52 +1,21 @@
 #include "core/algorithm1.h"
 
+#include <utility>
 #include <vector>
 
 #include "core/pass_engine.h"
-#include "core/peel_runs.h"
 #include "stream/memory_stream.h"
 
 namespace densest {
 
 StatusOr<UndirectedDensestResult> RunAlgorithm1(
     EdgeStream& stream, const Algorithm1Options& options) {
-  if (options.epsilon < 0) {
-    return Status::InvalidArgument("epsilon must be >= 0");
-  }
-  const NodeId n = stream.num_nodes();
-  if (n == 0) return Status::InvalidArgument("graph has no nodes");
-
   PassEngine& engine =
       options.engine != nullptr ? *options.engine : DefaultPassEngine();
-  Algorithm1Run run(n, options);
-  std::vector<double> degrees(n, 0.0);
-
-  while (!run.done()) {
-    UndirectedPassResult stats;
-    switch (run.mode()) {
-      case Algorithm1Run::PassMode::kBuffer:
-        // Pure in-memory pass (§6.3); dead edges are filtered out as we go
-        // so the buffer keeps shrinking with the graph.
-        stats = engine.RunUndirectedBuffer(run.buffer(), run.alive(), degrees,
-                                           /*compact=*/true, options.cancel);
-        break;
-      case Algorithm1Run::PassMode::kCollectPass:
-        stats = engine.RunUndirectedCollect(stream, run.alive(), degrees,
-                                            &run.buffer(), options.cancel);
-        break;
-      case Algorithm1Run::PassMode::kStream:
-        stats = engine.RunUndirected(stream, run.alive(), degrees,
-                                     options.cancel);
-        break;
-    }
-    // A failing stream — or a cancelled pass — ends early and silently:
-    // the stats above would describe a truncated edge set. Abort instead
-    // of peeling on them.
-    if (Status io = stream.status(); !io.ok()) return io;
-    if (Status c = CheckCancel(options.cancel); !c.ok()) return c;
-    run.ApplyPass(stats, degrees);
-  }
-  return run.TakeResult();
+  StatusOr<std::vector<UndirectedDensestResult>> runs =
+      engine.RunUndirectedRuns(stream, std::vector{options});
+  if (!runs.ok()) return runs.status();
+  return std::move(runs->front());
 }
 
 StatusOr<UndirectedDensestResult> RunAlgorithm1(

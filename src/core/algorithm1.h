@@ -36,10 +36,12 @@ struct Algorithm1Options {
   /// result is bit-identical to the uncompacted run — only IO changes.
   /// 0 disables compaction.
   EdgeId compact_below_edges = 0;
-  /// Pass engine to execute streaming passes on. nullptr uses the shared
+  /// Pass engine that drives the run (a one-run PassEngine drive, the same
+  /// scheduler every sweep uses). nullptr uses the shared
   /// DefaultPassEngine(); callers running algorithms concurrently from
   /// several threads must each supply a private engine (the shared one
-  /// holds mutable scratch and is not thread-safe).
+  /// holds mutable scratch and is not thread-safe). Ignored by the sweep
+  /// entry points, which drive every run on their own engine.
   PassEngine* engine = nullptr;
   /// Optional cooperative cancellation: polled once per shard round, so a
   /// cancel/deadline is observed within one bounded unit of work and the
@@ -47,9 +49,10 @@ struct Algorithm1Options {
   const CancelToken* cancel = nullptr;
 };
 
-/// Runs Algorithm 1 over an edge stream (one Reset+scan per pass). The
-/// stream may be disk-, memory- or generator-backed; only O(n) state is
-/// kept between passes. Fails with InvalidArgument for epsilon < 0 or an
+/// Runs Algorithm 1 over an edge stream (one Reset+scan per pass): a
+/// one-run PassEngine::RunUndirectedRuns. The stream may be disk-, memory-
+/// or generator-backed; only O(n) state is kept between passes. Fails with
+/// InvalidArgument for an epsilon that is negative, NaN or infinite, or an
 /// empty node set.
 StatusOr<UndirectedDensestResult> RunAlgorithm1(EdgeStream& stream,
                                                 const Algorithm1Options& options);

@@ -1,37 +1,21 @@
 #include "core/algorithm2.h"
 
+#include <utility>
 #include <vector>
 
 #include "core/pass_engine.h"
-#include "core/peel_runs.h"
 #include "stream/memory_stream.h"
 
 namespace densest {
 
 StatusOr<UndirectedDensestResult> RunAlgorithm2(
     EdgeStream& stream, const Algorithm2Options& options) {
-  if (options.epsilon < 0) {
-    return Status::InvalidArgument("epsilon must be >= 0");
-  }
-  const NodeId n = stream.num_nodes();
-  if (n == 0) return Status::InvalidArgument("graph has no nodes");
-  if (options.min_size > n) {
-    return Status::InvalidArgument("min_size exceeds the node count");
-  }
-
   PassEngine& engine =
       options.engine != nullptr ? *options.engine : DefaultPassEngine();
-  Algorithm2Run run(n, options);
-  std::vector<double> degrees(n, 0.0);
-
-  while (!run.done()) {
-    UndirectedPassResult stats =
-        engine.RunUndirected(stream, run.alive(), degrees, options.cancel);
-    if (Status io = stream.status(); !io.ok()) return io;
-    if (Status c = CheckCancel(options.cancel); !c.ok()) return c;
-    run.ApplyPass(stats, degrees);
-  }
-  return run.TakeResult();
+  StatusOr<std::vector<UndirectedDensestResult>> runs =
+      engine.RunUndirectedRuns(stream, std::vector{options});
+  if (!runs.ok()) return runs.status();
+  return std::move(runs->front());
 }
 
 StatusOr<UndirectedDensestResult> RunAlgorithm2(

@@ -29,17 +29,18 @@ struct Algorithm2Options {
   uint64_t max_passes = 1000000;
   /// Record a PassSnapshot per pass.
   bool record_trace = true;
-  /// Pass engine to run on; nullptr = shared DefaultPassEngine() (not
-  /// thread-safe — supply a private engine for concurrent runs).
+  /// Pass engine that drives the run (see Algorithm1Options::engine).
   PassEngine* engine = nullptr;
   /// Optional cooperative cancellation (see Algorithm1Options::cancel).
   const CancelToken* cancel = nullptr;
 };
 
-/// Runs Algorithm 2 over an edge stream. Returns the densest intermediate
+/// Runs Algorithm 2 over an edge stream: a one-run
+/// PassEngine::RunUndirectedRuns. Returns the densest intermediate
 /// subgraph among those of size >= min_size; its size is guaranteed
-/// >= min_size provided min_size <= num_nodes (otherwise InvalidArgument).
-/// The algorithm stops early once |S| < min_size (Lemma 11).
+/// >= min_size provided min_size <= num_nodes (otherwise InvalidArgument,
+/// as for an epsilon that is negative, NaN or infinite). The algorithm
+/// stops early once |S| < min_size (Lemma 11).
 StatusOr<UndirectedDensestResult> RunAlgorithm2(EdgeStream& stream,
                                                 const Algorithm2Options& options);
 

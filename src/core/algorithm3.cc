@@ -1,41 +1,22 @@
 #include "core/algorithm3.h"
 
 #include <cmath>
-#include <memory>
+#include <utility>
 #include <vector>
 
-#include "core/multi_run.h"
 #include "core/pass_engine.h"
-#include "core/peel_runs.h"
 #include "stream/memory_stream.h"
 
 namespace densest {
 
 StatusOr<DirectedDensestResult> RunAlgorithm3(
     EdgeStream& stream, const Algorithm3Options& options) {
-  if (options.epsilon < 0) {
-    return Status::InvalidArgument("epsilon must be >= 0");
-  }
-  if (!(options.c > 0)) {
-    return Status::InvalidArgument("c must be > 0");
-  }
-  const NodeId n = stream.num_nodes();
-  if (n == 0) return Status::InvalidArgument("graph has no nodes");
-
   PassEngine& engine =
       options.engine != nullptr ? *options.engine : DefaultPassEngine();
-  Algorithm3Run run(n, options);
-  std::vector<double> out_to_t(n, 0.0);
-  std::vector<double> in_from_s(n, 0.0);
-
-  while (!run.done()) {
-    DirectedPassResult stats = engine.RunDirected(
-        stream, run.s(), run.t(), out_to_t, in_from_s, options.cancel);
-    if (Status io = stream.status(); !io.ok()) return io;
-    if (Status c = CheckCancel(options.cancel); !c.ok()) return c;
-    run.ApplyPass(stats, out_to_t, in_from_s);
-  }
-  return run.TakeResult();
+  StatusOr<std::vector<DirectedDensestResult>> runs =
+      engine.RunDirectedRuns(stream, std::vector{options});
+  if (!runs.ok()) return runs.status();
+  return std::move(runs->front());
 }
 
 StatusOr<DirectedDensestResult> RunAlgorithm3(
@@ -61,7 +42,7 @@ std::vector<Algorithm3Options> CSearchGrid(NodeId n,
     run.rule = options.rule;
     run.max_passes = options.max_passes;
     run.record_trace = options.record_trace;
-    run.engine = options.engine;
+    run.engine = options.multi_engine;
     run.cancel = options.cancel;
     grid.push_back(run);
   }
@@ -70,7 +51,7 @@ std::vector<Algorithm3Options> CSearchGrid(NodeId n,
 
 StatusOr<CSearchResult> RunCSearch(EdgeStream& stream,
                                    const CSearchOptions& options) {
-  if (options.delta <= 1.0) {
+  if (!(options.delta > 1.0)) {
     return Status::InvalidArgument("delta must be > 1");
   }
   const NodeId n = stream.num_nodes();
@@ -80,20 +61,17 @@ StatusOr<CSearchResult> RunCSearch(EdgeStream& stream,
 
   CSearchResult out;
   if (options.fused) {
-    // All c values share every physical scan: one MultiRunEngine pass feeds
-    // the whole grid, so the stream is scanned max-passes times instead of
+    // All c values share every physical scan: one pass feeds the whole
+    // grid, so the stream is scanned max-passes times instead of
     // sum-of-passes times (the paper's "can be tried in parallel" remark).
-    std::unique_ptr<MultiRunEngine> local;
-    MultiRunEngine* engine = options.multi_engine;
-    if (engine == nullptr) {
-      local = std::make_unique<MultiRunEngine>();
-      engine = local.get();
-    }
+    PassEngine& engine = options.multi_engine != nullptr
+                             ? *options.multi_engine
+                             : DefaultPassEngine();
     StatusOr<std::vector<DirectedDensestResult>> runs =
-        engine->RunDirectedRuns(stream, grid);
+        engine.RunDirectedRuns(stream, grid);
     if (!runs.ok()) return runs.status();
     out.sweep = std::move(*runs);
-    out.physical_scans = engine->last_physical_passes();
+    out.physical_scans = engine.last_physical_passes();
   } else {
     for (const Algorithm3Options& run : grid) {
       StatusOr<DirectedDensestResult> r = RunAlgorithm3(stream, run);

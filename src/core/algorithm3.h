@@ -17,7 +17,6 @@
 namespace densest {
 
 class PassEngine;
-class MultiRunEngine;
 
 /// \brief Which set to peel when both are nonempty.
 enum class DirectedRemovalRule {
@@ -44,14 +43,15 @@ struct Algorithm3Options {
   uint64_t max_passes = 100000;
   /// Record a DirectedPassSnapshot per pass (Figure 6.5 needs this).
   bool record_trace = true;
-  /// Pass engine to run on; nullptr = shared DefaultPassEngine() (not
-  /// thread-safe — supply a private engine for concurrent runs).
+  /// Pass engine that drives the run (see Algorithm1Options::engine).
   PassEngine* engine = nullptr;
   /// Optional cooperative cancellation (see Algorithm1Options::cancel).
   const CancelToken* cancel = nullptr;
 };
 
-/// Runs Algorithm 3 for one ratio c over an arc stream.
+/// Runs Algorithm 3 for one ratio c over an arc stream: a one-run
+/// PassEngine::RunDirectedRuns. Fails with InvalidArgument for an epsilon
+/// that is negative, NaN or infinite, c <= 0, or an empty node set.
 StatusOr<DirectedDensestResult> RunAlgorithm3(EdgeStream& stream,
                                               const Algorithm3Options& options);
 
@@ -70,20 +70,16 @@ struct CSearchOptions {
   uint64_t max_passes = 100000;
   /// Record traces in the per-c results (memory heavy for big sweeps).
   bool record_trace = false;
-  /// Pass engine for every run of the sweep; nullptr = DefaultPassEngine().
-  /// Only consulted when `fused` is false (the fused path scans through a
-  /// MultiRunEngine instead).
-  PassEngine* engine = nullptr;
-  /// Fuse the whole c-grid into shared physical scans (core/multi_run.h):
-  /// every pass of the stream feeds all still-active c values at once, so
-  /// the stream is scanned max-over-c(passes) times instead of
-  /// sum-over-c(passes) times. Results are identical either way; this only
-  /// changes IO. false forces one independent run per c.
+  /// Fuse the whole c-grid into shared physical scans: every pass of the
+  /// stream feeds all still-active c values at once, so the stream is
+  /// scanned max-over-c(passes) times instead of sum-over-c(passes) times.
+  /// Results are identical either way; this only changes IO. false forces
+  /// one independent run per c (the run-by-run reference).
   bool fused = true;
-  /// Engine for the fused path; nullptr = a private MultiRunEngine per
-  /// call. Supply one to reuse its scratch across sweeps or to pick the
-  /// fan-out thread count.
-  MultiRunEngine* multi_engine = nullptr;
+  /// Engine for every run of the sweep, fused or not; nullptr = the shared
+  /// DefaultPassEngine() (not thread-safe — supply a private engine for
+  /// concurrent searches, or to pick the thread count).
+  PassEngine* multi_engine = nullptr;
   /// Optional cooperative cancellation for the whole sweep (fused or not).
   const CancelToken* cancel = nullptr;
 };
@@ -99,13 +95,16 @@ struct [[nodiscard]] CSearchResult {
 };
 
 /// The c-grid a CSearchOptions spans: one Algorithm3Options per c = delta^j,
-/// j in [-ceil(log_delta n), +ceil(log_delta n)]. Exposed so callers can
-/// fuse the same grid through a MultiRunEngine themselves. Empty when
-/// n == 0 or delta <= 1 (invalid; RunCSearch reports those as statuses).
+/// j in [-ceil(log_delta n), +ceil(log_delta n)], each on `multi_engine`.
+/// Exposed so callers can drive the same grid through
+/// PassEngine::RunDirectedRuns themselves. Empty when n == 0 or
+/// !(delta > 1) (invalid; RunCSearch reports those as statuses).
 std::vector<Algorithm3Options> CSearchGrid(NodeId n,
                                            const CSearchOptions& options);
 
 /// Runs Algorithm 3 for every c in the delta-grid and returns the best.
+/// Fails with InvalidArgument unless delta > 1 (NaN fails), or for an
+/// invalid epsilon or an empty node set.
 StatusOr<CSearchResult> RunCSearch(EdgeStream& stream,
                                    const CSearchOptions& options);
 

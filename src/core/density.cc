@@ -1,6 +1,8 @@
 #include "core/density.h"
 
+#include <cmath>
 #include <sstream>
+#include <string>
 
 namespace densest {
 
@@ -20,6 +22,12 @@ Answer DirectedDensestResult::ToAnswer() const {
   a.certified = certified_band > 0;
   a.upper_bound = a.certified ? certified_band * density : 0;
   return a;
+}
+
+Status CheckEpsilon(double epsilon, const char* name) {
+  if (std::isfinite(epsilon) && epsilon >= 0) return Status::OK();
+  return Status::InvalidArgument(std::string(name) +
+                                 " must be finite and >= 0");
 }
 
 std::string Summarize(const UndirectedDensestResult& r) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "core/answer.h"
 #include "graph/types.h"
 
@@ -84,6 +85,11 @@ struct [[nodiscard]] DirectedDensestResult {
   /// The unified serving view; size counts |S~| + |T~|.
   Answer ToAnswer() const;
 };
+
+/// OK for an epsilon the peeling drivers accept: finite and >= 0.
+/// InvalidArgument naming `name` otherwise — NaN and infinity included,
+/// which a bare `epsilon < 0` test lets through.
+Status CheckEpsilon(double epsilon, const char* name = "epsilon");
 
 /// Renders "rho=… |S|=… passes=…" for logs and examples.
 std::string Summarize(const UndirectedDensestResult& r);

@@ -1,17 +1,27 @@
 #include "core/pass_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <deque>
+#include <limits>
 #include <thread>
+#include <type_traits>
 
+#include "core/peel_runs.h"
 #include "graph/directed_graph.h"
 #include "graph/undirected_graph.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "stream/pass_cursor.h"
 
 namespace densest {
 
 namespace {
+
+constexpr size_t kSlots = PassEngine::kShardSlots;
+/// Sentinel shard index: the task walks the whole round sequentially.
+constexpr uint32_t kWholeRound = std::numeric_limits<uint32_t>::max();
 
 /// Splits [0, n) into row ranges of roughly `entries_per_shard` adjacency
 /// entries each (rows are never split). Depends only on the graph shape,
@@ -61,6 +71,311 @@ double PullRow(std::span<const NodeId> nbrs, std::span<const Weight> ws,
   count += kept;
   return sum;
 }
+
+/// One degree array of a run for one record pass: shards accumulate
+/// straight into `values` (no slots lent) or into the lent slot planes,
+/// which Reduce sums into `values`.
+struct AccumPlane {
+  std::vector<double>* values = nullptr;
+  /// Empty (accumulate into values) or exactly kSlots lent planes.
+  std::span<std::vector<double>> slots;
+
+  void Begin(std::span<std::vector<double>> lent) {
+    slots = lent;
+    if (slots.empty()) std::fill(values->begin(), values->end(), 0.0);
+  }
+  double* Slot(size_t s) {
+    return slots.empty() ? values->data() : slots[s].data();
+  }
+  /// values[u] = the slots summed in slot order; re-zeroes the slots, so
+  /// the planes go back to the engine clean without a memset.
+  void Reduce() {
+    if (slots.empty()) return;
+    // A fixed trip count over hoisted plane pointers: this loop streams
+    // 8n doubles per pass, which on sparse graphs outweighs the scan.
+    std::array<double*, kSlots> plane;
+    for (size_t s = 0; s < kSlots; ++s) plane[s] = slots[s].data();
+    double* out = values->data();
+    const size_t n = values->size();
+    for (size_t u = 0; u < n; ++u) {
+      double total = 0.0;
+      for (size_t s = 0; s < kSlots; ++s) {
+        total += plane[s][u];
+        plane[s][u] = 0.0;
+      }
+      out[u] = total;
+    }
+  }
+};
+
+/// Per-slot weight/count totals of record rounds, summed in slot order at
+/// the end of a pass. Distinct shards write distinct slots, so work-major
+/// tasks never share an entry.
+struct SlotTotals {
+  std::array<double, kSlots> weight{};
+  std::array<EdgeId, kSlots> count{};
+
+  double TotalWeight() const {
+    double w = 0.0;
+    for (double s : weight) w += s;
+    return w;
+  }
+  EdgeId TotalCount() const {
+    EdgeId c = 0;
+    for (EdgeId s : count) c += s;
+    return c;
+  }
+};
+
+/// Peel logic of a bare one-pass drive (RunUndirected): one pass over a
+/// fixed alive set, keeping its totals.
+class UndirectedPass {
+ public:
+  UndirectedPass(const NodeSet& alive, std::vector<Edge>* survivors)
+      : alive_(alive), survivors_(survivors) {}
+
+  bool done() const { return done_; }
+  const NodeSet& alive() const { return alive_; }
+  std::vector<Edge>* survivors() const { return survivors_; }
+  void ApplyPass(const UndirectedPassResult& stats,
+                 const std::vector<double>&) {
+    stats_ = stats;
+    done_ = true;
+  }
+  const UndirectedPassResult& stats() const { return stats_; }
+
+ private:
+  const NodeSet& alive_;
+  std::vector<Edge>* survivors_;
+  UndirectedPassResult stats_;
+  bool done_ = false;
+};
+
+/// Peel logic of a bare one-pass drive (RunDirected).
+class DirectedPass {
+ public:
+  DirectedPass(const NodeSet& s, const NodeSet& t) : s_(s), t_(t) {}
+
+  bool done() const { return done_; }
+  const NodeSet& s() const { return s_; }
+  const NodeSet& t() const { return t_; }
+  void ApplyPass(const DirectedPassResult& stats, const std::vector<double>&,
+                 const std::vector<double>&) {
+    stats_ = stats;
+    done_ = true;
+  }
+  const DirectedPassResult& stats() const { return stats_; }
+
+ private:
+  const NodeSet& s_;
+  const NodeSet& t_;
+  DirectedPassResult stats_;
+  bool done_ = false;
+};
+
+/// An undirected run (Algorithm 1 or 2, or a bare pass): peel logic plus
+/// its degree accumulation on either schedule. Algorithm 1 honors §6.3
+/// compaction: in kCollectPass mode the pass also collects survivors in
+/// stream order — directly in record rounds, which then stay sequential
+/// within the round, or shard by shard through the pull's finish — after
+/// which the run finishes over its buffer via FinishOffStream, costing no
+/// further physical scans.
+template <typename Logic>
+class UndirectedRun final : public PassEngine::FusedRun {
+  static constexpr bool kCompacts = std::is_same_v<Logic, Algorithm1Run>;
+
+ public:
+  /// A peeling run over n nodes; owns its degree array.
+  template <typename Options>
+  UndirectedRun(NodeId n, const Options& options)
+      : logic_(n, options), own_(n) {}
+  /// A bare pass accumulating into the caller's `degrees`.
+  UndirectedRun(const NodeSet& alive, std::vector<double>& degrees,
+                std::vector<Edge>* survivors)
+      : logic_(alive, survivors) {
+    deg_.values = &degrees;
+  }
+  UndirectedRun(const UndirectedRun&) = delete;
+  UndirectedRun& operator=(const UndirectedRun&) = delete;
+
+  bool done() const override { return logic_.done(); }
+  bool wants_stream() const override {
+    if constexpr (kCompacts) {
+      return !done() && logic_.mode() != Algorithm1Run::PassMode::kBuffer;
+    }
+    return !done();
+  }
+  bool CanPull(const CsrView& view) const override {
+    return view.undirected != nullptr;
+  }
+  size_t degree_arrays() const override { return 1; }
+  void BeginPass(const CsrView* view,
+                 std::span<std::vector<double>> slots) override {
+    pulled_ = view != nullptr;
+    collect_ = CollectTarget();
+    if (pulled_) {
+      pull_.Begin(view->shards.size(), collect_ != nullptr);
+    } else {
+      deg_.Begin(slots);
+      totals_ = {};
+    }
+  }
+  void PullShard(const CsrView& view, size_t shard) override {
+    pull_.Undirected(view, shard, logic_.alive(), degrees());
+  }
+  bool parallel_shards() const override {
+    return !deg_.slots.empty() && collect_ == nullptr;
+  }
+  void AccumulateShard(std::span<const Edge> shard, size_t slot) override {
+    const NodeSet& alive = logic_.alive();
+    double* acc = deg_.Slot(slot);
+    double weight = 0.0;
+    EdgeId edges = 0;
+    for (const Edge& e : shard) {
+      if (alive.ContainsBoth(e.u, e.v)) {
+        acc[e.u] += e.w;
+        acc[e.v] += e.w;
+        weight += e.w;
+        ++edges;
+        if (collect_ != nullptr) collect_->push_back(e);
+      }
+    }
+    totals_.weight[slot] += weight;
+    totals_.count[slot] += edges;
+  }
+  void FinishPass() override {
+    UndirectedPassResult stats;
+    if (pulled_) {
+      stats = pull_.FinishUndirected(collect_);
+    } else {
+      deg_.Reduce();
+      stats.weight = totals_.TotalWeight();
+      stats.edges = totals_.TotalCount();
+    }
+    logic_.ApplyPass(stats, degrees());
+  }
+  void FinishOffStream(PassEngine& engine,
+                       const CancelToken* cancel) override {
+    if constexpr (kCompacts) {
+      while (!logic_.done() && !ShouldStop(cancel)) {
+        UndirectedPassResult stats = engine.RunUndirectedBuffer(
+            logic_.buffer(), logic_.alive(), degrees(), /*compact=*/true,
+            cancel);
+        // A cancelled buffer pass is partial: stop before peeling on it;
+        // Drive reports the cancellation.
+        if (ShouldStop(cancel)) break;
+        logic_.ApplyPass(stats, degrees());
+      }
+    }
+  }
+  Logic& logic() { return logic_; }
+
+ private:
+  std::vector<double>& degrees() { return *deg_.values; }
+  /// Where this pass appends its survivors, if it collects.
+  std::vector<Edge>* CollectTarget() {
+    if constexpr (kCompacts) {
+      if (logic_.mode() == Algorithm1Run::PassMode::kCollectPass) {
+        return &logic_.buffer();
+      }
+    } else if constexpr (std::is_same_v<Logic, UndirectedPass>) {
+      return logic_.survivors();
+    }
+    return nullptr;
+  }
+
+  Logic logic_;
+  std::vector<double> own_;          // the degree array of a peeling run
+  AccumPlane deg_{&own_, {}};        // or the caller's, for a bare pass
+  SlotTotals totals_;
+  RowPull pull_;
+  bool pulled_ = false;
+  std::vector<Edge>* collect_ = nullptr;  // set for a collecting pass
+};
+
+/// A directed run (Algorithm 3, or a bare pass): peel logic plus its two
+/// degree arrays.
+template <typename Logic>
+class DirectedRun final : public PassEngine::FusedRun {
+ public:
+  /// A peeling run over n nodes; owns its degree arrays.
+  DirectedRun(NodeId n, const Algorithm3Options& options)
+      : logic_(n, options), own_out_(n), own_in_(n) {}
+  /// A bare pass accumulating into the caller's arrays.
+  DirectedRun(const NodeSet& s, const NodeSet& t,
+              std::vector<double>& out_to_t, std::vector<double>& in_from_s)
+      : logic_(s, t) {
+    out_.values = &out_to_t;
+    in_.values = &in_from_s;
+  }
+  DirectedRun(const DirectedRun&) = delete;
+  DirectedRun& operator=(const DirectedRun&) = delete;
+
+  bool done() const override { return logic_.done(); }
+  bool CanPull(const CsrView& view) const override {
+    return view.directed != nullptr;
+  }
+  size_t degree_arrays() const override { return 2; }
+  void BeginPass(const CsrView* view,
+                 std::span<std::vector<double>> slots) override {
+    pulled_ = view != nullptr;
+    if (pulled_) {
+      pull_.Begin(view->shards.size());
+    } else {
+      out_.Begin(slots.first(slots.size() / 2));
+      in_.Begin(slots.last(slots.size() / 2));
+      totals_ = {};
+    }
+  }
+  void PullShard(const CsrView& view, size_t shard) override {
+    pull_.Directed(view, shard, logic_.s(), logic_.t(), *out_.values,
+                   *in_.values);
+  }
+  bool parallel_shards() const override { return !out_.slots.empty(); }
+  void AccumulateShard(std::span<const Edge> shard, size_t slot) override {
+    const NodeSet& s_set = logic_.s();
+    const NodeSet& t_set = logic_.t();
+    double* out_acc = out_.Slot(slot);
+    double* in_acc = in_.Slot(slot);
+    double weight = 0.0;
+    EdgeId arcs = 0;
+    for (const Edge& e : shard) {
+      if (s_set.Contains(e.u) && t_set.Contains(e.v)) {
+        out_acc[e.u] += e.w;
+        in_acc[e.v] += e.w;
+        weight += e.w;
+        ++arcs;
+      }
+    }
+    totals_.weight[slot] += weight;
+    totals_.count[slot] += arcs;
+  }
+  void FinishPass() override {
+    DirectedPassResult stats;
+    if (pulled_) {
+      stats = pull_.FinishDirected();
+    } else {
+      out_.Reduce();
+      in_.Reduce();
+      stats.weight = totals_.TotalWeight();
+      stats.arcs = totals_.TotalCount();
+    }
+    logic_.ApplyPass(stats, *out_.values, *in_.values);
+  }
+  Logic& logic() { return logic_; }
+
+ private:
+  Logic logic_;
+  std::vector<double> own_out_, own_in_;  // a peeling run's arrays
+  AccumPlane out_{&own_out_, {}}, in_{&own_in_, {}};
+  SlotTotals totals_;
+  RowPull pull_;
+  bool pulled_ = false;
+};
+
+/// Stream passes a run consumed: its run-by-run scan cost.
+uint64_t StreamPasses(const UndirectedDensestResult& r) { return r.io_passes; }
+uint64_t StreamPasses(const DirectedDensestResult& r) { return r.passes; }
 
 }  // namespace
 
@@ -172,8 +487,6 @@ PassEngine::PassEngine(const PassEngineOptions& options) {
   if (num_threads_ > 1) {
     pool_ = std::make_unique<ThreadPool>(num_threads_);
   }
-  slot_weight_.fill(0.0);
-  slot_edges_.fill(0);
 }
 
 PassEngine::~PassEngine() = default;
@@ -182,159 +495,291 @@ void PassEngine::EnsureBatchBuffer() {
   batch_.resize(kShardSlots * kShardEdges);
 }
 
-void PassEngine::EnsureAccumulators(size_t n, size_t planes) {
-  acc_.resize(planes * kShardSlots);
-  for (std::vector<double>& slot : acc_) {
-    // Slots are zero here by invariant: fresh allocations start zeroed and
-    // ReduceAndClear re-zeroes after every pass. A size change re-zeroes.
-    if (slot.size() != n) slot.assign(n, 0.0);
+std::span<std::vector<double>> PassEngine::LendPlanes(size_t count,
+                                                      size_t n) {
+  if (planes_.size() < count) planes_.resize(count);
+  for (size_t i = 0; i < count; ++i) {
+    // Zero by invariant: fresh planes start zeroed, every borrower's
+    // reduction re-zeroes its planes, and an aborted pass clears them. A
+    // size change re-zeroes.
+    if (planes_[i].size() != n) planes_[i].assign(n, 0.0);
   }
-  slot_weight_.fill(0.0);
-  slot_edges_.fill(0);
+  return std::span<std::vector<double>>(planes_.data(), count);
 }
 
-size_t PassEngine::FillShards(
-    EdgeStream& stream, std::array<std::span<const Edge>, kShardSlots>& shards) {
-  return FillShardRound(
-      [&stream](Edge* scratch, size_t cap) {
-        return stream.NextView(scratch, cap);
-      },
-      batch_.data(), shards);
-}
-
-void PassEngine::DispatchRound(size_t shards,
-                               const std::function<void(size_t)>& fn) {
-  // The central fan-out seam: every sharded pass kernel funnels its rounds
-  // here, so round/shard tallies and the round span cover all of them.
-  DENSEST_TRACE_SPAN("core.pass_round");
-  DENSEST_METRIC_COUNTER("core.pass_rounds").Inc();
-  DENSEST_METRIC_COUNTER("core.pass_shards").Inc(shards);
-  if (pool_ != nullptr && shards > 1) {
-    pool_->ParallelFor(shards, fn);
+void PassEngine::Dispatch(size_t tasks,
+                          const std::function<void(size_t)>& fn) {
+  if (pool_ != nullptr && tasks > 1) {
+    pool_->ParallelFor(tasks, fn);
   } else {
-    for (size_t i = 0; i < shards; ++i) fn(i);
+    for (size_t i = 0; i < tasks; ++i) fn(i);
   }
 }
 
-void PassEngine::ReduceAndClear(size_t plane, std::vector<double>& degrees) {
-  const size_t n = degrees.size();
-  std::vector<double>* slots = acc_.data() + plane * kShardSlots;
-  for (size_t u = 0; u < n; ++u) {
-    double total = 0.0;
-    for (size_t s = 0; s < kShardSlots; ++s) {
-      total += slots[s][u];
-      slots[s][u] = 0.0;
-    }
-    degrees[u] = total;
+void PassEngine::DispatchRound(size_t tasks, size_t runs,
+                               const std::function<void(size_t)>& fn) {
+  DENSEST_METRIC_COUNTER("core.pass_rounds").Inc();
+  DENSEST_METRIC_COUNTER("core.pass_shards").Inc(tasks);
+  if (runs > 1) {
+    DENSEST_TRACE_SPAN("core.fused_round");
+    DENSEST_METRIC_COUNTER("core.fused_rounds").Inc();
+    Dispatch(tasks, fn);
+  } else {
+    DENSEST_TRACE_SPAN("core.pass_round");
+    Dispatch(tasks, fn);
   }
+}
+
+void PassEngine::ScanRounds(PassCursor& cursor,
+                            std::span<FusedRun* const> active,
+                            const CancelToken* cancel) {
+  EnsureBatchBuffer();
+  std::array<std::span<const Edge>, kShardSlots> shards;
+  for (;;) {
+    if (ShouldStop(cancel)) break;
+    // THE shard-boundary schedule of the deterministic reduction:
+    // boundaries derive only from the stream, never from the thread count
+    // or the runs. Pulled through the cursor so physical-scan accounting
+    // stays in one place.
+    size_t count = 0;
+    while (count < kShardSlots) {
+      std::span<const Edge> view =
+          cursor.NextChunk(batch_.data() + count * kShardEdges, kShardEdges);
+      if (view.empty()) break;
+      shards[count++] = view;
+    }
+    if (count == 0) break;
+    if (pool_ != nullptr && active.size() < num_threads_) {
+      // Work-major: each (run, shard) pair is a task — shard s feeds slot
+      // s, so same-run tasks write disjoint slot planes. Runs whose round
+      // must stay sequential become one whole-round task.
+      tasks_.clear();
+      for (size_t i = 0; i < active.size(); ++i) {
+        if (active[i]->parallel_shards()) {
+          for (size_t s = 0; s < count; ++s) {
+            tasks_.emplace_back(static_cast<uint32_t>(i),
+                                static_cast<uint32_t>(s));
+          }
+        } else {
+          tasks_.emplace_back(static_cast<uint32_t>(i), kWholeRound);
+        }
+      }
+      DispatchRound(tasks_.size(), active.size(), [&](size_t t) {
+        const auto [i, s] = tasks_[t];
+        if (s == kWholeRound) {
+          for (size_t k = 0; k < count; ++k) {
+            active[i]->AccumulateShard(shards[k], k);
+          }
+        } else {
+          active[i]->AccumulateShard(shards[s], s);
+        }
+      });
+    } else {
+      // Run-major: each task owns one run's accumulators and walks the
+      // round's shards in order, so threads share nothing mutable.
+      DispatchRound(active.size(), active.size(), [&](size_t i) {
+        for (size_t s = 0; s < count; ++s) {
+          active[i]->AccumulateShard(shards[s], s);
+        }
+      });
+    }
+    if (count < kShardSlots) break;
+  }
+}
+
+Status PassEngine::Drive(EdgeStream& stream, std::span<FusedRun* const> runs,
+                         const CancelToken* cancel) {
+  last_physical_passes_ = last_logical_passes_ = last_edges_scanned_ = 0;
+  PassCursor cursor(stream);
+  auto finish = [&](Status status) {
+    last_physical_passes_ = cursor.passes();
+    last_edges_scanned_ = cursor.edges_scanned();
+    return status;
+  };
+
+  // Pull rows when the stream has a CSR view every run can take.
+  CsrView view = CsrView::Of(stream);
+  for (FusedRun* run : runs) {
+    if (!run->CanPull(view)) {
+      view = CsrView{};
+      break;
+    }
+  }
+  const CsrView* pulled =
+      view.undirected != nullptr || view.directed != nullptr ? &view
+                                                             : nullptr;
+  // Record rounds lend slot planes when a run's shards may be split across
+  // threads (work-major: fewer runs than threads) or the sums are not
+  // exact (non-unit weights). Otherwise every run accumulates straight
+  // into its own arrays: one plane per array, and integer-exact unit sums
+  // are the same bits in any order. A sweep that starts with at least as
+  // many runs as threads keeps the frugal planes — if it later narrows
+  // below the thread count, its runs simply stay whole-round tasks
+  // (parallel_shards() false), trading late-sweep speedup for 8x less
+  // accumulator memory.
+  const bool slotted =
+      pulled == nullptr &&
+      (!stream.HasUnitWeights() ||
+       (pool_ != nullptr && runs.size() < num_threads_));
+
+  std::vector<FusedRun*> active;
+  active.reserve(runs.size());
+  auto refresh_active = [&] {
+    active.clear();
+    for (FusedRun* run : runs) {
+      if (run->done()) continue;
+      if (run->wants_stream()) {
+        active.push_back(run);
+        continue;
+      }
+      // The run no longer needs the stream (Algorithm 1 compaction):
+      // finish it over its private buffer, off the shared scan. Only
+      // cancellation stops it short of done.
+      run->FinishOffStream(*this, cancel);
+      if (Status c = CheckCancel(cancel); !c.ok()) return c;
+    }
+    return Status::OK();
+  };
+  if (Status s = refresh_active(); !s.ok()) return finish(s);
+
+  while (!active.empty()) {
+    DENSEST_METRIC_COUNTER("core.passes").Inc();
+    size_t lent = 0;
+    if (slotted) {
+      for (FusedRun* run : active) lent += run->degree_arrays() * kShardSlots;
+    }
+    const std::span<std::vector<double>> planes =
+        LendPlanes(lent, stream.num_nodes());
+    size_t next = 0;
+    for (FusedRun* run : active) {
+      const size_t k = slotted ? run->degree_arrays() * kShardSlots : 0;
+      run->BeginPass(pulled, planes.subspan(next, k));
+      next += k;
+    }
+    cursor.BeginPass();
+    if (pulled == nullptr) {
+      ScanRounds(cursor, active, cancel);
+    } else if (!ShouldStop(cancel)) {
+      // One shard-major round: each task pulls its row shard into every
+      // active run.
+      DispatchRound(view.shards.size(), active.size(), [&](size_t i) {
+        if (ShouldStop(cancel)) return;
+        for (FusedRun* run : active) run->PullShard(view, i);
+      });
+      cursor.CountViewPass(view.edges);
+    }
+    // A failing stream ends the pass early and silently, and a cancelled
+    // pass is cut short: either way the accumulated statistics describe a
+    // truncated edge set. Abort before peeling on them — partial results
+    // are worse than no results — and hand the lent planes back zeroed.
+    // The pool is already drained (Dispatch returns only after every task
+    // finished), so no thread is left running against freed state.
+    Status status = stream.status();
+    if (status.ok()) status = CheckCancel(cancel);
+    if (!status.ok()) {
+      for (std::vector<double>& plane : planes) {
+        std::fill(plane.begin(), plane.end(), 0.0);
+      }
+      return finish(status);
+    }
+    // Combine + peel, run-major: only run-private state mutates.
+    Dispatch(active.size(), [&](size_t i) { active[i]->FinishPass(); });
+    if (Status s = refresh_active(); !s.ok()) return finish(s);
+  }
+  return finish(Status::OK());
+}
+
+template <typename RunT, typename ResultT, typename OptionsT,
+          typename CheckFn>
+StatusOr<std::vector<ResultT>> PassEngine::RunFused(
+    EdgeStream& stream, const std::vector<OptionsT>& runs,
+    const CheckFn& check) {
+  last_physical_passes_ = last_logical_passes_ = last_edges_scanned_ = 0;
+  if (runs.empty()) return std::vector<ResultT>{};
+  const NodeId n = stream.num_nodes();
+  if (n == 0) return Status::InvalidArgument("graph has no nodes");
+  for (const OptionsT& options : runs) {
+    if (Status s = CheckEpsilon(options.epsilon); !s.ok()) return s;
+    if (Status s = check(options, n); !s.ok()) return s;
+  }
+
+  std::deque<RunT> states;  // stable addresses: runs are not movable
+  std::vector<FusedRun*> fused;
+  fused.reserve(runs.size());
+  for (const OptionsT& options : runs) {
+    fused.push_back(&states.emplace_back(n, options));
+  }
+  // One token governs the shared scan: the first non-null per-run token.
+  // The scan is physically shared, so one run cannot be cancelled without
+  // stopping the whole sweep; sweep builders set one token on every run.
+  const CancelToken* cancel = nullptr;
+  for (const OptionsT& options : runs) {
+    if (cancel == nullptr) cancel = options.cancel;
+  }
+  if (Status s = Drive(stream, fused, cancel); !s.ok()) return s;
+
+  std::vector<ResultT> results;
+  results.reserve(states.size());
+  uint64_t logical = 0;
+  for (RunT& run : states) {
+    results.push_back(run.logic().TakeResult());
+    logical += StreamPasses(results.back());
+  }
+  RecordLogicalPasses(logical);
+  return results;
+}
+
+StatusOr<std::vector<DirectedDensestResult>> PassEngine::RunDirectedRuns(
+    EdgeStream& stream, const std::vector<Algorithm3Options>& runs) {
+  return RunFused<DirectedRun<Algorithm3Run>, DirectedDensestResult>(
+      stream, runs, [](const Algorithm3Options& options, NodeId) {
+        return options.c > 0 ? Status::OK()
+                             : Status::InvalidArgument("c must be > 0");
+      });
+}
+
+StatusOr<std::vector<UndirectedDensestResult>> PassEngine::RunUndirectedRuns(
+    EdgeStream& stream, const std::vector<Algorithm1Options>& runs) {
+  return RunFused<UndirectedRun<Algorithm1Run>, UndirectedDensestResult>(
+      stream, runs,
+      [](const Algorithm1Options&, NodeId) { return Status::OK(); });
+}
+
+StatusOr<std::vector<UndirectedDensestResult>> PassEngine::RunUndirectedRuns(
+    EdgeStream& stream, const std::vector<Algorithm2Options>& runs) {
+  return RunFused<UndirectedRun<Algorithm2Run>, UndirectedDensestResult>(
+      stream, runs, [](const Algorithm2Options& options, NodeId n) {
+        return options.min_size <= n
+                   ? Status::OK()
+                   : Status::InvalidArgument("min_size exceeds the node count");
+      });
 }
 
 UndirectedPassResult PassEngine::RunUndirected(EdgeStream& stream,
                                                const NodeSet& alive,
                                                std::vector<double>& degrees,
-                                               const CancelToken* cancel) {
-  return RunUndirectedImpl(stream, alive, degrees, nullptr, cancel);
-}
-
-UndirectedPassResult PassEngine::RunUndirectedCollect(
-    EdgeStream& stream, const NodeSet& alive, std::vector<double>& degrees,
-    std::vector<Edge>* survivors, const CancelToken* cancel) {
-  return RunUndirectedImpl(stream, alive, degrees, survivors, cancel);
-}
-
-UndirectedPassResult PassEngine::RunUndirectedImpl(
-    EdgeStream& stream, const NodeSet& alive, std::vector<double>& degrees,
-    std::vector<Edge>* survivors, const CancelToken* cancel) {
+                                               const CancelToken* cancel,
+                                               std::vector<Edge>* survivors) {
   DENSEST_TRACE_SPAN("core.pass_undirected");
-  DENSEST_METRIC_COUNTER("core.passes").Inc();
-  stream.Reset();  // keeps pass accounting uniform across the schedules
-  if (const CsrView view = CsrView::Of(stream); view.undirected != nullptr) {
-    pull_.Begin(view.shards.size(), survivors != nullptr);
-    DispatchRound(view.shards.size(), [&](size_t i) {
-      if (!ShouldStop(cancel)) pull_.Undirected(view, i, alive, degrees);
-    });
-    return pull_.FinishUndirected(survivors);
-  }
-  EnsureBatchBuffer();
+  UndirectedRun<UndirectedPass> run(alive, degrees, survivors);
+  FusedRun* runs[] = {&run};
+  // A failed pass leaves zero stats; the caller checks the stream status
+  // and the token itself.
+  (void)Drive(stream, runs, cancel);
+  return run.logic().stats();
+}
 
-  if (UseDirectPath(stream)) {
-    // Unit weights, sequential: accumulate straight into `degrees`. Exact
-    // integer-valued sums make this bit-identical to any slotted schedule.
-    std::fill(degrees.begin(), degrees.end(), 0.0);
-    UndirectedPassResult out;
-    double weight = 0.0;
-    for (;;) {
-      if (ShouldStop(cancel)) break;
-      std::span<const Edge> view =
-          stream.NextView(batch_.data(), batch_.size());
-      if (view.empty()) break;
-      if (survivors != nullptr) {
-        for (const Edge& e : view) {
-          if (alive.ContainsBoth(e.u, e.v)) {
-            degrees[e.u] += 1.0;
-            degrees[e.v] += 1.0;
-            weight += 1.0;
-            survivors->push_back(e);
-          }
-        }
-      } else {
-        // Branchless: dead edges add 0.0 (a no-op on the degree values),
-        // so the loop carries no unpredictable branch.
-        for (const Edge& e : view) {
-          const double keep = alive.ContainsBoth(e.u, e.v) ? 1.0 : 0.0;
-          degrees[e.u] += keep;
-          degrees[e.v] += keep;
-          weight += keep;
-        }
-      }
-    }
-    out.weight = weight;
-    out.edges = static_cast<EdgeId>(weight);  // unit weights: count == sum
-    return out;
-  }
-
-  EnsureAccumulators(degrees.size(), /*planes=*/1);
-  std::array<std::span<const Edge>, kShardSlots> shards;
-  for (;;) {
-    if (ShouldStop(cancel)) break;
-    const size_t count = FillShards(stream, shards);
-    if (count == 0) break;
-    DispatchRound(count, [&](size_t s) {
-      std::vector<double>& acc = acc_[s];
-      std::vector<Edge>* out =
-          survivors != nullptr ? &slot_survivors_[s] : nullptr;
-      if (out != nullptr) out->clear();
-      double weight = 0.0;
-      EdgeId edges = 0;
-      for (const Edge& e : shards[s]) {
-        if (alive.ContainsBoth(e.u, e.v)) {
-          acc[e.u] += e.w;
-          acc[e.v] += e.w;
-          weight += e.w;
-          ++edges;
-          if (out != nullptr) out->push_back(e);
-        }
-      }
-      slot_weight_[s] += weight;
-      slot_edges_[s] += edges;
-    });
-    if (survivors != nullptr) {
-      // Slot order == stream order: survivors stay in stream order.
-      for (size_t s = 0; s < count; ++s) {
-        survivors->insert(survivors->end(), slot_survivors_[s].begin(),
-                          slot_survivors_[s].end());
-      }
-    }
-    if (count < kShardSlots) break;
-  }
-
-  UndirectedPassResult out;
-  for (size_t s = 0; s < kShardSlots; ++s) {
-    out.weight += slot_weight_[s];
-    out.edges += slot_edges_[s];
-  }
-  ReduceAndClear(/*plane=*/0, degrees);
-  return out;
+DirectedPassResult PassEngine::RunDirected(EdgeStream& stream,
+                                           const NodeSet& s_set,
+                                           const NodeSet& t_set,
+                                           std::vector<double>& out_to_t,
+                                           std::vector<double>& in_from_s,
+                                           const CancelToken* cancel) {
+  DENSEST_TRACE_SPAN("core.pass_directed");
+  DirectedRun<DirectedPass> run(s_set, t_set, out_to_t, in_from_s);
+  FusedRun* runs[] = {&run};
+  (void)Drive(stream, runs, cancel);
+  return run.logic().stats();
 }
 
 UndirectedPassResult PassEngine::RunUndirectedBuffer(
@@ -342,7 +787,9 @@ UndirectedPassResult PassEngine::RunUndirectedBuffer(
     std::vector<double>& degrees, bool compact, const CancelToken* cancel) {
   DENSEST_TRACE_SPAN("core.pass_undirected");
   DENSEST_METRIC_COUNTER("core.passes").Inc();
-  EnsureAccumulators(degrees.size(), /*planes=*/1);
+  AccumPlane deg{&degrees, {}};
+  deg.Begin(LendPlanes(kShardSlots, degrees.size()));
+  SlotTotals totals;
   const size_t total = edges.size();
   const size_t round_cap = kShardSlots * kShardEdges;
   size_t write = 0;
@@ -361,10 +808,10 @@ UndirectedPassResult PassEngine::RunUndirectedBuffer(
     }
     const size_t round_edges = std::min(round_cap, total - start);
     const size_t shards = (round_edges + kShardEdges - 1) / kShardEdges;
-    DispatchRound(shards, [&](size_t s) {
+    DispatchRound(shards, /*runs=*/1, [&](size_t s) {
       Edge* base = edges.data() + start + s * kShardEdges;
       const size_t count = std::min(kShardEdges, round_edges - s * kShardEdges);
-      std::vector<double>& acc = acc_[s];
+      double* acc = deg.Slot(s);
       double weight = 0.0;
       EdgeId kept_edges = 0;
       size_t out_i = 0;
@@ -379,8 +826,8 @@ UndirectedPassResult PassEngine::RunUndirectedBuffer(
         }
       }
       kept[s] = compact ? out_i : count;
-      slot_weight_[s] += weight;
-      slot_edges_[s] += kept_edges;
+      totals.weight[s] += weight;
+      totals.count[s] += kept_edges;
     });
     if (compact) {
       // Stitch the per-shard survivor runs back together in shard order;
@@ -395,89 +842,11 @@ UndirectedPassResult PassEngine::RunUndirectedBuffer(
     }
   }
   if (compact) edges.resize(write);
+  deg.Reduce();
 
   UndirectedPassResult out;
-  for (size_t s = 0; s < kShardSlots; ++s) {
-    out.weight += slot_weight_[s];
-    out.edges += slot_edges_[s];
-  }
-  ReduceAndClear(/*plane=*/0, degrees);
-  return out;
-}
-
-DirectedPassResult PassEngine::RunDirected(EdgeStream& stream,
-                                           const NodeSet& s_set,
-                                           const NodeSet& t_set,
-                                           std::vector<double>& out_to_t,
-                                           std::vector<double>& in_from_s,
-                                           const CancelToken* cancel) {
-  DENSEST_TRACE_SPAN("core.pass_directed");
-  DENSEST_METRIC_COUNTER("core.passes").Inc();
-  stream.Reset();
-  if (const CsrView view = CsrView::Of(stream); view.directed != nullptr) {
-    pull_.Begin(view.shards.size());
-    DispatchRound(view.shards.size(), [&](size_t i) {
-      if (!ShouldStop(cancel)) {
-        pull_.Directed(view, i, s_set, t_set, out_to_t, in_from_s);
-      }
-    });
-    return pull_.FinishDirected();
-  }
-  EnsureBatchBuffer();
-
-  if (UseDirectPath(stream)) {
-    std::fill(out_to_t.begin(), out_to_t.end(), 0.0);
-    std::fill(in_from_s.begin(), in_from_s.end(), 0.0);
-    DirectedPassResult out;
-    for (;;) {
-      if (ShouldStop(cancel)) break;
-      std::span<const Edge> view =
-          stream.NextView(batch_.data(), batch_.size());
-      if (view.empty()) break;
-      for (const Edge& e : view) {
-        if (s_set.Contains(e.u) && t_set.Contains(e.v)) {
-          out_to_t[e.u] += e.w;
-          in_from_s[e.v] += e.w;
-          out.weight += e.w;
-          ++out.arcs;
-        }
-      }
-    }
-    return out;
-  }
-
-  EnsureAccumulators(out_to_t.size(), /*planes=*/2);
-  std::array<std::span<const Edge>, kShardSlots> shards;
-  for (;;) {
-    if (ShouldStop(cancel)) break;
-    const size_t count = FillShards(stream, shards);
-    if (count == 0) break;
-    DispatchRound(count, [&](size_t s) {
-      std::vector<double>& out_acc = acc_[s];
-      std::vector<double>& in_acc = acc_[kShardSlots + s];
-      double weight = 0.0;
-      EdgeId arcs = 0;
-      for (const Edge& e : shards[s]) {
-        if (s_set.Contains(e.u) && t_set.Contains(e.v)) {
-          out_acc[e.u] += e.w;
-          in_acc[e.v] += e.w;
-          weight += e.w;
-          ++arcs;
-        }
-      }
-      slot_weight_[s] += weight;
-      slot_edges_[s] += arcs;
-    });
-    if (count < kShardSlots) break;
-  }
-
-  DirectedPassResult out;
-  for (size_t s = 0; s < kShardSlots; ++s) {
-    out.weight += slot_weight_[s];
-    out.arcs += slot_edges_[s];
-  }
-  ReduceAndClear(/*plane=*/0, out_to_t);
-  ReduceAndClear(/*plane=*/1, in_from_s);
+  out.weight = totals.TotalWeight();
+  out.edges = totals.TotalCount();
   return out;
 }
 

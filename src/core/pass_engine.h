@@ -1,45 +1,80 @@
 // Copyright 2026 The densest Authors.
-// The shared high-throughput implementation of a streaming pass. Every
-// peeling algorithm in the library (Algorithms 1-3, Charikar ingestion, the
-// sketched variant) drains its stream through this engine instead of the
-// one-virtual-call-per-edge scalar loop.
+// The one scheduler of streaming passes. Every pass of Algorithms 1-3 is
+// the same primitive — scan the edges once and sum every alive node's
+// degree into S — and PassEngine is its only implementation. A pass feeds
+// one or more FusedRun objects (independent peeling runs, each with its own
+// alive sets, degree arrays and threshold rule): Bahmani et al. note the
+// candidate c values "can be tried in parallel" over shared passes, and a
+// solo run is just the one-run case. RunAlgorithm1/2/3, the sketched
+// driver, the eps- and c-sweeps and the dynamic service's fallback
+// recompute all drive their runs through Drive(); RunUndirected and
+// RunDirected are one-pass drives.
 //
 // A pass takes one of two schedules, picked by the stream's shape:
 //   row pull      — a stream backed by an in-memory CSR graph exposes it,
-//                   and a pass pulls each alive node's degree into S from
-//                   its own adjacency row: deg_S(u) = sum over v in N(u) of
-//                   [v in S] w(u, v). Directed passes pull out_to_t over
-//                   the out-rows of S and in_from_s over the in-rows of T.
-//                   No Edge record is materialized.
-//   record rounds — every other stream is pulled kShardEdges edges at a
-//                   time through EdgeStream::NextView; each round of
-//                   kShardSlots shards fans out across a ThreadPool into
-//                   per-slot degree accumulators, reduced in slot order.
+//                   and the pass is one round over the graph's row shards:
+//                   each task pulls its shard into every run, deg_S(u) =
+//                   sum over v in N(u) of [v in S] w(u, v) over u's own
+//                   row (directed: out_to_t over the out-rows of S,
+//                   in_from_s over the in-rows of T). Runs write disjoint
+//                   rows, so the round needs no slots.
+//   record rounds — every other stream is read kShardEdges edges at a
+//                   time through EdgeStream::NextView; a round is up to
+//                   kShardSlots such shards. While the pass feeds at least
+//                   as many runs as threads, each task owns one run and
+//                   walks the round's shards in order (run-major); below
+//                   that, each (run, shard) pair is a task and shard s
+//                   feeds slot s of its run (work-major). Runs that must
+//                   see edges in stream order (parallel_shards() false: a
+//                   §6.3 collect pass, a Count-Sketch) stay whole-round
+//                   tasks.
 //
 // Determinism: the work partition is fixed by the input, never by the
-// thread count — row shards by the graph's degree sequence, record shards
-// by the stream order. A pulled row is written once, by the one task that
-// owns its shard, summing its entries in row order; record slots are summed
-// in slot order; per-shard totals are summed in shard order. Threading only
-// changes who executes a shard, so results are bit-identical for 1, 2, ... N
-// threads, on weighted graphs and self-loops too.
+// thread count or the number of runs — row shards by the graph's degree
+// sequence, record shards by the stream order. A pulled row is written
+// once, by the task that owns its shard, summing its entries in row order,
+// and per-shard totals are summed in shard order. A record shard s always
+// lands in slot s; each slot is summed in stream order and the slots are
+// reduced in slot order (unit weights may skip the slots: their sums are
+// exact integers, the same bits in any order). Threading only changes who
+// executes a shard, so every run's results are bit-identical for 1, 2,
+// ... N threads and for any set of runs sharing the pass, on weighted
+// graphs and self-loops too.
+//
+// Memory: the semi-streaming budget — O(n) per run (alive bitmaps plus one
+// n-double array per degree array: one undirected, two directed). Record
+// rounds that may split a run across threads (fewer runs than threads)
+// or sum non-unit weights add kShardSlots slot planes of n doubles per
+// degree array: 8n doubles per undirected run, 16n per directed run. The
+// planes are engine scratch: an engine keeps them across passes and calls
+// and lends them to the runs of one pass, and they are zero whenever not
+// lent — an aborted pass re-zeroes them too. CSR row pulls keep none.
 
 #ifndef DENSEST_CORE_PASS_ENGINE_H_
 #define DENSEST_CORE_PASS_ENGINE_H_
 
-#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/status.h"
 #include "common/thread_pool.h"
+#include "core/algorithm1.h"
+#include "core/algorithm2.h"
+#include "core/algorithm3.h"
+#include "core/density.h"
 #include "graph/subgraph.h"
 #include "graph/types.h"
 #include "stream/edge_stream.h"
 
 namespace densest {
+
+class PassCursor;
 
 /// \brief One streaming pass worth of undirected statistics over the alive
 /// set S: induced edge count and induced total weight.
@@ -80,9 +115,7 @@ struct CsrView {
 /// Each shard writes its own rows of the degree arrays (every row of the
 /// shard: alive rows their degree, dead rows 0) and its own totals entry,
 /// so distinct shards of a pass may be pulled concurrently. Finish* sums
-/// the totals in shard order. PassEngine holds one for solo passes; every
-/// fused run (core/multi_run.h) holds its own, so fused and solo passes
-/// share the kernel and therefore the bits.
+/// the totals in shard order. Every run holds its own.
 class RowPull {
  public:
   /// Starts a pass over `shards` shards. With `collect`, Undirected also
@@ -117,20 +150,18 @@ class RowPull {
 struct PassEngineOptions {
   /// Worker threads for shard accumulation. 0 = hardware concurrency;
   /// 1 = fully sequential (no pool is created). Any value yields
-  /// bit-identical pass results; it only changes wall-clock time.
+  /// bit-identical results; it only changes wall-clock time.
   size_t num_threads = 0;
 };
 
-/// \brief Batched, optionally multi-threaded executor of streaming passes.
+/// \brief Batched, optionally multi-threaded scheduler of streaming passes
+/// for one or many peeling runs.
 ///
-/// Holds reusable scratch (the batch buffer, the per-slot accumulators and
-/// the row-pull state), so one engine should be reused across the passes of
-/// an algorithm run. An engine is NOT safe for concurrent use from multiple
-/// threads; create one engine per concurrent algorithm run instead (every
-/// algorithm options struct accepts an `engine` pointer for this).
-/// Memory: pulled passes write the output arrays directly. Record rounds
-/// on a pool or with general weights keep kShardSlots accumulator vectors
-/// of n doubles per plane (8n doubles undirected, 16n directed).
+/// Holds reusable scratch (the batch buffer, the slot planes, the task
+/// list), so one engine should be reused across passes and calls. An
+/// engine is NOT safe for concurrent use from multiple threads; create one
+/// engine per concurrent caller instead (every options struct accepts an
+/// engine pointer for this).
 class PassEngine {
  public:
   /// Edges per record shard. A shard is the unit of work handed to one
@@ -140,29 +171,66 @@ class PassEngine {
   /// of the thread count so that results never depend on parallelism.
   static constexpr size_t kShardSlots = 8;
 
+  /// \brief One run driven by Drive(): private accumulator state plus peel
+  /// logic. Implementations exist for Algorithms 1-3, for the bare passes
+  /// behind RunUndirected/RunDirected, and for the sketched Algorithm 1
+  /// (sketch/sketch_runs.h); new peeling variants join the scheduler by
+  /// implementing this interface, not by touching the engine.
+  class FusedRun {
+   public:
+    virtual ~FusedRun() = default;
+
+    /// True once the run needs no further passes of any kind.
+    virtual bool done() const = 0;
+    /// True while the run needs the next pass over the shared stream.
+    /// A run that is not done yet returns false to leave the scan (e.g.
+    /// Algorithm 1 after §6.3 compaction); Drive() then calls
+    /// FinishOffStream once and excludes it from further passes.
+    virtual bool wants_stream() const { return !done(); }
+    /// Whether the run can take its passes as row pulls of `view`. False
+    /// (the default) for runs that must see edges in stream order.
+    virtual bool CanPull(const CsrView&) const { return false; }
+    /// n-double degree arrays the run accumulates per pass; a record pass
+    /// that needs slot planes lends it this many times kShardSlots.
+    virtual size_t degree_arrays() const { return 0; }
+    /// Starts a pass. `view` is the CSR view the pass pulls, or null when
+    /// the pass arrives as record rounds through AccumulateShard. `slots`
+    /// is empty when record shards may accumulate straight into the run's
+    /// own arrays; otherwise it holds degree_arrays() * kShardSlots zeroed
+    /// planes (array a, slot s at a * kShardSlots + s), lent for this pass
+    /// only, which FinishPass must reduce and leave zero.
+    virtual void BeginPass(const CsrView* view,
+                           std::span<std::vector<double>> slots) = 0;
+    /// Pulls row shard `shard` of the view given to BeginPass. Distinct
+    /// shards of a pass arrive concurrently; they write disjoint rows.
+    virtual void PullShard(const CsrView&, size_t) {}
+    /// Folds one record shard into accumulator slot `slot`. Shards of one
+    /// round arrive either in order from a single thread (run-major, or
+    /// parallel_shards() == false) or concurrently from several threads
+    /// with distinct `slot` values (work-major).
+    virtual void AccumulateShard(std::span<const Edge> shard,
+                                 size_t slot) = 0;
+    /// Whether distinct shards of one round may be accumulated
+    /// concurrently. True requires lent slots (each slot writes its own
+    /// plane, reduced in slot order afterwards). Runs whose per-pass state
+    /// is order-dependent — a Count-Sketch that must see updates in stream
+    /// order, a survivor buffer appended in stream order — return false
+    /// and stay sequential within each round.
+    virtual bool parallel_shards() const = 0;
+    /// Ends a pass: combine the shard totals, apply the peel step.
+    virtual void FinishPass() = 0;
+    /// Finishes a run that left the scan (wants_stream() false, done()
+    /// false) over its private state on `engine`, polling `cancel`; costs
+    /// no physical scans.
+    virtual void FinishOffStream(PassEngine& engine,
+                                 const CancelToken* cancel) {
+      (void)engine;
+      (void)cancel;
+    }
+  };
+
   explicit PassEngine(const PassEngineOptions& options = {});
   ~PassEngine();
-
-  /// Pulls up to kShardSlots shard views of kShardEdges each for one round,
-  /// reading through `next_view(scratch, cap)` into `batch` (capacity
-  /// kShardSlots * kShardEdges). This is THE shard-boundary schedule of the
-  /// deterministic reduction: boundaries derive only from the view source,
-  /// never from the thread count. Single-sourced here because
-  /// MultiRunEngine's fused accumulation must replicate it exactly — change
-  /// the schedule in one place or the fused/sequential bit-identity breaks.
-  template <typename NextViewFn>
-  static size_t FillShardRound(
-      NextViewFn&& next_view, Edge* batch,
-      std::array<std::span<const Edge>, kShardSlots>& shards) {
-    size_t count = 0;
-    while (count < kShardSlots) {
-      std::span<const Edge> view =
-          next_view(batch + count * kShardEdges, kShardEdges);
-      if (view.empty()) break;
-      shards[count++] = view;
-    }
-    return count;
-  }
 
   PassEngine(const PassEngine&) = delete;
   PassEngine& operator=(const PassEngine&) = delete;
@@ -170,131 +238,152 @@ class PassEngine {
   /// Resolved worker count (1 means sequential).
   size_t num_threads() const { return num_threads_; }
 
-  /// Streams all edges once and accumulates deg_S for alive nodes.
-  /// `degrees` must have size num_nodes and is overwritten.
-  ///
-  /// Cancellation (all Run* methods): a non-null `cancel` is polled once
+  /// Drives every run in `runs` to completion over shared physical scans
+  /// of `stream`: one scan per pass, however many runs it feeds; runs that
+  /// converge drop out. Updates last_physical_passes() /
+  /// last_edges_scanned(). Fails (abandoning the partial results) when the
+  /// stream reports an IO error — a failing stream ends passes early and
+  /// silently, and peeling on truncated statistics would yield
+  /// plausible-looking wrong answers. A non-null `cancel` is polled once
   /// per record round (≤ kShardSlots * kShardEdges edges of work between
-  /// polls) or once per row shard. On cancellation the pass stops early
-  /// and returns partial stats; the caller must poll the token itself
-  /// (CheckCancel) exactly like it checks stream.status(), and must not
-  /// peel on the truncated stats. A null token costs one pointer test per
-  /// round or shard.
+  /// polls) or row shard; on cancellation Drive abandons the runs the same
+  /// way and returns kCancelled / kDeadlineExceeded.
+  Status Drive(EdgeStream& stream, std::span<FusedRun* const> runs,
+               const CancelToken* cancel = nullptr);
+
+  /// Algorithm 3: one directed peeling run per entry of `runs`, all fed
+  /// from shared scans of `stream`. Results are positionally matched to
+  /// `runs`; each equals RunAlgorithm3 of its entry alone. Per-run `engine`
+  /// fields are ignored. The shared scan polls the first non-null per-run
+  /// `cancel` token (one token governs a sweep — the scan is physically
+  /// shared, so one run cannot be cancelled without stopping the others).
+  /// Fails with InvalidArgument for an empty node set, an epsilon that is
+  /// negative, NaN or infinite, or c <= 0.
+  StatusOr<std::vector<DirectedDensestResult>> RunDirectedRuns(
+      EdgeStream& stream, const std::vector<Algorithm3Options>& runs);
+
+  /// Algorithm 1 (RunAlgorithm1 is the one-entry call). §6.3 compaction is
+  /// honored per run: once a run buffers its survivors it leaves the shared
+  /// scan and finishes over its private buffer, costing no further
+  /// physical scans.
+  StatusOr<std::vector<UndirectedDensestResult>> RunUndirectedRuns(
+      EdgeStream& stream, const std::vector<Algorithm1Options>& runs);
+
+  /// Algorithm 2; also fails when a min_size exceeds the node count.
+  StatusOr<std::vector<UndirectedDensestResult>> RunUndirectedRuns(
+      EdgeStream& stream, const std::vector<Algorithm2Options>& runs);
+
+  /// One pass: streams all edges once and accumulates deg_S for alive
+  /// nodes. `degrees` must have size num_nodes and is overwritten. With
+  /// `survivors`, also appends every edge with both endpoints alive in
+  /// stream order — the ingestion step of the paper's §6.3 compaction.
+  ///
+  /// Cancellation and IO errors (RunUndirected, RunDirected): the pass
+  /// stops early and returns zero stats; the caller must poll the token
+  /// itself (CheckCancel) exactly like it checks stream.status(), and must
+  /// not peel on the outputs.
   UndirectedPassResult RunUndirected(EdgeStream& stream, const NodeSet& alive,
                                      std::vector<double>& degrees,
-                                     const CancelToken* cancel = nullptr);
+                                     const CancelToken* cancel = nullptr,
+                                     std::vector<Edge>* survivors = nullptr);
 
-  /// Same pass, but additionally appends every surviving edge (both
-  /// endpoints alive) to *survivors in stream order — the ingestion step of
-  /// the paper's §6.3 in-memory compaction.
-  UndirectedPassResult RunUndirectedCollect(EdgeStream& stream,
-                                            const NodeSet& alive,
-                                            std::vector<double>& degrees,
-                                            std::vector<Edge>* survivors,
-                                            const CancelToken* cancel = nullptr);
-
-  /// In-memory pass over an edge buffer (the post-compaction §6.3 path).
-  /// When `compact` is true, dead edges are filtered out of `edges` in
-  /// place (preserving order), so the buffer keeps shrinking with S.
-  UndirectedPassResult RunUndirectedBuffer(std::vector<Edge>& edges,
-                                           const NodeSet& alive,
-                                           std::vector<double>& degrees,
-                                           bool compact,
-                                           const CancelToken* cancel = nullptr);
-
-  /// Streams all arcs once; accumulates out_to_t[u] over u in S and
-  /// in_from_s[v] over v in T. Both vectors must have size num_nodes and
-  /// are overwritten.
+  /// One pass: streams all arcs once; accumulates out_to_t[u] over u in S
+  /// and in_from_s[v] over v in T. Both vectors must have size num_nodes
+  /// and are overwritten.
   DirectedPassResult RunDirected(EdgeStream& stream, const NodeSet& s,
                                  const NodeSet& t,
                                  std::vector<double>& out_to_t,
                                  std::vector<double>& in_from_s,
                                  const CancelToken* cancel = nullptr);
 
+  /// In-memory pass over an edge buffer (the post-compaction §6.3 path),
+  /// on the record shard/slot schedule. When `compact` is true, dead edges
+  /// are filtered out of `edges` in place (preserving order), so the
+  /// buffer keeps shrinking with S. A cancelled pass keeps the unscanned
+  /// tail, so the buffer stays a superset of the surviving edges.
+  UndirectedPassResult RunUndirectedBuffer(std::vector<Edge>& edges,
+                                           const NodeSet& alive,
+                                           std::vector<double>& degrees,
+                                           bool compact,
+                                           const CancelToken* cancel = nullptr);
+
   /// Batched drain: invokes fn(edge) sequentially, in stream order, for
   /// every edge of one full pass, for hot paths whose per-edge work is not
-  /// a degree accumulation (graph ingestion, sketch updates). Zero-copy
-  /// where the stream supports NextView.
+  /// a degree accumulation (graph ingestion). Zero-copy where the stream
+  /// supports NextView.
   template <typename Fn>
   void ForEachEdgeBatched(EdgeStream& stream, Fn&& fn) {
     stream.Reset();
     EnsureBatchBuffer();
     for (;;) {
-      std::span<const Edge> view = stream.NextView(batch_.data(), batch_.size());
+      std::span<const Edge> view =
+          stream.NextView(batch_.data(), batch_.size());
       if (view.empty()) break;
       for (const Edge& e : view) fn(e);
     }
   }
 
-  /// Batched drain filtered to edges with both endpoints in `alive`.
-  template <typename Fn>
-  void ForEachAliveEdge(EdgeStream& stream, const NodeSet& alive, Fn&& fn) {
-    ForEachEdgeBatched(stream, [&](const Edge& e) {
-      if (alive.ContainsBoth(e.u, e.v)) fn(e);
-    });
-  }
+  /// Physical scans of the stream the last Drive() performed.
+  uint64_t last_physical_passes() const { return last_physical_passes_; }
+  /// Sum over runs of the stream passes they consumed — what the same
+  /// sweep costs in scans when executed run by run. The fused saving is
+  /// last_logical_passes() / last_physical_passes(). Recorded by the
+  /// sweep entry points layered on Drive() (Run*Runs here, RunSketchedSweep
+  /// in sketch/sketch_runs.h) via RecordLogicalPasses.
+  uint64_t last_logical_passes() const { return last_logical_passes_; }
+  /// Edges delivered by the stream across the last Drive()'s scans.
+  uint64_t last_edges_scanned() const { return last_edges_scanned_; }
+
+  /// For sweep drivers layered on Drive(): records the run-by-run scan
+  /// cost of the sweep that just executed (Drive resets it to 0).
+  void RecordLogicalPasses(uint64_t passes) { last_logical_passes_ = passes; }
 
  private:
-  UndirectedPassResult RunUndirectedImpl(EdgeStream& stream,
-                                         const NodeSet& alive,
-                                         std::vector<double>& degrees,
-                                         std::vector<Edge>* survivors,
-                                         const CancelToken* cancel);
-
-  /// FillShardRound over the stream and this engine's batch buffer.
-  size_t FillShards(EdgeStream& stream,
-                    std::array<std::span<const Edge>, kShardSlots>& shards);
+  /// Shared body of the Run*Runs entry points: validates every options
+  /// entry (epsilon, then `check(options, n)`), builds one RunT per entry
+  /// and drives them all.
+  template <typename RunT, typename ResultT, typename OptionsT,
+            typename CheckFn>
+  StatusOr<std::vector<ResultT>> RunFused(EdgeStream& stream,
+                                          const std::vector<OptionsT>& runs,
+                                          const CheckFn& check);
+  /// One pass of record rounds pulled through `cursor` (see the header).
+  void ScanRounds(PassCursor& cursor, std::span<FusedRun* const> active,
+                  const CancelToken* cancel);
   void EnsureBatchBuffer();
-  /// Sizes `planes` accumulator planes of kShardSlots slots to n doubles
-  /// each and resets the per-slot totals. Slot vectors are zero on entry to
-  /// every pass (freshly allocated or re-zeroed by the previous reduction).
-  void EnsureAccumulators(size_t n, size_t planes);
-  /// Runs fn(i) for each shard of the round (record or row shards), on the
-  /// pool if present.
-  void DispatchRound(size_t shards, const std::function<void(size_t)>& fn);
-  /// degrees[u] = sum over slots (in slot order) of plane[slot][u]; re-zeros
-  /// the slot vectors so the next pass starts clean without a memset.
-  /// Mirrored by MultiRunEngine's per-run reduction — keep the summation
-  /// order in sync (it is part of the fused/sequential bit-identity).
-  void ReduceAndClear(size_t plane, std::vector<double>& degrees);
-
-  /// True when this pass may skip the slot structure entirely and
-  /// accumulate into the output arrays in stream order: sequential
-  /// execution with exact unit weights gives the same bits any slotted
-  /// schedule would.
-  bool UseDirectPath(const EdgeStream& stream) const {
-    return pool_ == nullptr && stream.HasUnitWeights();
-  }
+  /// The first `count` slot planes, each sized to n doubles and zero.
+  std::span<std::vector<double>> LendPlanes(size_t count, size_t n);
+  /// Runs fn(i) for i in [0, tasks), on the pool if present.
+  void Dispatch(size_t tasks, const std::function<void(size_t)>& fn);
+  /// Dispatch of one pass round feeding `runs` runs: the seam every round
+  /// of every pass funnels through, so round/shard tallies and the round
+  /// spans cover all of them.
+  void DispatchRound(size_t tasks, size_t runs,
+                     const std::function<void(size_t)>& fn);
 
   size_t num_threads_ = 1;
+  // Concurrency contract (no mutex by design): every task of a round
+  // writes state no other task of that round touches — one (run, slot)
+  // plane in record rounds, one shard's rows of every run in pulled
+  // rounds — and the round's ParallelFor completion barrier is the only
+  // publication point: caller writes (plane zeroing, batch_ fill)
+  // happen-before the tasks, task writes happen-before FinishPass reads
+  // them. No engine state may be touched while a round is in flight.
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads_ == 1
+  std::vector<Edge> batch_;           // kShardSlots * kShardEdges capacity
+  /// Slot planes lent to the runs of one pass; zero whenever not lent.
+  std::vector<std::vector<double>> planes_;
+  /// (run, shard) task list scratch for work-major rounds.
+  std::vector<std::pair<uint32_t, uint32_t>> tasks_;
 
-  std::vector<Edge> batch_;  // kShardSlots * kShardEdges capacity
-  // acc_[plane * kShardSlots + slot]: per-slot accumulation vectors.
-  // Undirected passes use one plane; directed passes use two (out/in).
-  //
-  // Concurrency contract (no mutex by design): slot i of a round is
-  // written by exactly one DispatchRound task, and no two tasks share a
-  // slot, so the slot vectors need no locking. The hand-off in each
-  // direction rides ThreadPool::ParallelFor's completion barrier: the
-  // caller's writes before DispatchRound (EnsureAccumulators' zeroing,
-  // batch_ fill) happen-before the tasks, and every task's slot writes
-  // happen-before ReduceAndClear reads them. Nothing here may be touched
-  // while a round is in flight.
-  std::vector<std::vector<double>> acc_;
-  std::array<double, kShardSlots> slot_weight_;
-  std::array<EdgeId, kShardSlots> slot_edges_;
-  // Per-slot survivor staging for RunUndirectedCollect (flushed in slot
-  // order after every round to preserve stream order).
-  std::array<std::vector<Edge>, kShardSlots> slot_survivors_;
-  // Pulled passes: each row shard is one DispatchRound task writing its own
-  // rows and totals entry; same barrier hand-off as the slots.
-  RowPull pull_;
+  uint64_t last_physical_passes_ = 0;
+  uint64_t last_logical_passes_ = 0;
+  uint64_t last_edges_scanned_ = 0;
 };
 
-/// Process-wide shared engine (hardware-concurrency threads) used by the
-/// free-function pass wrappers and the algorithm entry points. Not for
-/// concurrent algorithm runs — those should own a private engine.
+/// Process-wide shared engine (hardware-concurrency threads) that every
+/// entry point uses when handed a null engine. Not for concurrent callers —
+/// those should own a private engine.
 PassEngine& DefaultPassEngine();
 
 }  // namespace densest

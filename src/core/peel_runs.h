@@ -4,11 +4,11 @@
 // Each class below holds the between-pass state of ONE run of Algorithm 1,
 // 2 or 3 — alive sets, best-so-far subgraph, trace — and consumes the
 // aggregated statistics of one completed pass at a time through ApplyPass.
-// The state machine never touches a stream: WHO scans the edges (a private
-// PassEngine for a single run, or the MultiRunEngine fanning one physical
-// scan across many runs) is the driver's choice, and both drivers share
-// exactly this peeling logic, so a fused run can never diverge from a
-// sequential one by reimplementation drift.
+// The state machine never touches a stream: PassEngine (core/pass_engine.h)
+// scans the edges and accumulates the degrees, feeding one run or many
+// from each physical scan, and every driver — RunAlgorithm1/2/3 and the
+// sweeps alike — shares exactly this peeling logic, so a fused run can
+// never diverge from a solo one by reimplementation drift.
 
 #ifndef DENSEST_CORE_PEEL_RUNS_H_
 #define DENSEST_CORE_PEEL_RUNS_H_

@@ -28,8 +28,9 @@ StatusOr<std::unique_ptr<DynamicDensest>> DynamicDensest::Create(
   if (!(options.epsilon >= 0.01 && options.epsilon <= 1.0)) {
     return Status::InvalidArgument("epsilon must be in [0.01, 1]");
   }
-  if (options.recompute_epsilon < 0) {
-    return Status::InvalidArgument("recompute_epsilon must be >= 0");
+  if (Status s = CheckEpsilon(options.recompute_epsilon, "recompute_epsilon");
+      !s.ok()) {
+    return s;
   }
   if (options.trim_hysteresis == 0) {
     return Status::InvalidArgument("trim_hysteresis must be >= 1");
@@ -258,34 +259,36 @@ void DynamicDensest::MaybeFallback() {
     const uint32_t radius = options_.window_radius;
     if (options_.fallback == DynamicFallback::kRecompute) {
       // The batch slow path: Algorithm 1 over a frozen snapshot of the
-      // live edges, through the fused engine.
+      // live edges, a one-run PassEngine drive like every batch run.
       EdgeList snapshot = adj_.ToEdgeList();
       if (snapshot.empty()) {
         MoveWindow(0, std::min(max_slot_, radius + 1));
         continue;
       }
-      if (engine_ == nullptr) {
-        engine_ = std::make_unique<MultiRunEngine>(options_.engine_options);
-      }
       EdgeListStream stream(snapshot);
-      Algorithm1Options ropt;
-      ropt.epsilon = options_.recompute_epsilon;
-      ropt.record_trace = false;
       StatusOr<UndirectedDensestResult> r = [&]() {
         DENSEST_TRACE_SPAN("dynamic.recompute");
+        // The engine (its thread pool and 8n doubles of slot planes) lives
+        // for this recompute only: freed before the window rebuild below
+        // allocates, and never held between recomputes.
+        PassEngine engine(options_.engine_options);
+        Algorithm1Options ropt;
+        ropt.epsilon = options_.recompute_epsilon;
+        ropt.record_trace = false;
+        ropt.engine = &engine;
         if (options_.recompute_deadline_ms > 0) {
           // The overload budget, doubled per consecutive cancellation so a
           // graph that has genuinely outgrown the configured budget still
           // converges instead of re-shedding the same work forever. The
-          // token lives on this frame only — RecomputeUndirected returns
-          // before it dies.
+          // token lives on this frame only — RunAlgorithm1 returns before
+          // it dies.
           CancelToken deadline = CancelToken::WithDeadlineAfterMs(
               options_.recompute_deadline_ms *
               static_cast<double>(uint64_t{1} << cancel_streak_));
           ropt.cancel = &deadline;
-          return engine_->RecomputeUndirected(stream, ropt);
+          return RunAlgorithm1(stream, ropt);
         }
-        return engine_->RecomputeUndirected(stream, ropt);
+        return RunAlgorithm1(stream, ropt);
       }();
       if (!r.ok() && r.status().IsCancellation()) {
         // The recompute blew its deadline. Keep serving the last

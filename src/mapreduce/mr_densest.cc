@@ -56,9 +56,7 @@ JobOptions DriverJobOptions(uint64_t spill_budget_bytes,
 
 StatusOr<MrDensestResult> RunMrDensestUndirected(
     MapReduceEnv& env, EdgeStream& stream, const MrDensestOptions& options) {
-  if (options.epsilon < 0) {
-    return Status::InvalidArgument("epsilon must be >= 0");
-  }
+  if (Status s = CheckEpsilon(options.epsilon); !s.ok()) return s;
   const NodeId n = stream.num_nodes();
   if (n == 0) return Status::InvalidArgument("graph has no nodes");
 
@@ -162,9 +160,7 @@ StatusOr<MrDensestResult> RunMrDensestUndirected(
 
 StatusOr<MrDirectedResult> RunMrDensestDirected(
     MapReduceEnv& env, EdgeStream& stream, const MrDirectedOptions& options) {
-  if (options.epsilon < 0) {
-    return Status::InvalidArgument("epsilon must be >= 0");
-  }
+  if (Status s = CheckEpsilon(options.epsilon); !s.ok()) return s;
   if (!(options.c > 0)) return Status::InvalidArgument("c must be > 0");
   const NodeId n = stream.num_nodes();
   if (n == 0) return Status::InvalidArgument("graph has no nodes");

@@ -25,13 +25,20 @@ namespace densest::obs {
 /// Counter metrics: monotone event tallies (sharded relaxed atomics).
 /// Sorted; MetricsRegistry binary-searches this array.
 inline constexpr std::string_view kCounterNames[] = {
-    // Chunk rounds the fused sweep engine pulled through its shared scan.
+    // The subset of core.pass_rounds that fed two or more runs at once (a
+    // fused sweep while several of its runs are still active).
     "core.fused_rounds",
-    // Shard-round dispatches by PassEngine (one per <= slots*16k edges).
+    // Rounds PassEngine dispatched, solo and fused alike: one per record
+    // round (<= kShardSlots * kShardEdges edges), one per row-pull pass,
+    // one per round of a §6.3 buffer pass.
     "core.pass_rounds",
-    // Shard tasks executed inside those rounds (fan-out width signal).
+    // Tasks executed inside those rounds (fan-out width signal): (run,
+    // shard) pairs or whole-round runs in record rounds, row shards in
+    // row-pull rounds, edge shards in buffer rounds.
     "core.pass_shards",
-    // Full streaming passes started (undirected, directed, and buffer).
+    // Passes PassEngine started: one per physical scan of a Drive however
+    // many runs it feeds (solo runs, sweeps, RunUndirected/RunDirected),
+    // plus one per §6.3 buffer pass.
     "core.passes",
     // Deletions applied by DynamicDensest.
     "dynamic.deletes",
@@ -115,13 +122,15 @@ inline constexpr std::string_view kHistogramNames[] = {
 /// Trace-span names for DENSEST_TRACE_SPAN(...) sites. Same grammar and
 /// the same both-direction lint contract as the metric names.
 inline constexpr std::string_view kTraceSpanNames[] = {
-    // One chunk round of the fused multi-run scan.
+    // One round feeding two or more runs (counted by core.fused_rounds).
     "core.fused_round",
-    // One directed streaming pass (S/T degree accumulation).
+    // One bare directed pass (PassEngine::RunDirected).
     "core.pass_directed",
-    // One shard-round dispatch (fan-out unit) inside a pass.
+    // One round feeding a single run: a solo run, the last active run of a
+    // sweep, a bare pass, or a round of a §6.3 buffer pass.
     "core.pass_round",
-    // One undirected streaming pass.
+    // One bare undirected pass (PassEngine::RunUndirected) or §6.3 buffer
+    // pass; the passes of a peeling run show as their rounds.
     "core.pass_undirected",
     // One ApplyBatch run on the dynamic engine (writer thread).
     "dynamic.apply_batch",

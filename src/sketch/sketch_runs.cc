@@ -99,73 +99,48 @@ SketchedResult SketchedAlgorithm1Run::TakeResult() {
   return std::move(result_);
 }
 
-namespace {
+void FusedSketchedRun::BeginPass(const CsrView*,
+                                 std::span<std::vector<double>>) {
+  run_.oracle().BeginPass();
+  weight_ = 0.0;
+  edges_ = 0;
+}
 
-/// A SketchedAlgorithm1Run adapted to MultiRunEngine's fan-out. The oracle
-/// is an order-dependent FP accumulator, so the whole round is consumed
-/// sequentially in shard (= stream) order and parallel_shards() is false:
-/// work-major rounds schedule this run as one whole-round task. The exact
-/// pass aggregates are summed in the same stream order, matching the
-/// sequential driver's scalar drain bit for bit on every stream shape.
-class FusedSketchedRun final : public MultiRunEngine::FusedRun {
- public:
-  FusedSketchedRun(NodeId n, std::unique_ptr<DegreeOracle> oracle,
-                   const Algorithm1Options& options)
-      : run_(n, std::move(oracle), options) {}
-
-  bool done() const override { return run_.done(); }
-  void BeginPass(const CsrView*) override {
-    run_.oracle().BeginPass();
-    weight_ = 0.0;
-    edges_ = 0;
-  }
-  bool parallel_shards() const override { return false; }
-  void AccumulateShard(std::span<const Edge> shard, size_t) override {
-    const NodeSet& alive = run_.alive();
-    DegreeOracle& oracle = run_.oracle();
-    for (const Edge& e : shard) {
-      if (alive.ContainsBoth(e.u, e.v)) {
-        oracle.AddIncidence(e.u, e.w);
-        oracle.AddIncidence(e.v, e.w);
-        weight_ += e.w;
-        ++edges_;
-      }
+void FusedSketchedRun::AccumulateShard(std::span<const Edge> shard, size_t) {
+  const NodeSet& alive = run_.alive();
+  DegreeOracle& oracle = run_.oracle();
+  for (const Edge& e : shard) {
+    if (alive.ContainsBoth(e.u, e.v)) {
+      oracle.AddIncidence(e.u, e.w);
+      oracle.AddIncidence(e.v, e.w);
+      weight_ += e.w;
+      ++edges_;
     }
   }
-  void FinishPass() override {
-    UndirectedPassResult stats;
-    stats.edges = edges_;
-    stats.weight = weight_;
-    run_.ApplyPass(stats);
-  }
-  SketchedResult TakeResult() { return run_.TakeResult(); }
+}
 
- private:
-  SketchedAlgorithm1Run run_;
-  double weight_ = 0.0;
-  EdgeId edges_ = 0;
-};
-
-}  // namespace
+void FusedSketchedRun::FinishPass() {
+  UndirectedPassResult stats;
+  stats.edges = edges_;
+  stats.weight = weight_;
+  run_.ApplyPass(stats);
+}
 
 StatusOr<std::vector<SketchedResult>> RunSketchedSweep(
     EdgeStream& stream, const std::vector<SketchedSweepRun>& runs,
-    MultiRunEngine* engine) {
+    PassEngine* engine) {
+  PassEngine& driver = engine != nullptr ? *engine : DefaultPassEngine();
   if (runs.empty()) {
     // Mirror the Run*Runs entry points: an empty sweep still zeroes the
     // engine's scan counters (Drive of zero runs scans nothing), so a
     // caller reusing the engine never reads the previous sweep's totals.
-    if (engine != nullptr) {
-      if (Status s = engine->Drive(stream, {}); !s.ok()) return s;
-    }
+    if (Status s = driver.Drive(stream, {}); !s.ok()) return s;
     return std::vector<SketchedResult>{};
   }
   const NodeId n = stream.num_nodes();
   if (n == 0) return Status::InvalidArgument("graph has no nodes");
   for (const SketchedSweepRun& run : runs) {
-    if (run.options.epsilon < 0) {
-      return Status::InvalidArgument("epsilon must be >= 0");
-    }
+    if (Status s = CheckEpsilon(run.options.epsilon); !s.ok()) return s;
   }
 
   std::vector<std::unique_ptr<FusedSketchedRun>> states;
@@ -184,16 +159,11 @@ StatusOr<std::vector<SketchedResult>> RunSketchedSweep(
         n, std::move(oracle), run.options));
   }
 
-  std::unique_ptr<MultiRunEngine> local;
-  if (engine == nullptr) {
-    local = std::make_unique<MultiRunEngine>();
-    engine = local.get();
-  }
-  std::vector<MultiRunEngine::FusedRun*> fused;
+  std::vector<PassEngine::FusedRun*> fused;
   fused.reserve(states.size());
   for (auto& state : states) fused.push_back(state.get());
-  // One token governs the shared scan (see RunDirectedRuns): the first
-  // non-null per-run token.
+  // One token governs the shared scan (see PassEngine::RunDirectedRuns):
+  // the first non-null per-run token.
   const CancelToken* cancel = nullptr;
   for (const SketchedSweepRun& run : runs) {
     if (run.options.cancel != nullptr) {
@@ -201,7 +171,7 @@ StatusOr<std::vector<SketchedResult>> RunSketchedSweep(
       break;
     }
   }
-  if (Status s = engine->Drive(stream, fused, cancel); !s.ok()) return s;
+  if (Status s = driver.Drive(stream, fused, cancel); !s.ok()) return s;
 
   std::vector<SketchedResult> results;
   results.reserve(states.size());
@@ -210,7 +180,7 @@ StatusOr<std::vector<SketchedResult>> RunSketchedSweep(
     results.push_back(state->TakeResult());
     logical += results.back().result.passes;
   }
-  engine->RecordLogicalPasses(logical);
+  driver.RecordLogicalPasses(logical);
   return results;
 }
 

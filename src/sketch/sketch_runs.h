@@ -3,35 +3,35 @@
 // Table 4 sweep that drives a whole grid of sketch configurations from
 // shared physical scans.
 //
-// SketchedAlgorithm1Run is to RunAlgorithm1WithOracle what core/peel_runs.h
+// SketchedAlgorithm1Run is to the sketched drivers what core/peel_runs.h
 // is to RunAlgorithm{1,2,3}: the between-pass state of ONE oracle-backed
 // run — alive set, best-so-far subgraph, the DegreeOracle itself as private
 // per-run state — consuming one completed pass at a time through ApplyPass.
-// Both drivers (the sequential RunAlgorithm1WithOracle and the fused
-// RunSketchedSweep below) share exactly this peeling logic, so a fused
-// sketch run can never diverge from a sequential one by reimplementation
-// drift.
+// FusedSketchedRun adapts it to PassEngine, and both drivers (the solo
+// RunAlgorithm1WithOracle, a one-run drive, and the fused RunSketchedSweep
+// below) drive exactly that run, so a fused sketch run can never diverge
+// from a solo one by reimplementation drift.
 //
-// Fusion and bit-identity: a Count-Sketch is an order-dependent FP
-// accumulator (counter[bucket] += sign * w in stream order), so a fused
-// sketched run is accumulated sequentially within the run — it walks each
-// round's shards in order, which IS stream order, and reports
-// parallel_shards() false so work-major rounds never split it. Its exact
-// scalar aggregates (pass weight, edge count) are summed the same way.
-// That makes fused results bit-identical to sequential ones on EVERY
-// stream shape; the sequential sketched driver uses the same stream-order
-// scalar drain. A sketched run never pulls CSR rows (CanPull false), so a
-// sweep over a CSR stream still arrives as record rounds.
+// Bit-identity: a Count-Sketch is an order-dependent FP accumulator
+// (counter[bucket] += sign * w in stream order), so a sketched run is
+// accumulated sequentially within the run — it walks each round's shards
+// in order, which IS stream order, and reports parallel_shards() false so
+// work-major rounds never split it. Its exact scalar aggregates (pass
+// weight, edge count) are summed the same way. That makes fused results
+// bit-identical to solo ones on EVERY stream shape and thread count. A
+// sketched run never pulls CSR rows (CanPull false), so a pass over a CSR
+// stream still arrives as record rounds.
 
 #ifndef DENSEST_SKETCH_SKETCH_RUNS_H_
 #define DENSEST_SKETCH_SKETCH_RUNS_H_
 
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "core/algorithm1.h"
-#include "core/multi_run.h"
 #include "core/pass_engine.h"
 #include "graph/subgraph.h"
 #include "sketch/degree_oracle.h"
@@ -81,6 +81,31 @@ class SketchedAlgorithm1Run {
   SketchedResult result_;
 };
 
+/// \brief A SketchedAlgorithm1Run as a PassEngine run: feeds every
+/// surviving edge endpoint to the oracle in stream order while summing the
+/// exact pass aggregates, and applies them at the end of each pass.
+class FusedSketchedRun final : public PassEngine::FusedRun {
+ public:
+  /// `oracle` is a std::unique_ptr<DegreeOracle> the run owns, or a
+  /// DegreeOracle& that must outlive the run.
+  template <typename Oracle>
+  FusedSketchedRun(NodeId n, Oracle&& oracle, const Algorithm1Options& options)
+      : run_(n, std::forward<Oracle>(oracle), options) {}
+
+  bool done() const override { return run_.done(); }
+  void BeginPass(const CsrView* view,
+                 std::span<std::vector<double>> slots) override;
+  bool parallel_shards() const override { return false; }
+  void AccumulateShard(std::span<const Edge> shard, size_t slot) override;
+  void FinishPass() override;
+  SketchedResult TakeResult() { return run_.TakeResult(); }
+
+ private:
+  SketchedAlgorithm1Run run_;
+  double weight_ = 0.0;
+  EdgeId edges_ = 0;
+};
+
 /// \brief One configuration of the fused Table 4 sweep.
 struct SketchedSweepRun {
   /// The peeling knobs (epsilon, max_passes, record_trace; compaction is
@@ -99,13 +124,14 @@ struct SketchedSweepRun {
 /// private DegreeOracle, all fed from ONE scan per pass round, so a whole
 /// Table 4 grid costs max-over-runs(passes) scans instead of the sum.
 /// Results are positionally matched to `runs` and bit-identical to
-/// sequential RunAlgorithm1WithOracle calls with equal oracles, for any
-/// engine thread count and fan-out mode. Uses a private MultiRunEngine
-/// when `engine` is null; on success the engine's last_physical_passes() /
-/// last_logical_passes() report the fused saving.
+/// solo RunAlgorithm1WithOracle calls with equal oracles, for any engine
+/// thread count. Runs on DefaultPassEngine() when `engine` is null (not
+/// thread-safe — supply a private engine for concurrent sweeps); on
+/// success the engine's last_physical_passes() / last_logical_passes()
+/// report the fused saving.
 StatusOr<std::vector<SketchedResult>> RunSketchedSweep(
     EdgeStream& stream, const std::vector<SketchedSweepRun>& runs,
-    MultiRunEngine* engine = nullptr);
+    PassEngine* engine = nullptr);
 
 }  // namespace densest
 

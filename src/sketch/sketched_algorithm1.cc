@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "core/pass_engine.h"
-#include "graph/subgraph.h"
 #include "sketch/sketch_runs.h"
 
 namespace densest {
@@ -11,35 +10,16 @@ namespace densest {
 StatusOr<SketchedResult> RunAlgorithm1WithOracle(
     EdgeStream& stream, DegreeOracle& oracle,
     const Algorithm1Options& options) {
-  if (options.epsilon < 0) {
-    return Status::InvalidArgument("epsilon must be >= 0");
-  }
+  if (Status s = CheckEpsilon(options.epsilon); !s.ok()) return s;
   const NodeId n = stream.num_nodes();
   if (n == 0) return Status::InvalidArgument("graph has no nodes");
 
   PassEngine& engine =
       options.engine != nullptr ? *options.engine : DefaultPassEngine();
-  // The peel logic lives in the state machine shared with the fused
-  // RunSketchedSweep driver; this loop only supplies the passes. The
-  // oracle update order must match the stream, so the engine's sequential
-  // batched drain is used rather than the parallel accumulators.
-  SketchedAlgorithm1Run run(n, oracle, options);
-  while (!run.done()) {
-    oracle.BeginPass();
-    UndirectedPassResult stats;
-    engine.ForEachAliveEdge(stream, run.alive(), [&](const Edge& e) {
-      oracle.AddIncidence(e.u, e.w);
-      oracle.AddIncidence(e.v, e.w);
-      stats.weight += e.w;
-      ++stats.edges;
-    });
-    // A failing stream ends its pass early and silently; abort instead of
-    // peeling on statistics of a truncated edge set. Cancellation is
-    // polled per pass here — the oracle drain is order-dependent, so the
-    // pass itself is the bounded unit of work.
-    if (Status io = stream.status(); !io.ok()) return io;
-    if (Status c = CheckCancel(options.cancel); !c.ok()) return c;
-    run.ApplyPass(stats);
+  FusedSketchedRun run(n, oracle, options);
+  PassEngine::FusedRun* runs[] = {&run};
+  if (Status s = engine.Drive(stream, runs, options.cancel); !s.ok()) {
+    return s;
   }
   return run.TakeResult();
 }

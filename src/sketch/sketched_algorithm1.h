@@ -29,10 +29,12 @@ struct [[nodiscard]] SketchedResult {
 /// SketchDegreeOracle it reproduces the paper's §5.1 heuristic.
 ///
 /// The density rho(S) is always tracked exactly (two scalars); only the
-/// per-node degree test uses the oracle. The peel logic itself lives in
-/// SketchedAlgorithm1Run (sketch/sketch_runs.h), shared with the fused
-/// RunSketchedSweep that drives a whole Table 4 grid from one physical
-/// scan per pass.
+/// per-node degree test uses the oracle. The run is a one-run PassEngine
+/// drive (on options.engine, or DefaultPassEngine()) of the
+/// FusedSketchedRun that the fused RunSketchedSweep (sketch/sketch_runs.h)
+/// drives a whole Table 4 grid of, one physical scan per pass. Fails with
+/// InvalidArgument for an epsilon that is negative, NaN or infinite, or an
+/// empty node set.
 StatusOr<SketchedResult> RunAlgorithm1WithOracle(
     EdgeStream& stream, DegreeOracle& oracle,
     const Algorithm1Options& options);

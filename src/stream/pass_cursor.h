@@ -3,12 +3,13 @@
 // logical consumer of that pass.
 //
 // An EdgeStream has exactly one cursor; when K peeling runs are fused over
-// the same stream (core/multi_run.h), they must all drink from one scan
-// instead of each resetting the stream for themselves. PassCursor is that
-// one scan made explicit: the fused engine pulls chunks through it and fans
-// each chunk across the runs, and the cursor is the single place where
-// "number of times the stream was physically scanned" is counted — the
-// quantity the streaming model charges for and the fused benches verify.
+// the same stream (PassEngine::Drive, core/pass_engine.h), they must all
+// drink from one scan instead of each resetting the stream for themselves.
+// PassCursor is that one scan made explicit: the engine pulls chunks
+// through it and fans each chunk across the runs, and the cursor is the
+// single place where "number of times the stream was physically scanned"
+// is counted — the quantity the streaming model charges for and the fused
+// benches verify.
 
 #ifndef DENSEST_STREAM_PASS_CURSOR_H_
 #define DENSEST_STREAM_PASS_CURSOR_H_

@@ -157,6 +157,10 @@ TEST(Algorithm1Test, InvalidArguments) {
   Algorithm1Options opt;
   opt.epsilon = -0.1;
   EXPECT_FALSE(RunAlgorithm1(g, opt).ok());
+  opt.epsilon = std::nan("");
+  EXPECT_FALSE(RunAlgorithm1(g, opt).ok());
+  opt.epsilon = INFINITY;
+  EXPECT_FALSE(RunAlgorithm1(g, opt).ok());
 
   UndirectedGraph empty;
   Algorithm1Options ok_opt;

@@ -102,6 +102,12 @@ TEST(Algorithm2Test, RejectsNegativeEpsilon) {
   Algorithm2Options opt;
   opt.epsilon = -1;
   EXPECT_FALSE(RunAlgorithm2(g, opt).ok());
+  opt.epsilon = std::nan("");
+  EXPECT_FALSE(RunAlgorithm2(g, opt).ok());
+  // An infinite epsilon would make the removal quota NaN.
+  opt.epsilon = INFINITY;
+  opt.min_size = 5;
+  EXPECT_FALSE(RunAlgorithm2(g, opt).ok());
 }
 
 TEST(Algorithm2Test, PassBoundScalesWithNOverK) {

@@ -115,7 +115,10 @@ TEST(Algorithm3Test, InvalidArguments) {
   DirectedGraph g = TwoNodeCycle();
   EXPECT_FALSE(RunAlgorithm3(g, {.c = 0.0}).ok());
   EXPECT_FALSE(RunAlgorithm3(g, {.c = -1.0}).ok());
+  EXPECT_FALSE(RunAlgorithm3(g, {.c = std::nan("")}).ok());
   EXPECT_FALSE(RunAlgorithm3(g, {.c = 1.0, .epsilon = -0.5}).ok());
+  EXPECT_FALSE(RunAlgorithm3(g, {.c = 1.0, .epsilon = std::nan("")}).ok());
+  EXPECT_FALSE(RunAlgorithm3(g, {.c = 1.0, .epsilon = INFINITY}).ok());
   DirectedGraph empty;
   EXPECT_FALSE(RunAlgorithm3(empty, {.c = 1.0}).ok());
 }
@@ -142,6 +145,13 @@ TEST(CSearchTest, RejectsBadDelta) {
   DirectedGraph g = TwoNodeCycle();
   CSearchOptions opt;
   opt.delta = 1.0;
+  EXPECT_FALSE(RunCSearch(g, opt).ok());
+  opt.delta = std::nan("");
+  EXPECT_FALSE(RunCSearch(g, opt).ok());
+  opt.delta = 2.0;
+  opt.epsilon = std::nan("");
+  EXPECT_FALSE(RunCSearch(g, opt).ok());
+  opt.epsilon = INFINITY;
   EXPECT_FALSE(RunCSearch(g, opt).ok());
 }
 

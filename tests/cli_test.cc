@@ -7,6 +7,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cli/args.h"
 #include "cli/commands.h"
@@ -285,6 +287,29 @@ TEST(CliDynamicTest, RunsOnBinaryInput) {
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_NE(dyn_out.str().find("band=OK"), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST_F(CliCommandTest, NonFiniteEpsilonAndDeltaRejected) {
+  // NaN slips through a bare `< 0` test: each of these used to run to its
+  // pass cap (or over an empty c-grid) and report an answer.
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases =
+      {{"undirected", {"--eps=nan"}},
+       {"undirected", {"--eps=inf", "--min-size=5"}},
+       {"undirected", {"--eps=nan", "--sketch-buckets=512"}},
+       {"directed", {"--eps=nan", "--c=1"}},
+       {"directed", {"--eps=inf"}},
+       {"directed", {"--delta=nan"}},
+       {"mapreduce", {"--eps=nan"}},
+       {"mapreduce", {"--eps=nan", "--directed", "--c=2"}}};
+  for (const auto& [command, flags] : cases) {
+    Status status;
+    const std::string out = Run(command, flags, &status);
+    std::string label = command;
+    for (const std::string& flag : flags) label += " " + flag;
+    EXPECT_FALSE(status.ok()) << label;
+    EXPECT_EQ(status.code(), Status::Code::kInvalidArgument) << label;
+    EXPECT_EQ(out.find("passes="), std::string::npos) << label << "\n" << out;
+  }
 }
 
 TEST_F(CliCommandTest, UnknownFlagRejected) {

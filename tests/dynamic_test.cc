@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <set>
@@ -205,8 +206,15 @@ TEST(DynamicDensestTest, CreateValidatesArguments) {
   EXPECT_FALSE(DynamicDensest::Create(10, opt).ok());
   opt.epsilon = 1.5;
   EXPECT_FALSE(DynamicDensest::Create(10, opt).ok());
+  opt.epsilon = std::nan("");
+  EXPECT_FALSE(DynamicDensest::Create(10, opt).ok());
   opt.epsilon = 0.5;
   EXPECT_TRUE(DynamicDensest::Create(10, opt).ok());
+  for (double bad : {-0.5, std::nan(""), static_cast<double>(INFINITY)}) {
+    DynamicDensestOptions recompute;
+    recompute.recompute_epsilon = bad;
+    EXPECT_FALSE(DynamicDensest::Create(10, recompute).ok()) << bad;
+  }
 }
 
 TEST(DynamicDensestTest, EmptyGraphAnswersZeroCertified) {

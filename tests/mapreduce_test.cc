@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "core/algorithm1.h"
@@ -331,9 +332,16 @@ TEST(MrDriverTest, InvalidArguments) {
   MrDensestOptions bad;
   bad.epsilon = -1;
   EXPECT_FALSE(RunMrDensestUndirected(env, el, bad).ok());
+  bad.epsilon = std::nan("");
+  EXPECT_FALSE(RunMrDensestUndirected(env, el, bad).ok());
+  bad.epsilon = INFINITY;
+  EXPECT_FALSE(RunMrDensestUndirected(env, el, bad).ok());
   EXPECT_FALSE(RunMrDensestUndirected(env, EdgeList(0), {}).ok());
   MrDirectedOptions bad_dir;
   bad_dir.c = 0;
+  EXPECT_FALSE(RunMrDensestDirected(env, el, bad_dir).ok());
+  bad_dir.c = 1;
+  bad_dir.epsilon = std::nan("");
   EXPECT_FALSE(RunMrDensestDirected(env, el, bad_dir).ok());
 }
 

@@ -1,4 +1,4 @@
-// Equivalence tests for the fused MultiRunEngine: a fused c-sweep or
+// Equivalence tests for fused PassEngine sweeps: a fused c-sweep or
 // epsilon-sweep must produce results bit-identical to the same
 // configurations run sequentially — densities, pass counts, survivor sets
 // and traces — across 1..8 fan-out threads and every stream type, while
@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -98,7 +99,7 @@ void CheckDirectedEquivalence(EdgeStream& stream, const std::string& label) {
   }
 
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    MultiRunEngine engine(MultiRunOptions{.num_threads = threads});
+    PassEngine engine(PassEngineOptions{.num_threads = threads});
     auto fused = engine.RunDirectedRuns(stream, grid);
     ASSERT_TRUE(fused.ok()) << label;
     ASSERT_EQ(fused->size(), grid.size()) << label;
@@ -191,7 +192,7 @@ void CheckEpsilonSweepEquivalence(EdgeStream& stream,
   }
 
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    MultiRunEngine engine(MultiRunOptions{.num_threads = threads});
+    PassEngine engine(PassEngineOptions{.num_threads = threads});
     auto fused = RunAlgorithm1EpsilonSweep(stream, base, epsilons, &engine);
     ASSERT_TRUE(fused.ok()) << label;
     ASSERT_EQ(fused->size(), epsilons.size()) << label;
@@ -314,7 +315,7 @@ TEST(MultiRunAlgorithm2Test, FusedMatchesSequential) {
 
   // 8 threads > 6 runs: work-major; 4 threads: run-major.
   for (size_t threads : {1u, 4u, 8u}) {
-    MultiRunEngine engine(MultiRunOptions{.num_threads = threads});
+    PassEngine engine(PassEngineOptions{.num_threads = threads});
     auto fused = engine.RunUndirectedRuns(stream, grid);
     ASSERT_TRUE(fused.ok());
     ASSERT_EQ(fused->size(), grid.size());
@@ -337,7 +338,7 @@ TEST(MultiRunDriveTest, TruncatedFileAbortsTheSweep) {
   auto stream = BinaryFileEdgeStream::Open(path);
   ASSERT_TRUE(stream.ok());
 
-  MultiRunEngine engine(MultiRunOptions{.num_threads = 2});
+  PassEngine engine(PassEngineOptions{.num_threads = 2});
   auto fused = RunAlgorithm1EpsilonSweep(**stream, {}, EpsilonGrid(), &engine);
   ASSERT_FALSE(fused.ok());
   EXPECT_EQ(fused.status().code(), Status::Code::kIOError);
@@ -420,7 +421,7 @@ TEST(MultiRunCSearchTest, CSearchGridRejectsInvalidShapes) {
 }
 
 TEST(MultiRunCSearchTest, EmptyAndInvalidInputs) {
-  MultiRunEngine engine(MultiRunOptions{.num_threads = 2});
+  PassEngine engine(PassEngineOptions{.num_threads = 2});
   EdgeList el = ErdosRenyiDirectedGnm(50, 200, 71);
   EdgeListStream stream(el);
 
@@ -433,6 +434,16 @@ TEST(MultiRunCSearchTest, EmptyAndInvalidInputs) {
   bad.c = -1.0;
   auto invalid = engine.RunDirectedRuns(stream, {bad});
   EXPECT_FALSE(invalid.ok());
+  for (double eps : {-1.0, std::nan(""), static_cast<double>(INFINITY)}) {
+    Algorithm3Options bad_eps;
+    bad_eps.epsilon = eps;
+    EXPECT_FALSE(engine.RunDirectedRuns(stream, {Algorithm3Options{}, bad_eps})
+                     .ok())
+        << eps;
+    EXPECT_FALSE(
+        RunAlgorithm1EpsilonSweep(stream, {}, {0.5, eps}, &engine).ok())
+        << eps;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,18 +2,22 @@
 // every stream type must produce exactly the same edge sequence through
 // NextBatch as through repeated Next, and PassEngine results — record
 // rounds and CSR row pulls alike — must be bit-identical regardless of
-// thread count.
+// thread count, match an independent replica of the documented record
+// schedule, and survive aborted passes on a reused engine.
 
 #include "core/pass_engine.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/random.h"
 #include "core/algorithm1.h"
 #include "core/algorithm3.h"
@@ -278,7 +282,7 @@ TEST(PassEngineTest, CollectPreservesStreamOrder) {
     std::vector<double> degrees(n);
     std::vector<Edge> survivors;
     UndirectedPassResult r =
-        engine.RunUndirectedCollect(stream, alive, degrees, &survivors);
+        engine.RunUndirected(stream, alive, degrees, nullptr, &survivors);
     EXPECT_EQ(r.edges, want.size()) << threads;
     EXPECT_EQ(survivors, want) << threads;
   }
@@ -379,6 +383,276 @@ TEST(PassEngineTest, MultiRoundStreamsSpanRounds) {
   UndirectedPassResult r = engine.RunUndirected(stream, alive, got);
   EXPECT_EQ(r.edges, ref.edges);
   EXPECT_EQ(got, want);
+}
+
+// ---------------------------------------------------------------------------
+// An independent oracle for the record schedule: the documented shard/slot
+// partition written out edge by edge, sharing no code with the engine.
+
+constexpr size_t kShardEdges = PassEngine::kShardEdges;
+constexpr size_t kShardSlots = PassEngine::kShardSlots;
+
+/// Record i of the stream belongs to shard i / kShardEdges, which lands in
+/// slot (i / kShardEdges) % kShardSlots. Each slot sums its degree
+/// contributions in stream order; a shard's weight and count are summed in
+/// stream order and added to its slot's totals; slots are reduced in slot
+/// order.
+UndirectedPassResult ReferenceUndirectedPass(const std::vector<Edge>& edges,
+                                             const NodeSet& alive,
+                                             std::vector<double>& degrees) {
+  const size_t n = degrees.size();
+  std::vector<std::vector<double>> slot(kShardSlots,
+                                        std::vector<double>(n, 0.0));
+  std::array<double, kShardSlots> slot_weight{};
+  std::array<EdgeId, kShardSlots> slot_count{};
+  for (size_t begin = 0; begin < edges.size(); begin += kShardEdges) {
+    const size_t s = (begin / kShardEdges) % kShardSlots;
+    const size_t end = std::min(edges.size(), begin + kShardEdges);
+    double weight = 0.0;
+    EdgeId count = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const Edge& e = edges[i];
+      if (alive.Contains(e.u) && alive.Contains(e.v)) {
+        slot[s][e.u] += e.w;
+        slot[s][e.v] += e.w;
+        weight += e.w;
+        ++count;
+      }
+    }
+    slot_weight[s] += weight;
+    slot_count[s] += count;
+  }
+  UndirectedPassResult out;
+  for (size_t s = 0; s < kShardSlots; ++s) {
+    out.weight += slot_weight[s];
+    out.edges += slot_count[s];
+  }
+  for (size_t u = 0; u < n; ++u) {
+    degrees[u] = 0.0;
+    for (size_t s = 0; s < kShardSlots; ++s) degrees[u] += slot[s][u];
+  }
+  return out;
+}
+
+/// The directed twin: out_to_t and in_from_s each get their own slots.
+DirectedPassResult ReferenceDirectedPass(const std::vector<Edge>& arcs,
+                                         const NodeSet& s_set,
+                                         const NodeSet& t_set,
+                                         std::vector<double>& out_to_t,
+                                         std::vector<double>& in_from_s) {
+  const size_t n = out_to_t.size();
+  std::vector<std::vector<double>> out_slot(kShardSlots,
+                                            std::vector<double>(n, 0.0));
+  std::vector<std::vector<double>> in_slot = out_slot;
+  std::array<double, kShardSlots> slot_weight{};
+  std::array<EdgeId, kShardSlots> slot_count{};
+  for (size_t begin = 0; begin < arcs.size(); begin += kShardEdges) {
+    const size_t s = (begin / kShardEdges) % kShardSlots;
+    const size_t end = std::min(arcs.size(), begin + kShardEdges);
+    double weight = 0.0;
+    EdgeId count = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const Edge& e = arcs[i];
+      if (s_set.Contains(e.u) && t_set.Contains(e.v)) {
+        out_slot[s][e.u] += e.w;
+        in_slot[s][e.v] += e.w;
+        weight += e.w;
+        ++count;
+      }
+    }
+    slot_weight[s] += weight;
+    slot_count[s] += count;
+  }
+  DirectedPassResult out;
+  for (size_t s = 0; s < kShardSlots; ++s) {
+    out.weight += slot_weight[s];
+    out.arcs += slot_count[s];
+  }
+  for (size_t u = 0; u < n; ++u) {
+    out_to_t[u] = in_from_s[u] = 0.0;
+    for (size_t s = 0; s < kShardSlots; ++s) {
+      out_to_t[u] += out_slot[s][u];
+      in_from_s[u] += in_slot[s][u];
+    }
+  }
+  return out;
+}
+
+/// Two and a half record rounds of weighted records over n nodes, so
+/// every slot sums shards from more than one round and the last round is
+/// partial.
+EdgeList WeightedRecords(NodeId n, uint64_t seed) {
+  EdgeList el(n);
+  Rng rng(seed);
+  const size_t records = kShardSlots * kShardEdges * 5 / 2 + 777;
+  for (size_t i = 0; i < records; ++i) {
+    el.Add(static_cast<NodeId>(rng.UniformU64(n)),
+           static_cast<NodeId>(rng.UniformU64(n)),
+           0.25 + rng.UniformDouble());
+  }
+  return el;
+}
+
+TEST(RecordScheduleTest, UndirectedMatchesReferenceBitForBit) {
+  const NodeId n = 2000;
+  const EdgeList el = WeightedRecords(n, 307);
+  EdgeListStream stream(el);
+  const NodeSet alive = EveryThirdDead(n);
+
+  std::vector<double> want(n);
+  const UndirectedPassResult ref =
+      ReferenceUndirectedPass(el.edges(), alive, want);
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    PassEngine engine(PassEngineOptions{.num_threads = threads});
+    std::vector<double> got(n, -1.0);
+    const UndirectedPassResult r = engine.RunUndirected(stream, alive, got);
+    EXPECT_EQ(r.edges, ref.edges) << threads;
+    EXPECT_EQ(r.weight, ref.weight) << threads;  // bits, not NEAR
+    EXPECT_EQ(got, want) << threads;
+  }
+}
+
+TEST(RecordScheduleTest, DirectedMatchesReferenceBitForBit) {
+  const NodeId n = 2000;
+  const EdgeList el = WeightedRecords(n, 311);
+  EdgeListStream stream(el);
+  const NodeSet s = EveryThirdDead(n);
+  NodeSet t(n, /*full=*/true);
+  for (NodeId u = 1; u < n; u += 5) t.Remove(u);
+
+  std::vector<double> want_out(n), want_in(n);
+  const DirectedPassResult ref =
+      ReferenceDirectedPass(el.edges(), s, t, want_out, want_in);
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    PassEngine engine(PassEngineOptions{.num_threads = threads});
+    std::vector<double> out(n, -1.0), in(n, -1.0);
+    const DirectedPassResult r = engine.RunDirected(stream, s, t, out, in);
+    EXPECT_EQ(r.arcs, ref.arcs) << threads;
+    EXPECT_EQ(r.weight, ref.weight) << threads;
+    EXPECT_EQ(out, want_out) << threads;
+    EXPECT_EQ(in, want_in) << threads;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Aborted passes leave nothing behind in a reused engine.
+
+/// Cancels `token` as it hands out its third chunk of a pass: the pass
+/// has accumulated part of the stream when the engine notices.
+class CancelAfterThirdChunk final : public EdgeStream {
+ public:
+  CancelAfterThirdChunk(EdgeStream& inner, CancelToken& token)
+      : inner_(inner), token_(token) {}
+
+  void Reset() override {
+    inner_.Reset();
+    chunks_ = 0;
+  }
+  bool Next(Edge* e) override { return inner_.Next(e); }
+  std::span<const Edge> NextView(Edge* scratch, size_t cap) override {
+    std::span<const Edge> view = inner_.NextView(scratch, cap);
+    if (!view.empty() && ++chunks_ == 3) token_.Cancel();
+    return view;
+  }
+  bool HasUnitWeights() const override { return inner_.HasUnitWeights(); }
+  NodeId num_nodes() const override { return inner_.num_nodes(); }
+
+ private:
+  EdgeStream& inner_;
+  CancelToken& token_;
+  int chunks_ = 0;
+};
+
+/// What RunUndirected, RunDirected and RunAlgorithm1 produce on `engine`.
+struct PassBits {
+  UndirectedPassResult undirected;
+  std::vector<double> degrees;
+  DirectedPassResult directed;
+  std::vector<double> out_to_t, in_from_s;
+  UndirectedDensestResult alg1;
+};
+
+PassBits RunHealthy(PassEngine& engine, EdgeStream& stream) {
+  const NodeId n = stream.num_nodes();
+  const NodeSet alive = EveryThirdDead(n);
+  NodeSet t(n, /*full=*/true);
+  for (NodeId u = 1; u < n; u += 5) t.Remove(u);
+  PassBits bits;
+  bits.degrees.assign(n, -1.0);
+  bits.undirected = engine.RunUndirected(stream, alive, bits.degrees);
+  bits.out_to_t.assign(n, -1.0);
+  bits.in_from_s.assign(n, -1.0);
+  bits.directed =
+      engine.RunDirected(stream, alive, t, bits.out_to_t, bits.in_from_s);
+  Algorithm1Options options;
+  options.engine = &engine;
+  auto alg1 = RunAlgorithm1(stream, options);
+  EXPECT_TRUE(alg1.ok()) << alg1.status().ToString();
+  if (alg1.ok()) bits.alg1 = std::move(*alg1);
+  return bits;
+}
+
+void ExpectSameBits(const PassBits& got, const PassBits& want,
+                    const std::string& label) {
+  EXPECT_EQ(got.undirected.edges, want.undirected.edges) << label;
+  EXPECT_EQ(got.undirected.weight, want.undirected.weight) << label;
+  EXPECT_EQ(got.degrees, want.degrees) << label;
+  EXPECT_EQ(got.directed.arcs, want.directed.arcs) << label;
+  EXPECT_EQ(got.directed.weight, want.directed.weight) << label;
+  EXPECT_EQ(got.out_to_t, want.out_to_t) << label;
+  EXPECT_EQ(got.in_from_s, want.in_from_s) << label;
+  EXPECT_EQ(got.alg1.density, want.alg1.density) << label;
+  EXPECT_EQ(got.alg1.passes, want.alg1.passes) << label;
+  EXPECT_EQ(got.alg1.nodes, want.alg1.nodes) << label;
+}
+
+TEST(AbortedPassTest, EngineScratchStaysClean) {
+  const NodeId n = 1500;
+  const std::string path = ::testing::TempDir() + "/aborted_pass.bin";
+  for (bool weighted : {false, true}) {
+    EdgeList el = WeightedRecords(n, 313);
+    if (!weighted) {
+      for (Edge& e : el.mutable_edges()) e.w = 1.0;
+    }
+    EdgeListStream healthy(el);
+    ASSERT_EQ(healthy.HasUnitWeights(), !weighted);
+    // A file that ends mid-stream: the pass fails with an IO error after
+    // accumulating the records before the cut.
+    ASSERT_TRUE(WriteBinaryEdgeFile(path, el, weighted).ok());
+    std::filesystem::resize_file(path,
+                                 std::filesystem::file_size(path) * 3 / 5);
+    auto truncated = BinaryFileEdgeStream::Open(path);
+    ASSERT_TRUE(truncated.ok());
+
+    for (size_t threads : {1u, 4u}) {
+      const std::string label = std::string(weighted ? "weighted" : "unit") +
+                                " threads=" + std::to_string(threads);
+      PassEngine engine(PassEngineOptions{.num_threads = threads});
+      const NodeSet all(n, /*full=*/true);
+      std::vector<double> a(n), b(n);
+
+      CancelToken token;
+      CancelAfterThirdChunk cancelling(healthy, token);
+      (void)engine.RunUndirected(cancelling, all, a, &token);
+      EXPECT_TRUE(token.cancelled()) << label;
+      CancelToken directed_token;
+      CancelAfterThirdChunk cancelling_arcs(healthy, directed_token);
+      (void)engine.RunDirected(cancelling_arcs, all, all, a, b,
+                               &directed_token);
+      EXPECT_TRUE(directed_token.cancelled()) << label;
+      (void)engine.RunUndirected(**truncated, all, a);
+      EXPECT_FALSE((*truncated)->status().ok()) << label;
+      (void)engine.RunDirected(**truncated, all, all, a, b);
+      Algorithm1Options aborted;
+      aborted.engine = &engine;
+      EXPECT_FALSE(RunAlgorithm1(**truncated, aborted).ok()) << label;
+
+      PassEngine fresh(PassEngineOptions{.num_threads = threads});
+      ExpectSameBits(RunHealthy(engine, healthy), RunHealthy(fresh, healthy),
+                     label);
+    }
+    std::remove(path.c_str());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -547,7 +821,7 @@ TEST(RowPullTest, CollectEmitsSurvivorsInStreamOrder) {
     std::vector<double> degrees(n);
     std::vector<Edge> survivors;
     const UndirectedPassResult r =
-        engine.RunUndirectedCollect(stream, alive, degrees, &survivors);
+        engine.RunUndirected(stream, alive, degrees, nullptr, &survivors);
     EXPECT_EQ(survivors, want) << threads;
     EXPECT_EQ(r.edges, want.size()) << threads;
     // Collecting changes nothing about the pulled statistics.

@@ -1,12 +1,14 @@
-// Unit tests for the shared per-pass accumulators (core/peel_state) and
-// weighted directed peeling.
-
-#include "core/peel_state.h"
+// Unit tests for the per-pass peeling state — the alive-set degree and
+// out/in accumulators a PassEngine pass fills — and weighted directed
+// peeling.
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/random.h"
 #include "core/algorithm3.h"
+#include "core/pass_engine.h"
 #include "graph/graph_builder.h"
 #include "stream/memory_stream.h"
 
@@ -24,7 +26,8 @@ TEST(PeelStateTest, UndirectedPassCountsOnlyAliveEdges) {
   alive.Remove(3);
   std::vector<double> degrees(4, 99.0);  // must be overwritten
 
-  UndirectedPassResult r = RunUndirectedPass(stream, alive, degrees);
+  UndirectedPassResult r =
+      DefaultPassEngine().RunUndirected(stream, alive, degrees);
   EXPECT_EQ(r.edges, 2u);          // edge 2-3 excluded
   EXPECT_DOUBLE_EQ(r.weight, 3.0);
   EXPECT_DOUBLE_EQ(degrees[0], 2.0);
@@ -43,7 +46,8 @@ TEST(PeelStateTest, DirectedPassSplitsOutAndIn) {
   NodeSet s(4, true), t(4, true);
   t.Remove(2);  // arc 0->2 no longer counts
   std::vector<double> out_to_t(4), in_from_s(4);
-  DirectedPassResult r = RunDirectedPass(stream, s, t, out_to_t, in_from_s);
+  DirectedPassResult r =
+      DefaultPassEngine().RunDirected(stream, s, t, out_to_t, in_from_s);
   EXPECT_EQ(r.arcs, 2u);
   EXPECT_DOUBLE_EQ(out_to_t[0], 1.0);
   EXPECT_DOUBLE_EQ(out_to_t[3], 1.0);
@@ -52,17 +56,22 @@ TEST(PeelStateTest, DirectedPassSplitsOutAndIn) {
 }
 
 TEST(PeelStateTest, RepeatedPassesAreIdempotent) {
+  // One engine, many passes: the engine's reused scratch (slot planes at 4
+  // threads) must start every pass clean.
   EdgeList el(3);
   el.Add(0, 1);
   el.Add(1, 2);
   EdgeListStream stream(el);
   NodeSet alive(3, true);
-  std::vector<double> degrees(3);
-  auto r1 = RunUndirectedPass(stream, alive, degrees);
-  auto r2 = RunUndirectedPass(stream, alive, degrees);
-  EXPECT_EQ(r1.edges, r2.edges);
-  EXPECT_DOUBLE_EQ(r1.weight, r2.weight);
-  EXPECT_DOUBLE_EQ(degrees[1], 2.0);  // not double-counted
+  for (size_t threads : {1u, 4u}) {
+    PassEngine engine(PassEngineOptions{.num_threads = threads});
+    std::vector<double> degrees(3);
+    auto r1 = engine.RunUndirected(stream, alive, degrees);
+    auto r2 = engine.RunUndirected(stream, alive, degrees);
+    EXPECT_EQ(r1.edges, r2.edges) << threads;
+    EXPECT_DOUBLE_EQ(r1.weight, r2.weight) << threads;
+    EXPECT_DOUBLE_EQ(degrees[1], 2.0) << threads;  // not double-counted
+  }
 }
 
 TEST(WeightedDirectedTest, Algorithm3UsesArcWeights) {
@@ -90,7 +99,6 @@ TEST(WeightedDirectedTest, Algorithm3UsesArcWeights) {
 
 TEST(WeightedDirectedTest, WeightScalingActsLinearlyOnAlgorithm3) {
   GraphBuilder base, scaled;
-  EdgeList arcs(20);
   Rng rng(5);
   for (int i = 0; i < 80; ++i) {
     NodeId u = static_cast<NodeId>(rng.UniformU64(20));

@@ -95,7 +95,7 @@ void CheckSketchedEquivalence(EdgeStream& stream, const std::string& label) {
   }
 
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    MultiRunEngine engine(MultiRunOptions{.num_threads = threads});
+    PassEngine engine(PassEngineOptions{.num_threads = threads});
     auto fused = RunSketchedSweep(stream, grid, &engine);
     ASSERT_TRUE(fused.ok()) << label;
     ASSERT_EQ(fused->size(), grid.size()) << label;
@@ -172,7 +172,7 @@ TEST(SketchFusionTest, ScanAccountingMatchesCountingStream) {
   PassStats stats;
   CountingEdgeStream stream(inner, stats);
 
-  MultiRunEngine engine;
+  PassEngine engine;
   auto fused = RunSketchedSweep(stream, SketchGrid(), &engine);
   ASSERT_TRUE(fused.ok());
   EXPECT_EQ(engine.last_physical_passes(), stats.passes);
@@ -187,7 +187,7 @@ TEST(SketchFusionTest, ScanAccountingMatchesCountingStream) {
 TEST(SketchFusionDegenerateTest, EmptyGridYieldsEmptyResults) {
   EdgeList el = ErdosRenyiGnm(50, 200, 139);
   EdgeListStream stream(el);
-  MultiRunEngine engine;
+  PassEngine engine;
   auto r = RunSketchedSweep(stream, {}, &engine);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->empty());
@@ -243,6 +243,16 @@ TEST(SketchFusionDegenerateTest, NegativeEpsilonRejected) {
   auto r = RunSketchedSweep(stream, grid);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument);
+  for (double eps : {std::nan(""), static_cast<double>(INFINITY)}) {
+    grid[0].options.epsilon = eps;
+    auto sweep = RunSketchedSweep(stream, grid);
+    ASSERT_FALSE(sweep.ok()) << eps;
+    EXPECT_EQ(sweep.status().code(), Status::Code::kInvalidArgument) << eps;
+    ExactDegreeOracle oracle(stream.num_nodes());
+    auto solo = RunAlgorithm1WithOracle(stream, oracle, grid[0].options);
+    ASSERT_FALSE(solo.ok()) << eps;
+    EXPECT_EQ(solo.status().code(), Status::Code::kInvalidArgument) << eps;
+  }
 }
 
 TEST(SketchFusionDegenerateTest, TruncatedFileSurfacesIOError) {
