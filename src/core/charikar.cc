@@ -4,7 +4,6 @@
 #include <queue>
 #include <vector>
 
-#include "core/pass_engine.h"
 #include "graph/edge_list.h"
 #include "graph/subgraph.h"
 
@@ -111,18 +110,12 @@ CharikarResult CharikarPeel(const UndirectedGraph& g) {
 
 namespace {
 
-/// One batched engine pass over the stream, materialized as a CSR graph.
-/// Fails with the stream's status when the pass ended early (truncated or
-/// failing file): the partial graph would peel to a plausible wrong rho.
+/// One pass over the stream, materialized as a CSR graph. Fails with the
+/// stream's status when the pass ended early (see ReadAllEdges).
 StatusOr<UndirectedGraph> MaterializeStream(EdgeStream& stream) {
-  EdgeList edges(stream.num_nodes());
-  if (EdgeId hint = stream.SizeHint(); hint > 0) {
-    edges.mutable_edges().reserve(static_cast<size_t>(hint));
-  }
-  DefaultPassEngine().ForEachEdgeBatched(
-      stream, [&](const Edge& e) { edges.Add(e.u, e.v, e.w); });
-  if (Status io = stream.status(); !io.ok()) return io;
-  return UndirectedGraph::FromEdgeList(edges);
+  StatusOr<EdgeList> edges = ReadAllEdges(stream);
+  if (!edges.ok()) return edges.status();
+  return UndirectedGraph::FromEdgeList(*edges);
 }
 
 }  // namespace

@@ -32,12 +32,12 @@ CharikarResult CharikarPeel(const UndirectedGraph& g);
 /// CharikarPeel on unweighted inputs (up to ties).
 CharikarResult CharikarPeelWeighted(const UndirectedGraph& g);
 
-/// Stream front ends: ingest the stream's edges with one batched pass of
-/// the shared pass engine (the only scan Charikar needs — the peel itself
+/// Stream front ends: load the graph with one pass through ReadAllEdges
+/// (stream/edge_stream.h; the only scan Charikar needs — the peel itself
 /// requires the graph in memory), then run the greedy peel. Fails with the
-/// stream's IOError when the ingestion pass ended early (a truncated or
-/// failing file) — peeling the partial graph would yield a plausible but
-/// wrong density.
+/// stream's error when the loading pass ended early (a truncated, corrupt
+/// or failing file) — peeling the partial graph would yield a plausible
+/// but wrong density.
 StatusOr<CharikarResult> CharikarPeel(EdgeStream& stream);
 StatusOr<CharikarResult> CharikarPeelWeighted(EdgeStream& stream);
 

@@ -307,22 +307,6 @@ class PassEngine {
                                            bool compact,
                                            const CancelToken* cancel = nullptr);
 
-  /// Batched drain: invokes fn(edge) sequentially, in stream order, for
-  /// every edge of one full pass, for hot paths whose per-edge work is not
-  /// a degree accumulation (graph ingestion). Zero-copy where the stream
-  /// supports NextView.
-  template <typename Fn>
-  void ForEachEdgeBatched(EdgeStream& stream, Fn&& fn) {
-    stream.Reset();
-    EnsureBatchBuffer();
-    for (;;) {
-      std::span<const Edge> view =
-          stream.NextView(batch_.data(), batch_.size());
-      if (view.empty()) break;
-      for (const Edge& e : view) fn(e);
-    }
-  }
-
   /// Physical scans of the stream the last Drive() performed.
   uint64_t last_physical_passes() const { return last_physical_passes_; }
   /// Sum over runs of the stream passes they consumed — what the same

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -63,9 +64,16 @@ class BodyReader {
 
   bool GetRaw(void* dst, size_t bytes) {
     if (size_ - pos_ < bytes) return false;
+    if (bytes == 0) return true;  // dst may be null (an empty vector)
     std::memcpy(dst, data_ + pos_, bytes);
     pos_ += bytes;
     return true;
+  }
+
+  /// Whether `count` items of `item_bytes` each fit in the unread body —
+  /// checked before any size field sizes an allocation.
+  bool Fits(uint64_t count, uint64_t item_bytes) const {
+    return count <= (size_ - pos_) / item_bytes;
   }
 
   bool exhausted() const { return pos_ == size_; }
@@ -225,15 +233,21 @@ StatusOr<RestoredEngine> ReadSnapshot(const std::string& path,
     std::fclose(f);
     return Status::IOError("unsupported snapshot version: " + path);
   }
+  // The body must be exactly the rest of the file — checked before the
+  // header's size field sizes an allocation. A torn file is shorter;
+  // trailing garbage means the file is not what the header says it is.
+  std::error_code ec;
+  const uintmax_t file_bytes = std::filesystem::file_size(path, ec);
+  if (ec || file_bytes < sizeof(header) ||
+      file_bytes - sizeof(header) != header.body_size) {
+    std::fclose(f);
+    return Status::IOError("snapshot body size mismatch: " + path);
+  }
   std::string body(header.body_size, '\0');
   const size_t got =
       body.empty() ? 0 : std::fread(body.data(), 1, body.size(), f);
-  // One extra byte probe: trailing garbage means the file is not what the
-  // header says it is.
-  char probe;
-  const bool trailing = std::fread(&probe, 1, 1, f) == 1;
   std::fclose(f);
-  if (got != body.size() || trailing) {
+  if (got != body.size()) {
     return Status::IOError("truncated snapshot body: " + path);
   }
   if (Fnv1a64(body.data(), body.size()) != header.checksum) {
@@ -257,10 +271,19 @@ StatusOr<RestoredEngine> ReadSnapshot(const std::string& path,
       !r.Get(&density) || !r.Get(&upper_bound)) {
     return Status::IOError("snapshot body too short: " + path);
   }
+  // Each node takes at least its degree word plus one level per slot, and
+  // each neighbor one id: the counts must fit the bytes left. (No engine
+  // has zero nodes; requiring one also bounds num_slots by the body.)
+  if (n == 0 ||
+      !r.Fits(n, sizeof(uint32_t) + uint64_t{num_slots} * sizeof(uint16_t))) {
+    return Status::IOError("snapshot sizes exceed its body: " + path);
+  }
   std::vector<std::vector<NodeId>> adjacency(n);
   for (NodeId u = 0; u < n; ++u) {
     uint32_t deg = 0;
-    if (!r.Get(&deg)) return Status::IOError("snapshot body too short: " + path);
+    if (!r.Get(&deg) || !r.Fits(deg, sizeof(NodeId))) {
+      return Status::IOError("snapshot body too short: " + path);
+    }
     adjacency[u].resize(deg);
     if (!r.GetRaw(adjacency[u].data(), size_t{deg} * sizeof(NodeId))) {
       return Status::IOError("snapshot body too short: " + path);

@@ -1,13 +1,20 @@
 #include "io/edge_list_io.h"
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/failpoint.h"
 
 namespace densest {
+
+namespace {
+constexpr long long kMaxNodeId = std::numeric_limits<NodeId>::max() - 1;
+}  // namespace
 
 StatusOr<EdgeList> ReadEdgeListText(const std::string& path) {
   std::ifstream in(path);
@@ -23,17 +30,27 @@ StatusOr<EdgeList> ReadEdgeListText(const std::string& path) {
                              std::to_string(lineno));
     }
     if (line.empty() || line[0] == '#' || line[0] == '%') continue;
+    auto invalid = [&](const std::string& what) {
+      return Status::InvalidArgument(what + " at " + path + ":" +
+                                     std::to_string(lineno));
+    };
     std::istringstream ss(line);
     long long u, v;
-    double w = 1.0;
-    if (!(ss >> u >> v)) {
-      return Status::InvalidArgument("bad edge at " + path + ":" +
-                                     std::to_string(lineno));
+    if (!(ss >> u >> v)) return invalid("bad edge");
+    if (u < 0 || v < 0) return invalid("negative node id");
+    // The node count is max id + 1, so the largest id must leave room for
+    // it in a NodeId; a larger one would wrap the count or alias an id.
+    if (u > kMaxNodeId || v > kMaxNodeId) {
+      return invalid("node id above " + std::to_string(kMaxNodeId));
     }
-    ss >> w;  // optional weight
-    if (u < 0 || v < 0) {
-      return Status::InvalidArgument("negative node id at " + path + ":" +
-                                     std::to_string(lineno));
+    double w = 1.0;
+    std::string token;
+    if (ss >> token) {  // optional weight: the whole token, finite
+      char* end = nullptr;
+      w = std::strtod(token.c_str(), &end);
+      if (end != token.c_str() + token.size() || !std::isfinite(w)) {
+        return invalid("bad weight '" + token + "'");
+      }
     }
     edges.Add(static_cast<NodeId>(u), static_cast<NodeId>(v), w);
   }

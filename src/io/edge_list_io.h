@@ -12,9 +12,10 @@
 namespace densest {
 
 /// Reads a whitespace-separated edge list: one "u v" or "u v w" per line;
-/// lines starting with '#' or '%' are comments. Node ids must be
-/// non-negative integers (not necessarily contiguous; num_nodes becomes
-/// max id + 1).
+/// lines starting with '#' or '%' are comments. Node ids must be integers
+/// in [0, 2^32 - 2] (not necessarily contiguous; num_nodes becomes
+/// max id + 1), and a weight must be a finite number. Any other line fails
+/// with InvalidArgument naming path:line.
 StatusOr<EdgeList> ReadEdgeListText(const std::string& path);
 
 /// Writes "u v" (or "u v w" when weighted=true) lines.

@@ -1,6 +1,8 @@
 #include "stream/file_stream.h"
 
+#include <algorithm>
 #include <cstring>
+#include <filesystem>
 
 #include "common/failpoint.h"
 #include "obs/metrics.h"
@@ -80,6 +82,16 @@ StatusOr<std::unique_ptr<BinaryFileEdgeStream>> BinaryFileEdgeStream::Open(
   stream->path_ = path;
   stream->header_ = header;
   stream->weighted_ = (header.flags & 1) != 0;
+  // The size hint is what the file can actually hold: callers reserve it
+  // (ReadAllEdges), so a corrupt count field must not size an allocation.
+  // A short body still fails the pass through the truncation check.
+  std::error_code ec;
+  const uintmax_t bytes = std::filesystem::file_size(path, ec);
+  const uintmax_t body =
+      ec || bytes < sizeof(header) ? 0 : bytes - sizeof(header);
+  stream->size_hint_ = std::min<uint64_t>(
+      header.num_edges,
+      body / (stream->weighted_ ? kWeightedRecord : kUnweightedRecord));
   stream->front_.resize(kMaxRecord + kBufferBytes);
   stream->back_.resize(kMaxRecord + kBufferBytes);
   stream->reader_ = std::make_unique<ThreadPool>(1);
@@ -235,60 +247,60 @@ bool BinaryFileEdgeStream::Refill(size_t record) {
   return buf_len_ - buf_pos_ >= record;
 }
 
-bool BinaryFileEdgeStream::Next(Edge* e) {
+std::span<const Edge> BinaryFileEdgeStream::NextView(Edge* scratch,
+                                                     size_t cap) {
   // A failed stream stays failed: emitting data again on the next pass
   // while status() still reports the error would let a multi-pass caller
   // mix complete and truncated passes over the same file.
-  if (emitted_ >= header_.num_edges || !status_.ok()) return false;
-  const size_t record = weighted_ ? kWeightedRecord : kUnweightedRecord;
-  if (buf_len_ - buf_pos_ < record && !Refill(record)) return false;
-  std::memcpy(&e->u, front_.data() + buf_pos_, sizeof(uint32_t));
-  std::memcpy(&e->v, front_.data() + buf_pos_ + sizeof(uint32_t),
-              sizeof(uint32_t));
-  if (weighted_) {
-    std::memcpy(&e->w, front_.data() + buf_pos_ + kUnweightedRecord,
-                sizeof(double));
-  } else {
-    e->w = 1.0;
-  }
-  buf_pos_ += record;
-  ++emitted_;
-  return true;
-}
-
-size_t BinaryFileEdgeStream::NextBatch(Edge* buf, size_t cap) {
-  // Decodes straight out of the IO buffer: one refill check per batch
-  // chunk instead of one per record, and the record unpack loop is branch-
-  // free apart from the weighted/unweighted split hoisted outside it.
+  if (!status_.ok()) return {};
+  // Decodes straight out of the IO buffer: one refill check per chunk
+  // instead of one per record, and the record unpack loop is branch-free
+  // apart from the weighted/unweighted split hoisted outside it.
   size_t produced = 0;
-  if (!status_.ok()) return 0;  // sticky, same as Next()
   const size_t record = weighted_ ? kWeightedRecord : kUnweightedRecord;
+  const NodeId n = header_.num_nodes;
   while (produced < cap && emitted_ < header_.num_edges) {
     if (buf_len_ - buf_pos_ < record && !Refill(record)) break;
-    size_t chunk = std::min({cap - produced, (buf_len_ - buf_pos_) / record,
-                             static_cast<size_t>(header_.num_edges - emitted_)});
+    const size_t chunk =
+        std::min({cap - produced, (buf_len_ - buf_pos_) / record,
+                  static_cast<size_t>(header_.num_edges - emitted_)});
+    Edge* out = scratch + produced;
     const unsigned char* src = front_.data() + buf_pos_;
+    // Endpoints past the header's node count are OR-reduced over the
+    // chunk and tested once after it, keeping the decode loop branch-free.
+    bool out_of_range = false;
     if (weighted_) {
       for (size_t i = 0; i < chunk; ++i, src += kWeightedRecord) {
-        std::memcpy(&buf[produced + i].u, src, sizeof(uint32_t));
-        std::memcpy(&buf[produced + i].v, src + sizeof(uint32_t),
-                    sizeof(uint32_t));
-        std::memcpy(&buf[produced + i].w, src + kUnweightedRecord,
-                    sizeof(double));
+        std::memcpy(&out[i].u, src, sizeof(uint32_t));
+        std::memcpy(&out[i].v, src + sizeof(uint32_t), sizeof(uint32_t));
+        std::memcpy(&out[i].w, src + kUnweightedRecord, sizeof(double));
+        out_of_range |= (out[i].u >= n) | (out[i].v >= n);
       }
     } else {
       for (size_t i = 0; i < chunk; ++i, src += kUnweightedRecord) {
-        std::memcpy(&buf[produced + i].u, src, sizeof(uint32_t));
-        std::memcpy(&buf[produced + i].v, src + sizeof(uint32_t),
-                    sizeof(uint32_t));
-        buf[produced + i].w = 1.0;
+        std::memcpy(&out[i].u, src, sizeof(uint32_t));
+        std::memcpy(&out[i].v, src + sizeof(uint32_t), sizeof(uint32_t));
+        out[i].w = 1.0;
+        out_of_range |= (out[i].u >= n) | (out[i].v >= n);
       }
+    }
+    if (out_of_range) {
+      // A corrupt record would index past every per-node array sized by
+      // num_nodes(); the pass ends before the chunk that holds it.
+      size_t bad = 0;
+      while (out[bad].u < n && out[bad].v < n) ++bad;
+      status_ = Status::IOError(
+          "corrupt edge file: " + path_ + " record " +
+          std::to_string(emitted_ + bad) + " = (" +
+          std::to_string(out[bad].u) + ", " + std::to_string(out[bad].v) +
+          ") names a node >= the header's " + std::to_string(n) + " nodes");
+      break;
     }
     buf_pos_ += chunk * record;
     emitted_ += chunk;
     produced += chunk;
   }
-  return produced;
+  return {scratch, produced};
 }
 
 }  // namespace densest

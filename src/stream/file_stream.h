@@ -53,17 +53,20 @@ class BinaryFileEdgeStream : public EdgeStream {
   ~BinaryFileEdgeStream() override;
 
   void Reset() override;
-  bool Next(Edge* e) override;
-  size_t NextBatch(Edge* buf, size_t cap) override;
+  /// Decodes the next records into `scratch`, checking each decoded chunk
+  /// against the header's node count.
+  std::span<const Edge> NextView(Edge* scratch, size_t cap) override;
   /// Sticky IO health: set to IOError when a mid-stream fread fails
-  /// (ferror, not EOF) or when the file ends before header_.num_edges
-  /// records were decoded (a truncated file). Once set it persists across
+  /// (ferror, not EOF), when the file ends before header_.num_edges
+  /// records were decoded (a truncated file), or when a record names a
+  /// node >= num_nodes() (a corrupt file). Once set it persists across
   /// Reset() — the underlying file is bad and every further pass would be
   /// silently short, which is exactly the wrong-density bug this guards.
   Status status() const override { return status_; }
   bool HasUnitWeights() const override { return !weighted_; }
   NodeId num_nodes() const override { return header_.num_nodes; }
-  EdgeId SizeHint() const override { return header_.num_edges; }
+  /// The header's edge count, capped by the records the file can hold.
+  EdgeId SizeHint() const override { return size_hint_; }
 
   /// Total bytes read since Open (across all passes, including read-ahead
   /// discarded by an early Reset) — used by PassStats to report streaming
@@ -114,6 +117,7 @@ class BinaryFileEdgeStream : public EdgeStream {
   std::string path_;  // for error messages
   BinaryEdgeFileHeader header_;
   bool weighted_ = false;
+  EdgeId size_hint_ = 0;
   EdgeId emitted_ = 0;
   uint64_t bytes_read_ = 0;
   Status status_;  // sticky; see status()

@@ -20,8 +20,6 @@ class EdgeListStream : public EdgeStream {
   explicit EdgeListStream(const EdgeList& edges) : edges_(&edges) {}
 
   void Reset() override { pos_ = 0; }
-  bool Next(Edge* e) override;
-  size_t NextBatch(Edge* buf, size_t cap) override;
   /// Views straight into the EdgeList's storage — a pass copies nothing.
   std::span<const Edge> NextView(Edge* scratch, size_t cap) override;
   /// Scans the edge list once (cached) to discover exact unit weights.
@@ -46,8 +44,8 @@ class UndirectedGraphStream : public EdgeStream {
     node_ = 0;
     idx_ = 0;
   }
-  bool Next(Edge* e) override;
-  size_t NextBatch(Edge* buf, size_t cap) override;
+  /// Materializes the edges into `scratch`, one CSR row at a time.
+  std::span<const Edge> NextView(Edge* scratch, size_t cap) override;
   bool HasUnitWeights() const override { return !g_->is_weighted(); }
   const UndirectedGraph* UndirectedCsrView() const override { return g_; }
   NodeId num_nodes() const override { return g_->num_nodes(); }
@@ -69,8 +67,8 @@ class DirectedGraphStream : public EdgeStream {
     node_ = 0;
     idx_ = 0;
   }
-  bool Next(Edge* e) override;
-  size_t NextBatch(Edge* buf, size_t cap) override;
+  /// Materializes the arcs into `scratch`, one CSR row at a time.
+  std::span<const Edge> NextView(Edge* scratch, size_t cap) override;
   bool HasUnitWeights() const override { return !g_->is_weighted(); }
   const DirectedGraph* DirectedCsrView() const override { return g_; }
   NodeId num_nodes() const override { return g_->num_nodes(); }

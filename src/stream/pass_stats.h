@@ -12,7 +12,7 @@
 namespace densest {
 
 /// \brief Counters a streaming algorithm accumulates while consuming a
-/// stream. Passes are counted on Reset(); edges on Next().
+/// stream. Passes are counted on Reset(); edges on NextView().
 struct PassStats {
   uint64_t passes = 0;
   uint64_t edges_scanned = 0;
@@ -45,24 +45,10 @@ class CountingEdgeStream : public EdgeStream {
     inner_->Reset();
     SyncRetryStats();
   }
-  bool Next(Edge* e) override {
-    bool has = inner_->Next(e);
-    if (has) {
-      ++stats_->edges_scanned;
-    } else {
-      SyncRetryStats();  // end of pass: fold in the inner stream's retries
-    }
-    return has;
-  }
-  size_t NextBatch(Edge* buf, size_t cap) override {
-    size_t got = inner_->NextBatch(buf, cap);
-    stats_->edges_scanned += got;
-    if (got == 0) SyncRetryStats();
-    return got;
-  }
   std::span<const Edge> NextView(Edge* scratch, size_t cap) override {
     std::span<const Edge> view = inner_->NextView(scratch, cap);
     stats_->edges_scanned += view.size();
+    // End of pass: fold in the inner stream's retries.
     if (view.empty()) SyncRetryStats();
     return view;
   }

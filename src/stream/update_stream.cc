@@ -8,12 +8,6 @@
 
 namespace densest {
 
-size_t UpdateStream::NextBatch(EdgeUpdate* buf, size_t cap) {
-  size_t got = 0;
-  while (got < cap && Next(&buf[got])) ++got;
-  return got;
-}
-
 uint64_t UpdateStream::Skip(uint64_t n) {
   // Drain-based default: delivers the updates into scratch and discards
   // them, which keeps generator state (sliding-window FIFO, tick counters)
@@ -31,12 +25,6 @@ uint64_t UpdateStream::Skip(uint64_t n) {
 }
 
 // ---------------------------------------------------------------- memory --
-
-bool MemoryUpdateStream::Next(EdgeUpdate* u) {
-  if (pos_ >= updates_->size()) return false;
-  *u = (*updates_)[pos_++];
-  return true;
-}
 
 size_t MemoryUpdateStream::NextBatch(EdgeUpdate* buf, size_t cap) {
   const size_t take = std::min(cap, updates_->size() - pos_);
@@ -161,6 +149,19 @@ size_t BinaryFileUpdateStream::NextBatch(EdgeUpdate* buf, size_t cap) {
     // truncation detection below fires.
     got /= 2;
   }
+  // A kind that is neither insert nor delete marks a corrupt file (it
+  // would otherwise be applied as a delete); the replay ends before it.
+  for (size_t i = 0; i < got; ++i) {
+    if (buf[i].kind > static_cast<uint32_t>(UpdateKind::kDelete)) {
+      exhausted_ = true;
+      status_ = Status::IOError(
+          "corrupt update file: " + path_ + " record " +
+          std::to_string(delivered_ + i) + " has kind " +
+          std::to_string(buf[i].kind));
+      delivered_ += i;
+      return i;
+    }
+  }
   if (got < want) {
     exhausted_ = true;
     if (std::ferror(file_) != 0) {
@@ -174,10 +175,6 @@ size_t BinaryFileUpdateStream::NextBatch(EdgeUpdate* buf, size_t cap) {
   }
   delivered_ += got;
   return got;
-}
-
-bool BinaryFileUpdateStream::Next(EdgeUpdate* u) {
-  return NextBatch(u, 1) == 1;
 }
 
 uint64_t BinaryFileUpdateStream::Skip(uint64_t n) {
@@ -196,53 +193,48 @@ uint64_t BinaryFileUpdateStream::Skip(uint64_t n) {
 
 // --------------------------------------------------------- insert replay --
 
-bool InsertReplayUpdateStream::Next(EdgeUpdate* u) {
-  Edge e;
-  if (!edges_->Next(&e)) return false;
-  *u = InsertUpdate(e.u, e.v, ++tick_);
-  return true;
-}
-
 size_t InsertReplayUpdateStream::NextBatch(EdgeUpdate* buf, size_t cap) {
   scratch_.resize(cap);
-  const size_t got = edges_->NextBatch(scratch_.data(), cap);
-  for (size_t i = 0; i < got; ++i) {
-    buf[i] = InsertUpdate(scratch_[i].u, scratch_[i].v, ++tick_);
+  const std::span<const Edge> view = edges_->NextView(scratch_.data(), cap);
+  for (size_t i = 0; i < view.size(); ++i) {
+    buf[i] = InsertUpdate(view[i].u, view[i].v, ++tick_);
   }
-  return got;
+  return view.size();
 }
 
 // -------------------------------------------------------- sliding window --
 
-bool SlidingWindowUpdateStream::Next(EdgeUpdate* u) {
+size_t SlidingWindowUpdateStream::NextBatch(EdgeUpdate* buf, size_t cap) {
   // Inserts run until the window overfills by a full eviction batch, then
   // the owed evictions are emitted back-to-back (oldest first). With
   // eviction_batch_ == 1 this is exactly the classic interleaving: one
   // eviction after each overfilling insert.
-  if (pending_evictions_ == 0) {
-    Edge e;
-    if (edges_->Next(&e)) {
-      live_.emplace_back(e.u, e.v);
-      *u = InsertUpdate(e.u, e.v, ++tick_);
-      if (live_.size() >= window_ + eviction_batch_) {
+  size_t got = 0;
+  while (got < cap) {
+    if (pending_evictions_ == 0) {
+      Edge e;
+      if (edges_->Next(&e)) {
+        live_.emplace_back(e.u, e.v);
+        buf[got++] = InsertUpdate(e.u, e.v, ++tick_);
+        if (live_.size() >= window_ + eviction_batch_) {
+          pending_evictions_ = live_.size() - window_;
+        }
+        continue;
+      }
+      // Inner stream ended: drain any overfill so the final live set is
+      // the last min(m, window_) edges, matching the per-update path bit
+      // for bit.
+      if (live_.size() > window_) {
         pending_evictions_ = live_.size() - window_;
       }
-      return true;
     }
-    // Inner stream ended: drain any overfill so the final live set is the
-    // last min(m, window_) edges, matching the per-update path bit for bit.
-    if (live_.size() > window_) {
-      pending_evictions_ = live_.size() - window_;
-    }
-  }
-  if (pending_evictions_ > 0) {
+    if (pending_evictions_ == 0) break;
     --pending_evictions_;
     const auto [du, dv] = live_.front();
     live_.pop_front();
-    *u = DeleteUpdate(du, dv, ++tick_);
-    return true;
+    buf[got++] = DeleteUpdate(du, dv, ++tick_);
   }
-  return false;
+  return got;
 }
 
 uint64_t SlidingWindowUpdateStream::SizeHint() const {

@@ -62,9 +62,10 @@ inline EdgeUpdate DeleteUpdate(NodeId u, NodeId v, uint64_t timestamp = 0) {
 
 /// \brief A replayable stream of edge updates.
 ///
-/// Contract mirrors EdgeStream: after Reset(), successive Next() calls
-/// yield every update exactly once in timestamp order, then return false.
-/// Streams that can fail (disk-backed) carry the same sticky status()
+/// Contract mirrors EdgeStream: after Reset(), successive NextBatch() calls
+/// yield every update exactly once in timestamp order, then return 0.
+/// NextBatch is the one read a stream implements; Next is a helper over
+/// it. Streams that can fail (disk-backed) carry the same sticky status()
 /// error model: end-of-stream and mid-stream failure both present as "no
 /// more updates", and every consumer must check status() after draining —
 /// maintaining a density over a silently truncated update sequence is the
@@ -76,14 +77,13 @@ class UpdateStream {
   /// Rewinds to the first update (starts a new replay).
   virtual void Reset() = 0;
 
-  /// Produces the next update into *u; returns false at end of stream.
-  virtual bool Next(EdgeUpdate* u) = 0;
+  /// The read primitive: writes up to `cap` updates into `buf` and returns
+  /// how many; 0 only at end of stream or after a sticky error. `cap == 0`
+  /// returns 0 and changes no state.
+  virtual size_t NextBatch(EdgeUpdate* buf, size_t cap) = 0;
 
-  /// Produces up to `cap` updates into `buf` and returns how many were
-  /// written; 0 only at end of stream. The base implementation loops over
-  /// Next(); concrete streams override it to amortize the per-update
-  /// virtual dispatch (the replay driver's hot path only calls this).
-  virtual size_t NextBatch(EdgeUpdate* buf, size_t cap);
+  /// Helper: the next update into *u; false at end of stream.
+  bool Next(EdgeUpdate* u) { return NextBatch(u, 1) == 1; }
 
   /// Skips the next `n` updates without delivering them — the restore path
   /// uses this to resume a replay from a snapshot's saved cursor. The base
@@ -116,7 +116,6 @@ class MemoryUpdateStream : public UpdateStream {
       : updates_(&updates), num_nodes_(num_nodes) {}
 
   void Reset() override { pos_ = 0; }
-  bool Next(EdgeUpdate* u) override;
   size_t NextBatch(EdgeUpdate* buf, size_t cap) override;
   uint64_t Skip(uint64_t n) override;
   NodeId num_nodes() const override { return num_nodes_; }
@@ -144,10 +143,10 @@ Status WriteBinaryUpdateFile(const std::string& path, NodeId num_nodes,
 
 /// \brief Disk-backed UpdateStream over a binary update file. Buffered
 /// reads through one FILE handle; each Reset() replays from the start.
-/// Sticky status(): a mid-stream read error (ferror, not EOF) or a file
-/// that ends before header.num_updates records sets IOError, which
-/// persists across Reset() — the file is bad and every further replay
-/// would be silently short.
+/// Sticky status(): a mid-stream read error (ferror, not EOF), a file
+/// that ends before header.num_updates records, or a record whose kind is
+/// neither insert nor delete sets IOError, which persists across Reset()
+/// — the file is bad and every further replay would be silently short.
 class BinaryFileUpdateStream : public UpdateStream {
  public:
   /// Opens `path`; fails with IOError / InvalidArgument on a bad file.
@@ -157,7 +156,6 @@ class BinaryFileUpdateStream : public UpdateStream {
   ~BinaryFileUpdateStream() override;
 
   void Reset() override;
-  bool Next(EdgeUpdate* u) override;
   size_t NextBatch(EdgeUpdate* buf, size_t cap) override;
   /// O(1) resume: seeks straight to record `delivered_ + n`.
   uint64_t Skip(uint64_t n) override;
@@ -194,7 +192,7 @@ class InsertReplayUpdateStream : public UpdateStream {
     edges_->Reset();
     tick_ = 0;
   }
-  bool Next(EdgeUpdate* u) override;
+  /// Reads the edges through one EdgeStream::NextView per call.
   size_t NextBatch(EdgeUpdate* buf, size_t cap) override;
   Status status() const override { return edges_->status(); }
   IoRetryStats io_retry_stats() const override {
@@ -236,7 +234,7 @@ class SlidingWindowUpdateStream : public UpdateStream {
     pending_evictions_ = 0;
     tick_ = 0;
   }
-  bool Next(EdgeUpdate* u) override;
+  size_t NextBatch(EdgeUpdate* buf, size_t cap) override;
   Status status() const override { return edges_->status(); }
   IoRetryStats io_retry_stats() const override {
     return edges_->io_retry_stats();

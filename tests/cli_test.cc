@@ -14,6 +14,7 @@
 #include "cli/commands.h"
 #include "gen/planted.h"
 #include "io/edge_list_io.h"
+#include "stream/file_stream.h"
 
 namespace densest {
 namespace {
@@ -374,6 +375,52 @@ TEST(CliGenerateTest, TruncatedBinaryFileRejected) {
   Status status = RunCliCommand("undirected", *run_args, run_out);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), Status::Code::kIOError);
+  std::remove(path.c_str());
+}
+
+TEST(CliCorruptInputTest, OutOfRangeBinaryRecordFailsEveryCommand) {
+  // A 4-node, 3-edge file whose last record names node 50000000: every
+  // command must fail on it rather than report a subgraph (or crash).
+  const std::string path = ::testing::TempDir() + "/cli_out_of_range.bin";
+  BinaryEdgeFileHeader header;
+  header.num_nodes = 4;
+  header.num_edges = 3;
+  const uint32_t records[3][2] = {{0, 1}, {1, 2}, {50000000, 3}};
+  FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(&header, sizeof(header), 1, f), 1u);
+  ASSERT_EQ(std::fwrite(records, sizeof(records), 1, f), 1u);
+  std::fclose(f);
+
+  const std::vector<std::pair<std::string, std::string>> runs = {
+      {"undirected", "--eps=0.5"}, {"directed", "--c=1"},
+      {"mapreduce", "--eps=1"}};
+  for (const auto& [command, flag] : runs) {
+    auto args = Args::Parse({path, flag});
+    ASSERT_TRUE(args.ok());
+    std::ostringstream out;
+    const Status status = RunCliCommand(command, *args, out);
+    EXPECT_EQ(status.code(), Status::Code::kIOError) << command;
+    EXPECT_EQ(out.str().find("rho="), std::string::npos) << out.str();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CliCorruptInputTest, OversizedTextNodeIdFails) {
+  // Node 2^32 - 1 would wrap the node count to 0.
+  const std::string path = ::testing::TempDir() + "/cli_wide_id.txt";
+  {
+    std::ofstream out(path);
+    out << "0 1\n1 2\n2 0\n0 4294967295\n";
+  }
+  auto args = Args::Parse({path});
+  ASSERT_TRUE(args.ok());
+  std::ostringstream out;
+  const Status status = RunCliCommand("undirected", *args, out);
+  EXPECT_EQ(status.code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(status.message().find(path + ":4"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(out.str().find("rho="), std::string::npos) << out.str();
   std::remove(path.c_str());
 }
 

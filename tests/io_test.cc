@@ -74,6 +74,52 @@ TEST_F(IoTest, RejectsNegativeIds) {
   EXPECT_FALSE(ReadEdgeListText(path_).ok());
 }
 
+/// Reads a triangle with `extra` appended (or with its first line
+/// replaced by `extra` when `replace_first`).
+StatusOr<EdgeList> ReadTriangleWith(const std::string& path,
+                                    const std::string& extra,
+                                    bool replace_first = false) {
+  std::ofstream out(path);
+  out << (replace_first ? extra : "0 1") << "\n1 2\n2 0\n";
+  if (!replace_first) out << extra << "\n";
+  out.close();
+  return ReadEdgeListText(path);
+}
+
+TEST_F(IoTest, RejectsIdsThatDoNotFitANodeId) {
+  path_ = ::testing::TempDir() + "/wide_ids.txt";
+  // 2^32 - 1 would wrap the node count (max id + 1) to 0; 2^32 + 1 would
+  // alias node 1.
+  for (const char* line : {"0 4294967295", "0 4294967297", "4294967295 1",
+                           "0 99999999999"}) {
+    auto back = ReadTriangleWith(path_, line);
+    ASSERT_FALSE(back.ok()) << line;
+    EXPECT_EQ(back.status().code(), Status::Code::kInvalidArgument) << line;
+    EXPECT_NE(back.status().message().find(path_ + ":4"), std::string::npos)
+        << back.status().ToString();
+  }
+  // The largest id that leaves room for the node count still loads.
+  auto widest = ReadTriangleWith(path_, "0 4294967294");
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ(widest->num_nodes(), 4294967295u);
+}
+
+TEST_F(IoTest, RejectsWeightsThatDoNotParse) {
+  path_ = ::testing::TempDir() + "/bad_weights.txt";
+  for (const char* line : {"0 1 abc", "0 1 inf", "0 1 -inf", "0 1 nan",
+                           "0 1 2.5x", "0 1 1e999"}) {
+    auto back = ReadTriangleWith(path_, line, /*replace_first=*/true);
+    ASSERT_FALSE(back.ok()) << line;
+    EXPECT_EQ(back.status().code(), Status::Code::kInvalidArgument) << line;
+    EXPECT_NE(back.status().message().find(path_ + ":1"), std::string::npos)
+        << back.status().ToString();
+  }
+  auto fine = ReadTriangleWith(path_, "0 1 2.5e-1", /*replace_first=*/true);
+  ASSERT_TRUE(fine.ok()) << fine.status().ToString();
+  EXPECT_DOUBLE_EQ(fine->edges()[0].w, 0.25);
+  EXPECT_DOUBLE_EQ(fine->edges()[1].w, 1.0);
+}
+
 TEST_F(IoTest, MissingFileIsIOError) {
   auto r = ReadEdgeListText("/nonexistent/void.txt");
   ASSERT_FALSE(r.ok());

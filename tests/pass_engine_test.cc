@@ -1,9 +1,10 @@
-// Unit tests for the batched pass engine and the NextBatch stream contract:
+// Unit tests for the batched pass engine and the stream read contract:
 // every stream type must produce exactly the same edge sequence through
-// NextBatch as through repeated Next, and PassEngine results — record
-// rounds and CSR row pulls alike — must be bit-identical regardless of
-// thread count, match an independent replica of the documented record
-// schedule, and survive aborted passes on a reused engine.
+// NextView and NextBatch as through repeated Next, and PassEngine results
+// — record rounds and CSR row pulls alike — must be bit-identical
+// regardless of thread count, match an independent replica of the
+// documented record schedule, and survive aborted passes on a reused
+// engine.
 
 #include "core/pass_engine.h"
 
@@ -26,6 +27,7 @@
 #include "stream/file_stream.h"
 #include "stream/generated_stream.h"
 #include "stream/memory_stream.h"
+#include "stream/pass_stats.h"
 
 namespace densest {
 namespace {
@@ -49,14 +51,38 @@ std::vector<Edge> DrainBatched(EdgeStream& s, size_t cap) {
   return out;
 }
 
-/// NextBatch must reproduce the Next sequence for a capacity that divides
-/// the stream length unevenly (exercising the partial final batch), a
-/// capacity of one, and a capacity larger than the whole stream.
+std::vector<Edge> DrainViews(EdgeStream& s, size_t cap) {
+  std::vector<Edge> out;
+  std::vector<Edge> scratch(cap);
+  s.Reset();
+  for (;;) {
+    std::span<const Edge> view = s.NextView(scratch.data(), cap);
+    if (view.empty()) break;
+    EXPECT_LE(view.size(), cap);
+    out.insert(out.end(), view.begin(), view.end());
+  }
+  return out;
+}
+
+/// NextBatch and NextView must reproduce the Next sequence for a capacity
+/// that divides the stream length unevenly (exercising the partial final
+/// batch), a capacity of one, and a capacity larger than the whole stream;
+/// a cap == 0 view is empty and consumes nothing wherever it comes.
 void ExpectBatchMatchesScalar(EdgeStream& s) {
   const std::vector<Edge> scalar = DrainScalar(s);
   for (size_t cap : {size_t{1}, size_t{7}, scalar.size() + 13}) {
     EXPECT_EQ(DrainBatched(s, cap), scalar) << "cap=" << cap;
+    EXPECT_EQ(DrainViews(s, cap), scalar) << "view cap=" << cap;
   }
+  std::vector<Edge> with_zero_caps;
+  s.Reset();
+  Edge e;
+  for (;;) {
+    EXPECT_TRUE(s.NextView(&e, 0).empty());
+    if (!s.Next(&e)) break;
+    with_zero_caps.push_back(e);
+  }
+  EXPECT_EQ(with_zero_caps, scalar);
   // The scalar path still works after batched passes (shared cursor).
   EXPECT_EQ(DrainScalar(s), scalar);
 }
@@ -169,6 +195,32 @@ TEST(NextBatchContractTest, GnpEdgeStreamEmpty) {
 TEST(NextBatchContractTest, CirculantEdgeStream) {
   CirculantEdgeStream s(101, 6);
   ExpectBatchMatchesScalar(s);
+}
+
+TEST(NextBatchContractTest, CachedGeneratorStreams) {
+  // The first drain records the pass; every later read serves the cache.
+  GnpEdgeStream gnp(100, 0.08, 17, /*materialize_budget_bytes=*/1 << 20);
+  ExpectBatchMatchesScalar(gnp);
+  EXPECT_GT(gnp.SizeHint(), 0u);  // serving from the cache
+  GnpEdgeStream plain(100, 0.08, 17);
+  EXPECT_EQ(DrainScalar(gnp), DrainScalar(plain));
+
+  CirculantEdgeStream circulant(101, 6, /*materialize_budget_bytes=*/1 << 20);
+  ExpectBatchMatchesScalar(circulant);
+  CirculantEdgeStream ring(101, 6);
+  EXPECT_EQ(DrainScalar(circulant), DrainScalar(ring));
+}
+
+TEST(NextBatchContractTest, CountingEdgeStream) {
+  EdgeList el = ErdosRenyiGnm(50, 200, 1);
+  EdgeListStream inner(el);
+  PassStats stats;
+  CountingEdgeStream s(inner, stats);
+  ExpectBatchMatchesScalar(s);
+  // Every read path counts through the one primitive: each pass drained
+  // the whole stream once.
+  EXPECT_GT(stats.passes, 0u);
+  EXPECT_EQ(stats.edges_scanned, stats.passes * el.num_edges());
 }
 
 // ---------------------------------------------------------------------------
@@ -548,7 +600,6 @@ class CancelAfterThirdChunk final : public EdgeStream {
     inner_.Reset();
     chunks_ = 0;
   }
-  bool Next(Edge* e) override { return inner_.Next(e); }
   std::span<const Edge> NextView(Edge* scratch, size_t cap) override {
     std::span<const Edge> view = inner_.NextView(scratch, cap);
     if (!view.empty() && ++chunks_ == 3) token_.Cancel();

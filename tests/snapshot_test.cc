@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -28,6 +29,37 @@ std::string TempPath(const std::string& name) {
           ("snapshot_test_" + name + "_" +
            std::to_string(::testing::UnitTest::GetInstance()->random_seed())))
       .string();
+}
+
+// Snapshot header layout: magic[8], version, reserved, body_size,
+// checksum (FNV-1a-64 over the body); the body follows.
+constexpr size_t kBodySizeOffset = 16;
+constexpr size_t kChecksumOffset = 24;
+constexpr size_t kHeaderBytes = 32;
+
+uint64_t Fnv1a64(const char* data, size_t bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (size_t i = 0; i < bytes; ++i) {
+    h ^= static_cast<uint8_t>(data[i]);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::vector<char> ReadFileBytes(const std::string& path) {
+  std::vector<char> bytes(std::filesystem::file_size(path));
+  FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  return bytes;
+}
+
+void WriteFileBytes(const std::string& path, const std::vector<char>& bytes) {
+  FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
 }
 
 /// A deterministic insert+delete workload: a sliding window over a random
@@ -209,6 +241,39 @@ TEST(SnapshotTest, CorruptedOrTornSnapshotFailsClosedToFullRebuild) {
   auto junked = ReadSnapshot(path, opt);
   ASSERT_FALSE(junked.ok());
   EXPECT_EQ(junked.status().code(), Status::Code::kIOError);
+
+  // A header whose body_size claims 2^62 bytes: refused before anything
+  // is allocated for the body.
+  ASSERT_TRUE(WriteSnapshot(path, **engine, workload.size()).ok());
+  std::vector<char> bytes = ReadFileBytes(path);
+  const uint64_t huge = uint64_t{1} << 62;
+  std::memcpy(bytes.data() + kBodySizeOffset, &huge, sizeof(huge));
+  WriteFileBytes(path, bytes);
+  auto oversized = ReadSnapshot(path, opt);
+  ASSERT_FALSE(oversized.ok());
+  EXPECT_EQ(oversized.status().code(), Status::Code::kIOError);
+
+  // A body with a valid checksum whose first degree runs past the body:
+  // refused before the adjacency row is sized from it. The adjacency and
+  // the level planes close the body, so the first degree sits right
+  // before them.
+  ASSERT_TRUE(WriteSnapshot(path, **engine, workload.size()).ok());
+  bytes = ReadFileBytes(path);
+  size_t tail = size_t{(*engine)->num_slots()} * kNodes * sizeof(uint16_t);
+  for (NodeId u = 0; u < kNodes; ++u) {
+    tail += sizeof(uint32_t) +
+            (*engine)->adjacency().neighbors(u).size() * sizeof(NodeId);
+  }
+  const uint32_t runaway_degree = 0xffffffffu;
+  std::memcpy(bytes.data() + bytes.size() - tail, &runaway_degree,
+              sizeof(runaway_degree));
+  const uint64_t checksum =
+      Fnv1a64(bytes.data() + kHeaderBytes, bytes.size() - kHeaderBytes);
+  std::memcpy(bytes.data() + kChecksumOffset, &checksum, sizeof(checksum));
+  WriteFileBytes(path, bytes);
+  auto runaway = ReadSnapshot(path, opt);
+  ASSERT_FALSE(runaway.ok());
+  EXPECT_EQ(runaway.status().code(), Status::Code::kIOError);
 
   // Missing file.
   std::remove(path.c_str());

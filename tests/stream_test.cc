@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <filesystem>
 #include <set>
@@ -10,7 +11,9 @@
 #include <vector>
 
 #include "core/algorithm1.h"
+#include "core/algorithm3.h"
 #include "graph/graph_builder.h"
+#include "mapreduce/mr_densest.h"
 #include "stream/file_stream.h"
 #include "stream/memory_stream.h"
 #include "stream/pass_stats.h"
@@ -239,6 +242,66 @@ TEST_F(BinaryFileStreamTest, ExactFinalRecordIsNotAnError) {
     EXPECT_EQ(count, 1233u);
     EXPECT_TRUE((*stream)->status().ok());
   }
+}
+
+/// Writes a 4-node, 3-edge file whose last record is (50000000, 3): the
+/// header is patched after writing, since the writer derives its node
+/// count from the edges.
+void WriteOutOfRangeFile(const std::string& path, bool weighted) {
+  EdgeList el(4);
+  el.Add(0, 1, 0.5);
+  el.Add(1, 2, 0.5);
+  el.Add(50000000, 3, 0.5);
+  ASSERT_TRUE(WriteBinaryEdgeFile(path, el, weighted).ok());
+  FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  const uint32_t nodes = 4;
+  std::fseek(f, offsetof(BinaryEdgeFileHeader, num_nodes), SEEK_SET);
+  ASSERT_EQ(std::fwrite(&nodes, sizeof(nodes), 1, f), 1u);
+  std::fclose(f);
+}
+
+TEST_F(BinaryFileStreamTest, OutOfRangeEndpointIsStickyIOError) {
+  for (bool weighted : {false, true}) {
+    path_ = ::testing::TempDir() + "/edges_out_of_range.bin";
+    WriteOutOfRangeFile(path_, weighted);
+    auto stream = BinaryFileEdgeStream::Open(path_);
+    ASSERT_TRUE(stream.ok());
+    EXPECT_EQ((*stream)->num_nodes(), 4u);
+    for (int pass = 0; pass < 2; ++pass) {
+      (*stream)->Reset();
+      Edge e;
+      while ((*stream)->Next(&e)) {
+        EXPECT_LT(e.u, 4u);
+        EXPECT_LT(e.v, 4u);
+      }
+      const Status io = (*stream)->status();
+      ASSERT_EQ(io.code(), Status::Code::kIOError) << weighted;
+      EXPECT_NE(io.message().find("record 2"), std::string::npos)
+          << io.ToString();
+      EXPECT_NE(io.message().find("4 nodes"), std::string::npos)
+          << io.ToString();
+    }
+  }
+}
+
+TEST_F(BinaryFileStreamTest, AlgorithmsAbortOnOutOfRangeEndpoint) {
+  path_ = ::testing::TempDir() + "/edges_out_of_range_run.bin";
+  WriteOutOfRangeFile(path_, /*weighted=*/false);
+  auto stream = BinaryFileEdgeStream::Open(path_);
+  ASSERT_TRUE(stream.ok());
+  auto alg1 = RunAlgorithm1(**stream, Algorithm1Options{});
+  ASSERT_FALSE(alg1.ok());
+  EXPECT_EQ(alg1.status().code(), Status::Code::kIOError);
+  Algorithm3Options alg3_options;
+  alg3_options.c = 1.0;
+  auto alg3 = RunAlgorithm3(**stream, alg3_options);
+  ASSERT_FALSE(alg3.ok());
+  EXPECT_EQ(alg3.status().code(), Status::Code::kIOError);
+  MapReduceEnv env({}, 2);
+  auto mr = RunMrDensestUndirected(env, **stream, MrDensestOptions{});
+  ASSERT_FALSE(mr.ok());
+  EXPECT_EQ(mr.status().code(), Status::Code::kIOError);
 }
 
 TEST_F(BinaryFileStreamTest, TracksBytesRead) {

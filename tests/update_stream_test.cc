@@ -52,20 +52,62 @@ TEST(MemoryUpdateStreamTest, DeliversAllAndRewinds) {
   EXPECT_EQ(Drain(stream), updates);  // Reset replays identically
 }
 
+/// The one-primitive contract: NextBatch at a capacity of one, one that
+/// divides the replay unevenly, and one larger than the whole replay
+/// reproduces the Next sequence, and a cap == 0 call returns 0 without
+/// consuming an update wherever in the replay it comes.
+void ExpectBatchMatchesNext(UpdateStream& stream, const std::string& label) {
+  const std::vector<EdgeUpdate> scalar = Drain(stream);
+  for (size_t cap : {size_t{1}, size_t{7}, scalar.size() + 13}) {
+    std::vector<EdgeUpdate> batched;
+    std::vector<EdgeUpdate> buf(cap);
+    stream.Reset();
+    size_t got;
+    while ((got = stream.NextBatch(buf.data(), cap)) > 0) {
+      EXPECT_LE(got, cap) << label;
+      batched.insert(batched.end(), buf.begin(), buf.begin() + got);
+    }
+    EXPECT_EQ(batched, scalar) << label << " cap=" << cap;
+  }
+  std::vector<EdgeUpdate> with_zero_caps;
+  stream.Reset();
+  EdgeUpdate u;
+  for (;;) {
+    EXPECT_EQ(stream.NextBatch(&u, 0), 0u) << label;
+    if (!stream.Next(&u)) break;
+    with_zero_caps.push_back(u);
+  }
+  EXPECT_EQ(with_zero_caps, scalar) << label;
+  EXPECT_TRUE(stream.status().ok()) << label;
+}
+
 TEST(MemoryUpdateStreamTest, NextBatchMatchesNext) {
   std::vector<EdgeUpdate> updates;
   for (uint32_t i = 0; i < 1000; ++i) {
     updates.push_back(InsertUpdate(i % 50, (i + 1) % 50, i + 1));
   }
-  MemoryUpdateStream stream(updates, 50);
-  stream.Reset();
-  std::vector<EdgeUpdate> batched;
-  EdgeUpdate buf[64];
-  size_t got;
-  while ((got = stream.NextBatch(buf, 64)) > 0) {
-    batched.insert(batched.end(), buf, buf + got);
+  MemoryUpdateStream memory(updates, 50);
+  ExpectBatchMatchesNext(memory, "memory");
+  EXPECT_EQ(Drain(memory), updates);
+
+  const std::string path = TempPath("batch");
+  ASSERT_TRUE(WriteBinaryUpdateFile(path, 50, updates).ok());
+  auto file = BinaryFileUpdateStream::Open(path);
+  ASSERT_TRUE(file.ok());
+  ExpectBatchMatchesNext(**file, "binary file");
+  EXPECT_EQ(Drain(**file), updates);
+  std::remove(path.c_str());
+
+  EdgeList edges = ErdosRenyiGnm(60, 500, 11);
+  EdgeListStream replay_base(edges);
+  InsertReplayUpdateStream replay(replay_base);
+  ExpectBatchMatchesNext(replay, "insert replay");
+  for (uint64_t eviction_batch : {1u, 4u}) {
+    EdgeListStream window_base(edges);
+    SlidingWindowUpdateStream window(window_base, 64, eviction_batch);
+    ExpectBatchMatchesNext(window, "sliding window, eviction batch " +
+                                       std::to_string(eviction_batch));
   }
-  EXPECT_EQ(batched, updates);
 }
 
 TEST(BinaryUpdateFileTest, RoundTrip) {
@@ -112,6 +154,30 @@ TEST(BinaryUpdateFileTest, TruncationSetsStickyStatus) {
   // Sticky across Reset: the file stays bad.
   (*stream)->Reset();
   EXPECT_EQ((*stream)->status().code(), Status::Code::kIOError);
+  std::remove(path.c_str());
+}
+
+TEST(BinaryUpdateFileTest, UnknownKindSetsStickyStatus) {
+  // Any nonzero kind used to be applied as a delete; a kind that is
+  // neither insert nor delete marks the file corrupt instead.
+  std::vector<EdgeUpdate> updates;
+  for (uint32_t i = 0; i < 10; ++i) {
+    updates.push_back(InsertUpdate(i, i + 1, i));
+  }
+  updates[6].kind = 7;
+  const std::string path = TempPath("kind");
+  ASSERT_TRUE(WriteBinaryUpdateFile(path, 11, updates).ok());
+  auto stream = BinaryFileUpdateStream::Open(path);
+  ASSERT_TRUE(stream.ok());
+  for (int replay = 0; replay < 2; ++replay) {
+    std::vector<EdgeUpdate> got = Drain(**stream);
+    EXPECT_LE(got.size(), 6u);
+    for (const EdgeUpdate& u : got) EXPECT_TRUE(u.is_insert());
+    const Status io = (*stream)->status();
+    ASSERT_EQ(io.code(), Status::Code::kIOError);
+    EXPECT_NE(io.message().find("record 6"), std::string::npos)
+        << io.ToString();
+  }
   std::remove(path.c_str());
 }
 
