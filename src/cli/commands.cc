@@ -325,7 +325,6 @@ Status CmdDynamic(const Args& args, std::ostream& out) {
   std::string checkpoints = args.GetString("checkpoints", "exact");
   StatusOr<int64_t> radius = args.GetInt("radius", 2);
   std::string fallback = args.GetString("fallback", "recompute");
-  StatusOr<int64_t> threads = args.GetInt("threads", 0);
   std::string snapshot_path = args.GetString("snapshot", "");
   StatusOr<int64_t> snapshot_every = args.GetInt("snapshot-every", 0);
   StatusOr<bool> resume = args.GetBool("resume", false);
@@ -344,7 +343,6 @@ Status CmdDynamic(const Args& args, std::ostream& out) {
         query_every.ok() ? Status::OK() : query_every.status(),
         checkpoint_every.ok() ? Status::OK() : checkpoint_every.status(),
         radius.ok() ? Status::OK() : radius.status(),
-        threads.ok() ? Status::OK() : threads.status(),
         snapshot_every.ok() ? Status::OK() : snapshot_every.status(),
         resume.ok() ? Status::OK() : resume.status(),
         evict_batch.ok() ? Status::OK() : evict_batch.status(),
@@ -365,7 +363,7 @@ Status CmdDynamic(const Args& args, std::ostream& out) {
     return Status::InvalidArgument(
         "--check-invariants needs --checkpoint-every=N");
   }
-  if (*window < 0 || *radius < 0 || *threads < 0 || *query_every < 0 ||
+  if (*window < 0 || *radius < 0 || *query_every < 0 ||
       *checkpoint_every < 0 || *snapshot_every < 0 || *stats_every < 0) {
     return Status::InvalidArgument("flag values must be >= 0");
   }
@@ -410,7 +408,6 @@ Status CmdDynamic(const Args& args, std::ostream& out) {
   opt.epsilon = *eps;
   opt.window_radius = static_cast<uint32_t>(*radius);
   opt.trim_hysteresis = static_cast<uint32_t>(*trim_hysteresis);
-  opt.engine_options.num_threads = static_cast<size_t>(*threads);
   opt.recompute_deadline_ms = *deadline_ms;
   opt.recompute_rearm_updates = static_cast<uint32_t>(*rearm_updates);
   if (fallback == "recompute") {
@@ -987,7 +984,7 @@ std::string CliUsage() {
       "  dynamic <graph> [--eps=0.75] [--window=W] [--rate=R]\n"
       "      [--query-every=1024] [--checkpoint-every=N]\n"
       "      [--checkpoints=exact|batch] [--radius=2]\n"
-      "      [--fallback=recompute|rebuild|never] [--threads=0]\n"
+      "      [--fallback=recompute|rebuild|never]\n"
       "      [--snapshot=F --snapshot-every=N] [--resume]\n"
       "      [--evict-batch=1] [--trim-hysteresis=64]\n"
       "      [--retry-attempts=4 --retry-base-ms=0.1]\n"

@@ -52,7 +52,7 @@ Status CmdMapReduce(const Args& args, std::ostream& out);
 /// Flags: --eps (0.75), --window (0 = insert-only), --rate (0 = unthrottled),
 ///        --query-every (1024), --checkpoint-every (0),
 ///        --checkpoints (exact|batch), --radius (2),
-///        --fallback (recompute|rebuild|never), --threads (0).
+///        --fallback (recompute|rebuild|never).
 Status CmdDynamic(const Args& args, std::ostream& out);
 
 /// `serve <graph>`: the multi-tenant serving tier. One writer thread

@@ -33,8 +33,10 @@ struct Algorithm1Options {
   /// done in main memory". When > 0, once a pass sees at most this many
   /// surviving edges the algorithm buffers them and stops re-scanning the
   /// input stream; all later passes run over the in-memory buffer. The
-  /// result is bit-identical to the uncompacted run — only IO changes.
-  /// 0 disables compaction.
+  /// result is bit-identical to the uncompacted run — only IO changes —
+  /// for unit weights on any stream, and for weighted record streams too:
+  /// a buffer pass adds the same values in the same order as the stream
+  /// pass it replaces. 0 disables compaction.
   EdgeId compact_below_edges = 0;
   /// Pass engine that drives the run (a one-run PassEngine drive, the same
   /// scheduler every sweep uses). nullptr uses the shared

@@ -4,7 +4,6 @@
 #include <array>
 #include <cstring>
 #include <deque>
-#include <limits>
 #include <thread>
 #include <type_traits>
 
@@ -18,10 +17,6 @@
 namespace densest {
 
 namespace {
-
-constexpr size_t kSlots = PassEngine::kShardSlots;
-/// Sentinel shard index: the task walks the whole round sequentially.
-constexpr uint32_t kWholeRound = std::numeric_limits<uint32_t>::max();
 
 /// Splits [0, n) into row ranges of roughly `entries_per_shard` adjacency
 /// entries each (rows are never split). Depends only on the graph shape,
@@ -72,61 +67,6 @@ double PullRow(std::span<const NodeId> nbrs, std::span<const Weight> ws,
   return sum;
 }
 
-/// One degree array of a run for one record pass: shards accumulate
-/// straight into `values` (no slots lent) or into the lent slot planes,
-/// which Reduce sums into `values`.
-struct AccumPlane {
-  std::vector<double>* values = nullptr;
-  /// Empty (accumulate into values) or exactly kSlots lent planes.
-  std::span<std::vector<double>> slots;
-
-  void Begin(std::span<std::vector<double>> lent) {
-    slots = lent;
-    if (slots.empty()) std::fill(values->begin(), values->end(), 0.0);
-  }
-  double* Slot(size_t s) {
-    return slots.empty() ? values->data() : slots[s].data();
-  }
-  /// values[u] = the slots summed in slot order; re-zeroes the slots, so
-  /// the planes go back to the engine clean without a memset.
-  void Reduce() {
-    if (slots.empty()) return;
-    // A fixed trip count over hoisted plane pointers: this loop streams
-    // 8n doubles per pass, which on sparse graphs outweighs the scan.
-    std::array<double*, kSlots> plane;
-    for (size_t s = 0; s < kSlots; ++s) plane[s] = slots[s].data();
-    double* out = values->data();
-    const size_t n = values->size();
-    for (size_t u = 0; u < n; ++u) {
-      double total = 0.0;
-      for (size_t s = 0; s < kSlots; ++s) {
-        total += plane[s][u];
-        plane[s][u] = 0.0;
-      }
-      out[u] = total;
-    }
-  }
-};
-
-/// Per-slot weight/count totals of record rounds, summed in slot order at
-/// the end of a pass. Distinct shards write distinct slots, so work-major
-/// tasks never share an entry.
-struct SlotTotals {
-  std::array<double, kSlots> weight{};
-  std::array<EdgeId, kSlots> count{};
-
-  double TotalWeight() const {
-    double w = 0.0;
-    for (double s : weight) w += s;
-    return w;
-  }
-  EdgeId TotalCount() const {
-    EdgeId c = 0;
-    for (EdgeId s : count) c += s;
-    return c;
-  }
-};
-
 /// Peel logic of a bare one-pass drive (RunUndirected): one pass over a
 /// fixed alive set, keeping its totals.
 class UndirectedPass {
@@ -176,10 +116,9 @@ class DirectedPass {
 /// An undirected run (Algorithm 1 or 2, or a bare pass): peel logic plus
 /// its degree accumulation on either schedule. Algorithm 1 honors §6.3
 /// compaction: in kCollectPass mode the pass also collects survivors in
-/// stream order — directly in record rounds, which then stay sequential
-/// within the round, or shard by shard through the pull's finish — after
-/// which the run finishes over its buffer via FinishOffStream, costing no
-/// further physical scans.
+/// stream order — directly in record rounds, or shard by shard through the
+/// pull's finish — after which the run finishes over its buffer via
+/// FinishOffStream, costing no further physical scans.
 template <typename Logic>
 class UndirectedRun final : public PassEngine::FusedRun {
   static constexpr bool kCompacts = std::is_same_v<Logic, Algorithm1Run>;
@@ -192,9 +131,7 @@ class UndirectedRun final : public PassEngine::FusedRun {
   /// A bare pass accumulating into the caller's `degrees`.
   UndirectedRun(const NodeSet& alive, std::vector<double>& degrees,
                 std::vector<Edge>* survivors)
-      : logic_(alive, survivors) {
-    deg_.values = &degrees;
-  }
+      : logic_(alive, survivors), deg_(&degrees) {}
   UndirectedRun(const UndirectedRun&) = delete;
   UndirectedRun& operator=(const UndirectedRun&) = delete;
 
@@ -208,29 +145,25 @@ class UndirectedRun final : public PassEngine::FusedRun {
   bool CanPull(const CsrView& view) const override {
     return view.undirected != nullptr;
   }
-  size_t degree_arrays() const override { return 1; }
-  void BeginPass(const CsrView* view,
-                 std::span<std::vector<double>> slots) override {
+  void BeginPass(const CsrView* view) override {
     pulled_ = view != nullptr;
     collect_ = CollectTarget();
     if (pulled_) {
       pull_.Begin(view->shards.size(), collect_ != nullptr);
     } else {
-      deg_.Begin(slots);
+      std::fill(deg_->begin(), deg_->end(), 0.0);
       totals_ = {};
     }
   }
   void PullShard(const CsrView& view, size_t shard) override {
     pull_.Undirected(view, shard, logic_.alive(), degrees());
   }
-  bool parallel_shards() const override {
-    return !deg_.slots.empty() && collect_ == nullptr;
-  }
-  void AccumulateShard(std::span<const Edge> shard, size_t slot) override {
+  void AccumulateShard(std::span<const Edge> shard) override {
     const NodeSet& alive = logic_.alive();
-    double* acc = deg_.Slot(slot);
-    double weight = 0.0;
-    EdgeId edges = 0;
+    double* acc = deg_->data();
+    // The running totals, carried in registers across the shard.
+    double weight = totals_.weight;
+    EdgeId edges = totals_.edges;
     for (const Edge& e : shard) {
       if (alive.ContainsBoth(e.u, e.v)) {
         acc[e.u] += e.w;
@@ -240,19 +173,11 @@ class UndirectedRun final : public PassEngine::FusedRun {
         if (collect_ != nullptr) collect_->push_back(e);
       }
     }
-    totals_.weight[slot] += weight;
-    totals_.count[slot] += edges;
+    totals_ = {edges, weight};
   }
   void FinishPass() override {
-    UndirectedPassResult stats;
-    if (pulled_) {
-      stats = pull_.FinishUndirected(collect_);
-    } else {
-      deg_.Reduce();
-      stats.weight = totals_.TotalWeight();
-      stats.edges = totals_.TotalCount();
-    }
-    logic_.ApplyPass(stats, degrees());
+    logic_.ApplyPass(pulled_ ? pull_.FinishUndirected(collect_) : totals_,
+                     degrees());
   }
   void FinishOffStream(PassEngine& engine,
                        const CancelToken* cancel) override {
@@ -271,7 +196,7 @@ class UndirectedRun final : public PassEngine::FusedRun {
   Logic& logic() { return logic_; }
 
  private:
-  std::vector<double>& degrees() { return *deg_.values; }
+  std::vector<double>& degrees() { return *deg_; }
   /// Where this pass appends its survivors, if it collects.
   std::vector<Edge>* CollectTarget() {
     if constexpr (kCompacts) {
@@ -285,9 +210,9 @@ class UndirectedRun final : public PassEngine::FusedRun {
   }
 
   Logic logic_;
-  std::vector<double> own_;          // the degree array of a peeling run
-  AccumPlane deg_{&own_, {}};        // or the caller's, for a bare pass
-  SlotTotals totals_;
+  std::vector<double> own_;           // the degree array of a peeling run,
+  std::vector<double>* deg_ = &own_;  // or the caller's, for a bare pass
+  UndirectedPassResult totals_;       // record passes: stream-order sums
   RowPull pull_;
   bool pulled_ = false;
   std::vector<Edge>* collect_ = nullptr;  // set for a collecting pass
@@ -304,10 +229,7 @@ class DirectedRun final : public PassEngine::FusedRun {
   /// A bare pass accumulating into the caller's arrays.
   DirectedRun(const NodeSet& s, const NodeSet& t,
               std::vector<double>& out_to_t, std::vector<double>& in_from_s)
-      : logic_(s, t) {
-    out_.values = &out_to_t;
-    in_.values = &in_from_s;
-  }
+      : logic_(s, t), out_(&out_to_t), in_(&in_from_s) {}
   DirectedRun(const DirectedRun&) = delete;
   DirectedRun& operator=(const DirectedRun&) = delete;
 
@@ -315,30 +237,26 @@ class DirectedRun final : public PassEngine::FusedRun {
   bool CanPull(const CsrView& view) const override {
     return view.directed != nullptr;
   }
-  size_t degree_arrays() const override { return 2; }
-  void BeginPass(const CsrView* view,
-                 std::span<std::vector<double>> slots) override {
+  void BeginPass(const CsrView* view) override {
     pulled_ = view != nullptr;
     if (pulled_) {
       pull_.Begin(view->shards.size());
     } else {
-      out_.Begin(slots.first(slots.size() / 2));
-      in_.Begin(slots.last(slots.size() / 2));
+      std::fill(out_->begin(), out_->end(), 0.0);
+      std::fill(in_->begin(), in_->end(), 0.0);
       totals_ = {};
     }
   }
   void PullShard(const CsrView& view, size_t shard) override {
-    pull_.Directed(view, shard, logic_.s(), logic_.t(), *out_.values,
-                   *in_.values);
+    pull_.Directed(view, shard, logic_.s(), logic_.t(), *out_, *in_);
   }
-  bool parallel_shards() const override { return !out_.slots.empty(); }
-  void AccumulateShard(std::span<const Edge> shard, size_t slot) override {
+  void AccumulateShard(std::span<const Edge> shard) override {
     const NodeSet& s_set = logic_.s();
     const NodeSet& t_set = logic_.t();
-    double* out_acc = out_.Slot(slot);
-    double* in_acc = in_.Slot(slot);
-    double weight = 0.0;
-    EdgeId arcs = 0;
+    double* out_acc = out_->data();
+    double* in_acc = in_->data();
+    double weight = totals_.weight;
+    EdgeId arcs = totals_.arcs;
     for (const Edge& e : shard) {
       if (s_set.Contains(e.u) && t_set.Contains(e.v)) {
         out_acc[e.u] += e.w;
@@ -347,28 +265,19 @@ class DirectedRun final : public PassEngine::FusedRun {
         ++arcs;
       }
     }
-    totals_.weight[slot] += weight;
-    totals_.count[slot] += arcs;
+    totals_ = {arcs, weight};
   }
   void FinishPass() override {
-    DirectedPassResult stats;
-    if (pulled_) {
-      stats = pull_.FinishDirected();
-    } else {
-      out_.Reduce();
-      in_.Reduce();
-      stats.weight = totals_.TotalWeight();
-      stats.arcs = totals_.TotalCount();
-    }
-    logic_.ApplyPass(stats, *out_.values, *in_.values);
+    logic_.ApplyPass(pulled_ ? pull_.FinishDirected() : totals_, *out_, *in_);
   }
   Logic& logic() { return logic_; }
 
  private:
   Logic logic_;
-  std::vector<double> own_out_, own_in_;  // a peeling run's arrays
-  AccumPlane out_{&own_out_, {}}, in_{&own_in_, {}};
-  SlotTotals totals_;
+  std::vector<double> own_out_, own_in_;  // a peeling run's arrays, or
+  std::vector<double>* out_ = &own_out_;  // the caller's for a bare pass
+  std::vector<double>* in_ = &own_in_;
+  DirectedPassResult totals_;  // record passes: stream-order sums
   RowPull pull_;
   bool pulled_ = false;
 };
@@ -492,19 +401,7 @@ PassEngine::PassEngine(const PassEngineOptions& options) {
 PassEngine::~PassEngine() = default;
 
 void PassEngine::EnsureBatchBuffer() {
-  batch_.resize(kShardSlots * kShardEdges);
-}
-
-std::span<std::vector<double>> PassEngine::LendPlanes(size_t count,
-                                                      size_t n) {
-  if (planes_.size() < count) planes_.resize(count);
-  for (size_t i = 0; i < count; ++i) {
-    // Zero by invariant: fresh planes start zeroed, every borrower's
-    // reduction re-zeroes its planes, and an aborted pass clears them. A
-    // size change re-zeroes.
-    if (planes_[i].size() != n) planes_[i].assign(n, 0.0);
-  }
-  return std::span<std::vector<double>>(planes_.data(), count);
+  batch_.resize(kRoundShards * kShardEdges);
 }
 
 void PassEngine::Dispatch(size_t tasks,
@@ -534,56 +431,26 @@ void PassEngine::ScanRounds(PassCursor& cursor,
                             std::span<FusedRun* const> active,
                             const CancelToken* cancel) {
   EnsureBatchBuffer();
-  std::array<std::span<const Edge>, kShardSlots> shards;
+  std::array<std::span<const Edge>, kRoundShards> shards;
   for (;;) {
     if (ShouldStop(cancel)) break;
-    // THE shard-boundary schedule of the deterministic reduction:
-    // boundaries derive only from the stream, never from the thread count
-    // or the runs. Pulled through the cursor so physical-scan accounting
-    // stays in one place.
+    // Pulled through the cursor so physical-scan accounting stays in one
+    // place.
     size_t count = 0;
-    while (count < kShardSlots) {
+    while (count < kRoundShards) {
       std::span<const Edge> view =
           cursor.NextChunk(batch_.data() + count * kShardEdges, kShardEdges);
       if (view.empty()) break;
       shards[count++] = view;
     }
     if (count == 0) break;
-    if (pool_ != nullptr && active.size() < num_threads_) {
-      // Work-major: each (run, shard) pair is a task — shard s feeds slot
-      // s, so same-run tasks write disjoint slot planes. Runs whose round
-      // must stay sequential become one whole-round task.
-      tasks_.clear();
-      for (size_t i = 0; i < active.size(); ++i) {
-        if (active[i]->parallel_shards()) {
-          for (size_t s = 0; s < count; ++s) {
-            tasks_.emplace_back(static_cast<uint32_t>(i),
-                                static_cast<uint32_t>(s));
-          }
-        } else {
-          tasks_.emplace_back(static_cast<uint32_t>(i), kWholeRound);
-        }
-      }
-      DispatchRound(tasks_.size(), active.size(), [&](size_t t) {
-        const auto [i, s] = tasks_[t];
-        if (s == kWholeRound) {
-          for (size_t k = 0; k < count; ++k) {
-            active[i]->AccumulateShard(shards[k], k);
-          }
-        } else {
-          active[i]->AccumulateShard(shards[s], s);
-        }
-      });
-    } else {
-      // Run-major: each task owns one run's accumulators and walks the
-      // round's shards in order, so threads share nothing mutable.
-      DispatchRound(active.size(), active.size(), [&](size_t i) {
-        for (size_t s = 0; s < count; ++s) {
-          active[i]->AccumulateShard(shards[s], s);
-        }
-      });
-    }
-    if (count < kShardSlots) break;
+    // One task per run, walking the round's shards in stream order into
+    // the run's own arrays: threads share nothing mutable, and a solo run
+    // never leaves the caller (Dispatch of one task runs inline).
+    DispatchRound(active.size(), active.size(), [&](size_t i) {
+      for (size_t s = 0; s < count; ++s) active[i]->AccumulateShard(shards[s]);
+    });
+    if (count < kRoundShards) break;
   }
 }
 
@@ -608,19 +475,6 @@ Status PassEngine::Drive(EdgeStream& stream, std::span<FusedRun* const> runs,
   const CsrView* pulled =
       view.undirected != nullptr || view.directed != nullptr ? &view
                                                              : nullptr;
-  // Record rounds lend slot planes when a run's shards may be split across
-  // threads (work-major: fewer runs than threads) or the sums are not
-  // exact (non-unit weights). Otherwise every run accumulates straight
-  // into its own arrays: one plane per array, and integer-exact unit sums
-  // are the same bits in any order. A sweep that starts with at least as
-  // many runs as threads keeps the frugal planes — if it later narrows
-  // below the thread count, its runs simply stay whole-round tasks
-  // (parallel_shards() false), trading late-sweep speedup for 8x less
-  // accumulator memory.
-  const bool slotted =
-      pulled == nullptr &&
-      (!stream.HasUnitWeights() ||
-       (pool_ != nullptr && runs.size() < num_threads_));
 
   std::vector<FusedRun*> active;
   active.reserve(runs.size());
@@ -644,18 +498,7 @@ Status PassEngine::Drive(EdgeStream& stream, std::span<FusedRun* const> runs,
 
   while (!active.empty()) {
     DENSEST_METRIC_COUNTER("core.passes").Inc();
-    size_t lent = 0;
-    if (slotted) {
-      for (FusedRun* run : active) lent += run->degree_arrays() * kShardSlots;
-    }
-    const std::span<std::vector<double>> planes =
-        LendPlanes(lent, stream.num_nodes());
-    size_t next = 0;
-    for (FusedRun* run : active) {
-      const size_t k = slotted ? run->degree_arrays() * kShardSlots : 0;
-      run->BeginPass(pulled, planes.subspan(next, k));
-      next += k;
-    }
+    for (FusedRun* run : active) run->BeginPass(pulled);
     cursor.BeginPass();
     if (pulled == nullptr) {
       ScanRounds(cursor, active, cancel);
@@ -671,18 +514,13 @@ Status PassEngine::Drive(EdgeStream& stream, std::span<FusedRun* const> runs,
     // A failing stream ends the pass early and silently, and a cancelled
     // pass is cut short: either way the accumulated statistics describe a
     // truncated edge set. Abort before peeling on them — partial results
-    // are worse than no results — and hand the lent planes back zeroed.
-    // The pool is already drained (Dispatch returns only after every task
-    // finished), so no thread is left running against freed state.
+    // are worse than no results. The pool is already drained (Dispatch
+    // returns only after every task finished), so no thread is left
+    // running against freed state.
     Status status = stream.status();
     if (status.ok()) status = CheckCancel(cancel);
-    if (!status.ok()) {
-      for (std::vector<double>& plane : planes) {
-        std::fill(plane.begin(), plane.end(), 0.0);
-      }
-      return finish(status);
-    }
-    // Combine + peel, run-major: only run-private state mutates.
+    if (!status.ok()) return finish(status);
+    // Combine + peel, one task per run: only run-private state mutates.
     Dispatch(active.size(), [&](size_t i) { active[i]->FinishPass(); });
     if (Status s = refresh_active(); !s.ok()) return finish(s);
   }
@@ -787,66 +625,45 @@ UndirectedPassResult PassEngine::RunUndirectedBuffer(
     std::vector<double>& degrees, bool compact, const CancelToken* cancel) {
   DENSEST_TRACE_SPAN("core.pass_undirected");
   DENSEST_METRIC_COUNTER("core.passes").Inc();
-  AccumPlane deg{&degrees, {}};
-  deg.Begin(LendPlanes(kShardSlots, degrees.size()));
-  SlotTotals totals;
+  std::fill(degrees.begin(), degrees.end(), 0.0);
+  double* acc = degrees.data();
+  Edge* data = edges.data();
   const size_t total = edges.size();
-  const size_t round_cap = kShardSlots * kShardEdges;
-  size_t write = 0;
-  std::array<size_t, kShardSlots> kept{};
-  for (size_t start = 0; start < total; start += round_cap) {
-    if (ShouldStop(cancel)) {
-      // A compacting pass abandoned mid-buffer must not drop the rounds it
-      // never scanned: keep the unscanned tail verbatim so the buffer stays
-      // a superset of the surviving edges (the caller discards the pass).
-      if (compact && write < start) {
-        std::memmove(edges.data() + write, edges.data() + start,
-                     (total - start) * sizeof(Edge));
-      }
-      if (compact) write += total - start;
-      break;
-    }
-    const size_t round_edges = std::min(round_cap, total - start);
-    const size_t shards = (round_edges + kShardEdges - 1) / kShardEdges;
-    DispatchRound(shards, /*runs=*/1, [&](size_t s) {
-      Edge* base = edges.data() + start + s * kShardEdges;
-      const size_t count = std::min(kShardEdges, round_edges - s * kShardEdges);
-      double* acc = deg.Slot(s);
-      double weight = 0.0;
-      EdgeId kept_edges = 0;
-      size_t out_i = 0;
-      for (size_t i = 0; i < count; ++i) {
-        const Edge e = base[i];
+  const size_t round_cap = kRoundShards * kShardEdges;
+  UndirectedPassResult out;
+  size_t write = 0;  // survivors kept so far sit in [0, write)
+  size_t start = 0;
+  for (; start < total && !ShouldStop(cancel); start += round_cap) {
+    const size_t end = std::min(total, start + round_cap);
+    DispatchRound(1, /*runs=*/1, [&](size_t) {
+      double weight = out.weight;
+      EdgeId kept = out.edges;
+      size_t w = write;
+      for (size_t i = start; i < end; ++i) {
+        const Edge e = data[i];
         if (alive.ContainsBoth(e.u, e.v)) {
           acc[e.u] += e.w;
           acc[e.v] += e.w;
           weight += e.w;
-          ++kept_edges;
-          if (compact) base[out_i++] = e;
+          ++kept;
+          if (compact) data[w++] = e;
         }
       }
-      kept[s] = compact ? out_i : count;
-      totals.weight[s] += weight;
-      totals.count[s] += kept_edges;
+      out = {kept, weight};
+      write = w;
     });
-    if (compact) {
-      // Stitch the per-shard survivor runs back together in shard order;
-      // the relative edge order is exactly the original stream order.
-      for (size_t s = 0; s < shards; ++s) {
-        Edge* base = edges.data() + start + s * kShardEdges;
-        if (kept[s] > 0 && edges.data() + write != base) {
-          std::memmove(edges.data() + write, base, kept[s] * sizeof(Edge));
-        }
-        write += kept[s];
-      }
-    }
   }
-  if (compact) edges.resize(write);
-  deg.Reduce();
-
-  UndirectedPassResult out;
-  out.weight = totals.TotalWeight();
-  out.edges = totals.TotalCount();
+  if (compact) {
+    // A pass abandoned mid-buffer must not drop the rounds it never
+    // scanned: keep the unscanned tail verbatim behind the survivors, so
+    // the buffer stays a superset of the surviving edges (the caller
+    // discards the pass).
+    if (start < total) {
+      std::memmove(data + write, data + start, (total - start) * sizeof(Edge));
+      write += total - start;
+    }
+    edges.resize(write);
+  }
   return out;
 }
 

@@ -16,39 +16,30 @@
 //                   each task pulls its shard into every run, deg_S(u) =
 //                   sum over v in N(u) of [v in S] w(u, v) over u's own
 //                   row (directed: out_to_t over the out-rows of S,
-//                   in_from_s over the in-rows of T). Runs write disjoint
-//                   rows, so the round needs no slots.
+//                   in_from_s over the in-rows of T). Tasks write
+//                   disjoint rows.
 //   record rounds — every other stream is read kShardEdges edges at a
 //                   time through EdgeStream::NextView; a round is up to
-//                   kShardSlots such shards. While the pass feeds at least
-//                   as many runs as threads, each task owns one run and
-//                   walks the round's shards in order (run-major); below
-//                   that, each (run, shard) pair is a task and shard s
-//                   feeds slot s of its run (work-major). Runs that must
-//                   see edges in stream order (parallel_shards() false: a
-//                   §6.3 collect pass, a Count-Sketch) stay whole-round
-//                   tasks.
+//                   kRoundShards such shards. Each active run is one task
+//                   of the round and walks its shards in stream order into
+//                   the run's own arrays, so a sweep spreads its runs over
+//                   the pool and a solo run accumulates inline on the
+//                   caller. A run is never split across threads.
 //
 // Determinism: the work partition is fixed by the input, never by the
-// thread count or the number of runs — row shards by the graph's degree
-// sequence, record shards by the stream order. A pulled row is written
-// once, by the task that owns its shard, summing its entries in row order,
-// and per-shard totals are summed in shard order. A record shard s always
-// lands in slot s; each slot is summed in stream order and the slots are
-// reduced in slot order (unit weights may skip the slots: their sums are
-// exact integers, the same bits in any order). Threading only changes who
-// executes a shard, so every run's results are bit-identical for 1, 2,
-// ... N threads and for any set of runs sharing the pass, on weighted
-// graphs and self-loops too.
+// thread count or the number of runs. A pulled row is written once, by the
+// task that owns its row shard (shards cut by the graph's degree sequence),
+// summing its entries in row order, and per-shard totals are summed in
+// shard order. A record pass sums every degree and both totals in stream
+// order, exactly as one sequential loop over the stream would. Threading
+// only changes who executes a task, so every run's results are
+// bit-identical for 1, 2, ... N threads and for any set of runs sharing the
+// pass, on weighted graphs and self-loops too.
 //
 // Memory: the semi-streaming budget — O(n) per run (alive bitmaps plus one
-// n-double array per degree array: one undirected, two directed). Record
-// rounds that may split a run across threads (fewer runs than threads)
-// or sum non-unit weights add kShardSlots slot planes of n doubles per
-// degree array: 8n doubles per undirected run, 16n per directed run. The
-// planes are engine scratch: an engine keeps them across passes and calls
-// and lends them to the runs of one pass, and they are zero whenever not
-// lent — an aborted pass re-zeroes them too. CSR row pulls keep none.
+// n-double array per degree array: one undirected, two directed). The
+// engine's only scratch is its record batch buffer (kRoundShards *
+// kShardEdges edges, 2 MiB), kept across passes and calls.
 
 #ifndef DENSEST_CORE_PASS_ENGINE_H_
 #define DENSEST_CORE_PASS_ENGINE_H_
@@ -58,7 +49,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
@@ -123,7 +113,7 @@ class RowPull {
   void Begin(size_t shards, bool collect = false);
 
   /// deg_S(u) for every row u of shard `shard` of `view.undirected`. A
-  /// self-loop occupies one adjacency slot and counts twice, as in
+  /// self-loop occupies one adjacency entry and counts twice, as in
   /// a record stream.
   void Undirected(const CsrView& view, size_t shard, const NodeSet& alive,
                   std::vector<double>& degrees);
@@ -148,28 +138,27 @@ class RowPull {
 
 /// \brief Knobs for a PassEngine.
 struct PassEngineOptions {
-  /// Worker threads for shard accumulation. 0 = hardware concurrency;
-  /// 1 = fully sequential (no pool is created). Any value yields
-  /// bit-identical results; it only changes wall-clock time.
+  /// Worker threads for the row shards of a CSR pass and the runs of a
+  /// fused sweep; a record pass of one run never reaches the pool. 0 =
+  /// hardware concurrency; 1 = fully sequential (no pool is created). Any
+  /// value yields bit-identical results; it only changes wall-clock time.
   size_t num_threads = 0;
 };
 
 /// \brief Batched, optionally multi-threaded scheduler of streaming passes
 /// for one or many peeling runs.
 ///
-/// Holds reusable scratch (the batch buffer, the slot planes, the task
-/// list), so one engine should be reused across passes and calls. An
-/// engine is NOT safe for concurrent use from multiple threads; create one
-/// engine per concurrent caller instead (every options struct accepts an
-/// engine pointer for this).
+/// Holds reusable scratch (the record batch buffer), so one engine should
+/// be reused across passes and calls. An engine is NOT safe for concurrent
+/// use from multiple threads; create one engine per concurrent caller
+/// instead (every options struct accepts an engine pointer for this).
 class PassEngine {
  public:
-  /// Edges per record shard. A shard is the unit of work handed to one
-  /// thread and the granularity of the deterministic reduction.
+  /// Edges per record shard: the size of one NextView read.
   static constexpr size_t kShardEdges = 1 << 14;
-  /// Record shards (and accumulator slots) per round. Fixed independently
-  /// of the thread count so that results never depend on parallelism.
-  static constexpr size_t kShardSlots = 8;
+  /// Record shards read per round: the batch every active run consumes
+  /// between two cancellation polls.
+  static constexpr size_t kRoundShards = 8;
 
   /// \brief One run driven by Drive(): private accumulator state plus peel
   /// logic. Implementations exist for Algorithms 1-3, for the bare passes
@@ -190,34 +179,19 @@ class PassEngine {
     /// Whether the run can take its passes as row pulls of `view`. False
     /// (the default) for runs that must see edges in stream order.
     virtual bool CanPull(const CsrView&) const { return false; }
-    /// n-double degree arrays the run accumulates per pass; a record pass
-    /// that needs slot planes lends it this many times kShardSlots.
-    virtual size_t degree_arrays() const { return 0; }
     /// Starts a pass. `view` is the CSR view the pass pulls, or null when
-    /// the pass arrives as record rounds through AccumulateShard. `slots`
-    /// is empty when record shards may accumulate straight into the run's
-    /// own arrays; otherwise it holds degree_arrays() * kShardSlots zeroed
-    /// planes (array a, slot s at a * kShardSlots + s), lent for this pass
-    /// only, which FinishPass must reduce and leave zero.
-    virtual void BeginPass(const CsrView* view,
-                           std::span<std::vector<double>> slots) = 0;
+    /// the pass arrives as record shards through AccumulateShard, in which
+    /// case the run zeroes its degree arrays and totals.
+    virtual void BeginPass(const CsrView* view) = 0;
     /// Pulls row shard `shard` of the view given to BeginPass. Distinct
     /// shards of a pass arrive concurrently; they write disjoint rows.
     virtual void PullShard(const CsrView&, size_t) {}
-    /// Folds one record shard into accumulator slot `slot`. Shards of one
-    /// round arrive either in order from a single thread (run-major, or
-    /// parallel_shards() == false) or concurrently from several threads
-    /// with distinct `slot` values (work-major).
-    virtual void AccumulateShard(std::span<const Edge> shard,
-                                 size_t slot) = 0;
-    /// Whether distinct shards of one round may be accumulated
-    /// concurrently. True requires lent slots (each slot writes its own
-    /// plane, reduced in slot order afterwards). Runs whose per-pass state
-    /// is order-dependent — a Count-Sketch that must see updates in stream
-    /// order, a survivor buffer appended in stream order — return false
-    /// and stay sequential within each round.
-    virtual bool parallel_shards() const = 0;
-    /// Ends a pass: combine the shard totals, apply the peel step.
+    /// Folds the next record shard into the run's own arrays and totals.
+    /// Shards arrive one at a time, in stream order, so every sum is a
+    /// stream-order sum (a Count-Sketch or a survivor buffer may rely on
+    /// that order too).
+    virtual void AccumulateShard(std::span<const Edge> shard) = 0;
+    /// Ends a pass: combine the pass totals, apply the peel step.
     virtual void FinishPass() = 0;
     /// Finishes a run that left the scan (wants_stream() false, done()
     /// false) over its private state on `engine`, polling `cancel`; costs
@@ -245,9 +219,9 @@ class PassEngine {
   /// stream reports an IO error — a failing stream ends passes early and
   /// silently, and peeling on truncated statistics would yield
   /// plausible-looking wrong answers. A non-null `cancel` is polled once
-  /// per record round (≤ kShardSlots * kShardEdges edges of work between
-  /// polls) or row shard; on cancellation Drive abandons the runs the same
-  /// way and returns kCancelled / kDeadlineExceeded.
+  /// per record round (each active run folds ≤ kRoundShards * kShardEdges
+  /// edges between polls) or row shard; on cancellation Drive abandons the
+  /// runs the same way and returns kCancelled / kDeadlineExceeded.
   Status Drive(EdgeStream& stream, std::span<FusedRun* const> runs,
                const CancelToken* cancel = nullptr);
 
@@ -296,11 +270,13 @@ class PassEngine {
                                  std::vector<double>& in_from_s,
                                  const CancelToken* cancel = nullptr);
 
-  /// In-memory pass over an edge buffer (the post-compaction §6.3 path),
-  /// on the record shard/slot schedule. When `compact` is true, dead edges
-  /// are filtered out of `edges` in place (preserving order), so the
-  /// buffer keeps shrinking with S. A cancelled pass keeps the unscanned
-  /// tail, so the buffer stays a superset of the surviving edges.
+  /// In-memory pass over an edge buffer (the post-compaction §6.3 path):
+  /// one sequential loop in buffer order, polling `cancel` once per round
+  /// of kRoundShards * kShardEdges edges, so its sums are the stream-order
+  /// sums of a record pass over the same edges. When `compact` is true,
+  /// dead edges are filtered out of `edges` in place (preserving order),
+  /// so the buffer keeps shrinking with S. A cancelled pass keeps the
+  /// unscanned tail, so the buffer stays a superset of the surviving edges.
   UndirectedPassResult RunUndirectedBuffer(std::vector<Edge>& edges,
                                            const NodeSet& alive,
                                            std::vector<double>& degrees,
@@ -335,8 +311,6 @@ class PassEngine {
   void ScanRounds(PassCursor& cursor, std::span<FusedRun* const> active,
                   const CancelToken* cancel);
   void EnsureBatchBuffer();
-  /// The first `count` slot planes, each sized to n doubles and zero.
-  std::span<std::vector<double>> LendPlanes(size_t count, size_t n);
   /// Runs fn(i) for i in [0, tasks), on the pool if present.
   void Dispatch(size_t tasks, const std::function<void(size_t)>& fn);
   /// Dispatch of one pass round feeding `runs` runs: the seam every round
@@ -347,18 +321,14 @@ class PassEngine {
 
   size_t num_threads_ = 1;
   // Concurrency contract (no mutex by design): every task of a round
-  // writes state no other task of that round touches — one (run, slot)
-  // plane in record rounds, one shard's rows of every run in pulled
+  // writes state no other task of that round touches — one run's arrays
+  // and totals in record rounds, one shard's rows of every run in pulled
   // rounds — and the round's ParallelFor completion barrier is the only
-  // publication point: caller writes (plane zeroing, batch_ fill)
+  // publication point: caller writes (BeginPass zeroing, batch_ fill)
   // happen-before the tasks, task writes happen-before FinishPass reads
   // them. No engine state may be touched while a round is in flight.
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads_ == 1
-  std::vector<Edge> batch_;           // kShardSlots * kShardEdges capacity
-  /// Slot planes lent to the runs of one pass; zero whenever not lent.
-  std::vector<std::vector<double>> planes_;
-  /// (run, shard) task list scratch for work-major rounds.
-  std::vector<std::pair<uint32_t, uint32_t>> tasks_;
+  std::vector<Edge> batch_;           // kRoundShards * kShardEdges capacity
 
   uint64_t last_physical_passes_ = 0;
   uint64_t last_logical_passes_ = 0;

@@ -268,14 +268,10 @@ void DynamicDensest::MaybeFallback() {
       EdgeListStream stream(snapshot);
       StatusOr<UndirectedDensestResult> r = [&]() {
         DENSEST_TRACE_SPAN("dynamic.recompute");
-        // The engine (its thread pool and 8n doubles of slot planes) lives
-        // for this recompute only: freed before the window rebuild below
-        // allocates, and never held between recomputes.
-        PassEngine engine(options_.engine_options);
         Algorithm1Options ropt;
         ropt.epsilon = options_.recompute_epsilon;
         ropt.record_trace = false;
-        ropt.engine = &engine;
+        ropt.engine = &engine_;
         if (options_.recompute_deadline_ms > 0) {
           // The overload budget, doubled per consecutive cancellation so a
           // graph that has genuinely outgrown the configured budget still

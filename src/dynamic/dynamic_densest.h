@@ -20,7 +20,7 @@
 // drifts out of the window — k* reaches the top slot, or every maintained
 // slot goes empty — the certificate has degraded, and the configured
 // fallback kicks in: a full batch recompute of the live edge set — batch
-// Algorithm 1 on a PassEngine built for that recompute (the batch
+// Algorithm 1 on the service's own one-thread PassEngine (the batch
 // scheduler is the slow path of this service, not a separate world) —
 // re-centers the window, and the slots that slid into view are rebuilt by
 // static peeling. Window moves are
@@ -50,7 +50,7 @@ namespace densest {
 /// leaves the maintained threshold window).
 enum class DynamicFallback {
   /// Re-center by running the batch Algorithm 1 over the live edge set
-  /// (RunAlgorithm1 on a per-recompute PassEngine), then rebuild the slots
+  /// (RunAlgorithm1 on the service's PassEngine), then rebuild the slots
   /// that came into view. The default: the recompute both re-centers
   /// accurately and refreshes stats().last_recompute_density.
   kRecompute,
@@ -107,9 +107,6 @@ struct DynamicDensestOptions {
   /// Updates to absorb before re-attempting a deadline-cancelled
   /// recompute (kRecompute with a deadline only). Must be >= 1.
   uint32_t recompute_rearm_updates = 4096;
-  /// Threads of the engine each recompute builds (see PassEngineOptions);
-  /// any value yields identical recompute results.
-  PassEngineOptions engine_options;
 };
 
 /// \brief Counters the service accumulates (monotone; never reset).
@@ -271,6 +268,10 @@ class DynamicDensest {
   double last_cert_upper_ = 0;      // last certified upper bound on rho*
   uint64_t last_cert_inserts_ = 0;  // stats_.inserts when it was captured
   DynamicDensestStats stats_;  // writer-owned; stale tally lives below
+  // Every recompute runs on this engine: a solo record pass over the
+  // live-edge snapshot never uses a pool, and owning the engine keeps its
+  // batch buffer allocated outside the recompute's deadline.
+  PassEngine engine_{PassEngineOptions{.num_threads = 1}};
   // Query() is logically const but counts the stale answers it serves.
   // Kept out of stats_ as a relaxed atomic so concurrent reader-thread
   // queries don't race on a plain field; stats() merges it back in.

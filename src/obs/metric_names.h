@@ -29,12 +29,12 @@ inline constexpr std::string_view kCounterNames[] = {
     // fused sweep while several of its runs are still active).
     "core.fused_rounds",
     // Rounds PassEngine dispatched, solo and fused alike: one per record
-    // round (<= kShardSlots * kShardEdges edges), one per row-pull pass,
+    // round (<= kRoundShards * kShardEdges edges), one per row-pull pass,
     // one per round of a §6.3 buffer pass.
     "core.pass_rounds",
-    // Tasks executed inside those rounds (fan-out width signal): (run,
-    // shard) pairs or whole-round runs in record rounds, row shards in
-    // row-pull rounds, edge shards in buffer rounds.
+    // Tasks executed inside those rounds (fan-out width signal): one per
+    // active run in record rounds, row shards in row-pull rounds, one per
+    // buffer round.
     "core.pass_shards",
     // Passes PassEngine started: one per physical scan of a Drive however
     // many runs it feeds (solo runs, sweeps, RunUndirected/RunDirected),

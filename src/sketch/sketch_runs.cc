@@ -99,14 +99,13 @@ SketchedResult SketchedAlgorithm1Run::TakeResult() {
   return std::move(result_);
 }
 
-void FusedSketchedRun::BeginPass(const CsrView*,
-                                 std::span<std::vector<double>>) {
+void FusedSketchedRun::BeginPass(const CsrView*) {
   run_.oracle().BeginPass();
   weight_ = 0.0;
   edges_ = 0;
 }
 
-void FusedSketchedRun::AccumulateShard(std::span<const Edge> shard, size_t) {
+void FusedSketchedRun::AccumulateShard(std::span<const Edge> shard) {
   const NodeSet& alive = run_.alive();
   DegreeOracle& oracle = run_.oracle();
   for (const Edge& e : shard) {

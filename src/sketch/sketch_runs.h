@@ -13,14 +13,14 @@
 // from a solo one by reimplementation drift.
 //
 // Bit-identity: a Count-Sketch is an order-dependent FP accumulator
-// (counter[bucket] += sign * w in stream order), so a sketched run is
-// accumulated sequentially within the run — it walks each round's shards
-// in order, which IS stream order, and reports parallel_shards() false so
-// work-major rounds never split it. Its exact scalar aggregates (pass
-// weight, edge count) are summed the same way. That makes fused results
-// bit-identical to solo ones on EVERY stream shape and thread count. A
-// sketched run never pulls CSR rows (CanPull false), so a pass over a CSR
-// stream still arrives as record rounds.
+// (counter[bucket] += sign * w in stream order). PassEngine feeds every
+// run its record shards one at a time in stream order, never splitting a
+// run across threads, so the sketch sees exactly the sequential update
+// order, and the exact scalar aggregates (pass weight, edge count) are
+// running stream-order sums. That makes fused results bit-identical to
+// solo ones on EVERY stream shape and thread count. A sketched run never
+// pulls CSR rows (CanPull false), so a pass over a CSR stream still
+// arrives as record rounds.
 
 #ifndef DENSEST_SKETCH_SKETCH_RUNS_H_
 #define DENSEST_SKETCH_SKETCH_RUNS_H_
@@ -93,10 +93,8 @@ class FusedSketchedRun final : public PassEngine::FusedRun {
       : run_(n, std::forward<Oracle>(oracle), options) {}
 
   bool done() const override { return run_.done(); }
-  void BeginPass(const CsrView* view,
-                 std::span<std::vector<double>> slots) override;
-  bool parallel_shards() const override { return false; }
-  void AccumulateShard(std::span<const Edge> shard, size_t slot) override;
+  void BeginPass(const CsrView* view) override;
+  void AccumulateShard(std::span<const Edge> shard) override;
   void FinishPass() override;
   SketchedResult TakeResult() { return run_.TakeResult(); }
 

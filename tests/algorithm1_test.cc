@@ -7,8 +7,11 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <tuple>
 
+#include "common/random.h"
+#include "core/pass_engine.h"
 #include "flow/brute_force.h"
 #include "flow/goldberg.h"
 #include "gen/erdos_renyi.h"
@@ -242,6 +245,42 @@ TEST(Algorithm1Test, CompactionProducesIdenticalResults) {
   for (size_t i = 0; i < reference->trace.size(); ++i) {
     EXPECT_EQ(compacted->trace[i].edges, reference->trace[i].edges);
     EXPECT_EQ(compacted->trace[i].removed, reference->trace[i].removed);
+  }
+
+  // Weighted records: the buffer passes add the same values in the same
+  // order as the stream passes they replace, so every weight keeps its
+  // bits on any engine.
+  const NodeId n = 20000;
+  EdgeList weighted(n);
+  Rng rng(29);
+  for (int i = 0; i < 400000; ++i) {
+    weighted.Add(static_cast<NodeId>(rng.UniformU64(n)),
+                 static_cast<NodeId>(rng.UniformU64(n)),
+                 0.25 + rng.UniformDouble());
+  }
+  EdgeListStream stream(weighted);
+  for (size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    PassEngine engine(PassEngineOptions{.num_threads = threads});
+    Algorithm1Options streamed;
+    streamed.epsilon = 0.1;
+    streamed.engine = &engine;
+    auto want = RunAlgorithm1(stream, streamed);
+    ASSERT_TRUE(want.ok());
+    Algorithm1Options buffered = streamed;
+    buffered.compact_below_edges = 300000;
+    auto got = RunAlgorithm1(stream, buffered);
+    ASSERT_TRUE(got.ok());
+
+    EXPECT_EQ(got->nodes, want->nodes);
+    EXPECT_EQ(got->passes, want->passes);
+    EXPECT_LT(got->io_passes, got->passes);
+    EXPECT_EQ(got->density, want->density);  // bits, not NEAR
+    ASSERT_EQ(got->trace.size(), want->trace.size());
+    for (size_t i = 0; i < want->trace.size(); ++i) {
+      EXPECT_EQ(got->trace[i].weight, want->trace[i].weight) << "pass " << i;
+      EXPECT_EQ(got->trace[i].edges, want->trace[i].edges) << "pass " << i;
+    }
   }
 }
 

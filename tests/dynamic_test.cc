@@ -2,7 +2,7 @@
 // edge-key hash set, the dynamic adjacency, the degree-level invariants
 // under churn, the engine's certified approximation band against the exact
 // solver, the insert-only equivalence with batch Algorithm 1 across every
-// stream type and thread count, and the replay driver.
+// stream type, and the replay driver.
 
 #include <gtest/gtest.h>
 
@@ -400,9 +400,9 @@ TEST(DynamicDensestTest, NeverFallbackServesUncertifiedWhenDegraded) {
 
 // Satellite: insert-only dynamic equivalence. Replaying ANY EdgeStream as
 // insertions and querying at the end must land within the approximation
-// band of RunAlgorithm1 on the same edges, across all stream types and
-// 1..8 recompute threads (thread count must not change a single bit of
-// the answer).
+// band of RunAlgorithm1 on the same edges, across all stream types. Every
+// recompute runs on the service's own one-thread engine, so no recompute
+// thread count is left to vary.
 TEST(DynamicDensestTest, InsertOnlyReplayMatchesBatchAcrossStreamsAndThreads) {
   const std::string bin_path =
       (std::filesystem::temp_directory_path() / "dynamic_equiv_test.bin")
@@ -439,39 +439,25 @@ TEST(DynamicDensestTest, InsertOnlyReplayMatchesBatchAcrossStreamsAndThreads) {
     auto batch = RunAlgorithm1(*c.stream, a1);
     ASSERT_TRUE(batch.ok());
 
-    double first_density = -1;
-    std::vector<NodeId> first_nodes;
-    for (size_t threads = 1; threads <= 8; ++threads) {
-      DynamicDensestOptions opt;
-      opt.window_radius = 1;
-      opt.engine_options.num_threads = threads;
-      auto engine = DynamicDensest::Create(c.stream->num_nodes(), opt);
-      ASSERT_TRUE(engine.ok());
-      InsertReplayUpdateStream replay(*c.stream);
-      replay.Reset();
-      EdgeUpdate u;
-      while (replay.Next(&u)) (*engine)->Apply(u);
-      ASSERT_TRUE(replay.status().ok());
+    DynamicDensestOptions opt;
+    opt.window_radius = 1;
+    auto engine = DynamicDensest::Create(c.stream->num_nodes(), opt);
+    ASSERT_TRUE(engine.ok());
+    InsertReplayUpdateStream replay(*c.stream);
+    replay.Reset();
+    EdgeUpdate u;
+    while (replay.Next(&u)) (*engine)->Apply(u);
+    ASSERT_TRUE(replay.status().ok());
 
-      const DynamicDensest::Answer a = (*engine)->Query();
-      ASSERT_TRUE(a.certified);
-      // Both answers sandwich rho*: dynamic <= rho* <= (2+2eps) batch and
-      // batch <= rho* < dynamic upper bound.
-      EXPECT_LE(a.density,
-                (2 + 2 * batch_eps) * batch->density * (1 + kTol));
-      EXPECT_LE(batch->density, a.upper_bound * (1 + kTol));
-      // The dynamic answer's own band around rho*.
-      EXPECT_LE(batch->density / (2 + 2 * batch_eps),
-                a.upper_bound * (1 + kTol));
-      if (first_density < 0) {
-        first_density = a.density;
-        first_nodes = (*engine)->DensestNodes();
-      } else {
-        // Bit-identical across recompute thread counts.
-        EXPECT_EQ(a.density, first_density);
-        EXPECT_EQ((*engine)->DensestNodes(), first_nodes);
-      }
-    }
+    const DynamicDensest::Answer a = (*engine)->Query();
+    ASSERT_TRUE(a.certified);
+    // Both answers sandwich rho*: dynamic <= rho* <= (2+2eps) batch and
+    // batch <= rho* < dynamic upper bound.
+    EXPECT_LE(a.density, (2 + 2 * batch_eps) * batch->density * (1 + kTol));
+    EXPECT_LE(batch->density, a.upper_bound * (1 + kTol));
+    // The dynamic answer's own band around rho*.
+    EXPECT_LE(batch->density / (2 + 2 * batch_eps),
+              a.upper_bound * (1 + kTol));
   }
   std::remove(bin_path.c_str());
 }

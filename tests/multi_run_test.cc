@@ -85,9 +85,9 @@ std::vector<Algorithm3Options> DirectedGrid() {
 }
 
 /// Fused results over `stream` must equal sequential RunAlgorithm3 per
-/// options, for every fan-out thread count. On record streams the 7-run
-/// grid starts work-major at 8 threads ((run, shard) pairs are the tasks)
-/// and run-major below, so both shapes are covered.
+/// options, for every fan-out thread count. On record streams each of the
+/// 7 runs is one task per round, so 8 threads leave a worker idle and
+/// fewer threads share the runs out; both shapes are covered.
 void CheckDirectedEquivalence(EdgeStream& stream, const std::string& label) {
   const std::vector<Algorithm3Options> grid = DirectedGrid();
 
@@ -313,7 +313,7 @@ TEST(MultiRunAlgorithm2Test, FusedMatchesSequential) {
     seq.push_back(std::move(*r));
   }
 
-  // 8 threads > 6 runs: work-major; 4 threads: run-major.
+  // 8 threads > 6 runs: a worker per run; 4 threads: runs share workers.
   for (size_t threads : {1u, 4u, 8u}) {
     PassEngine engine(PassEngineOptions{.num_threads = threads});
     auto fused = engine.RunUndirectedRuns(stream, grid);

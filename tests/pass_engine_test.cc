@@ -2,8 +2,8 @@
 // every stream type must produce exactly the same edge sequence through
 // NextView and NextBatch as through repeated Next, and PassEngine results
 // — record rounds and CSR row pulls alike — must be bit-identical
-// regardless of thread count, match an independent replica of the
-// documented record schedule, and survive aborted passes on a reused
+// regardless of thread count, match the sequential stream-order pass
+// exactly on record streams, and survive aborted passes on a reused
 // engine.
 
 #include "core/pass_engine.h"
@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -245,10 +244,46 @@ UndirectedPassResult ScalarUndirectedPass(EdgeStream& stream,
   return out;
 }
 
+/// Reference scalar directed pass over the stream's records.
+DirectedPassResult ScalarDirectedPass(EdgeStream& stream, const NodeSet& s,
+                                      const NodeSet& t,
+                                      std::vector<double>& out_to_t,
+                                      std::vector<double>& in_from_s) {
+  std::fill(out_to_t.begin(), out_to_t.end(), 0.0);
+  std::fill(in_from_s.begin(), in_from_s.end(), 0.0);
+  DirectedPassResult out;
+  stream.Reset();
+  Edge e;
+  while (stream.Next(&e)) {
+    if (s.Contains(e.u) && t.Contains(e.v)) {
+      out_to_t[e.u] += e.w;
+      in_from_s[e.v] += e.w;
+      out.weight += e.w;
+      ++out.arcs;
+    }
+  }
+  return out;
+}
+
 NodeSet EveryThirdDead(NodeId n) {
   NodeSet alive(n, /*full=*/true);
   for (NodeId u = 0; u < n; u += 3) alive.Remove(u);
   return alive;
+}
+
+/// Two and a half record rounds of weighted records over n nodes, so
+/// every run sums across round boundaries and the last round is partial.
+EdgeList WeightedRecords(NodeId n, uint64_t seed) {
+  EdgeList el(n);
+  Rng rng(seed);
+  const size_t records =
+      PassEngine::kRoundShards * PassEngine::kShardEdges * 5 / 2 + 777;
+  for (size_t i = 0; i < records; ++i) {
+    el.Add(static_cast<NodeId>(rng.UniformU64(n)),
+           static_cast<NodeId>(rng.UniformU64(n)),
+           0.25 + rng.UniformDouble());
+  }
+  return el;
 }
 
 TEST(PassEngineTest, MatchesScalarReferenceUnweighted) {
@@ -366,6 +401,41 @@ TEST(PassEngineTest, BufferPassCompactsInPlace) {
     EXPECT_EQ(r2.edges, r.edges);
     EXPECT_EQ(degrees2, degrees);
   }
+
+  // Weighted records over several rounds: the buffer pass adds the same
+  // values in the same order as a stream pass over the same edges.
+  const NodeId wn = 2000;
+  const EdgeList weighted = WeightedRecords(wn, 317);
+  EdgeListStream weighted_stream(weighted);
+  const NodeSet weighted_alive = EveryThirdDead(wn);
+  std::vector<double> want_degrees(wn);
+  const UndirectedPassResult ref =
+      ScalarUndirectedPass(weighted_stream, weighted_alive, want_degrees);
+  std::vector<Edge> want_weighted;
+  for (const Edge& e : weighted.edges()) {
+    if (weighted_alive.ContainsBoth(e.u, e.v)) want_weighted.push_back(e);
+  }
+  for (size_t threads : {1u, 4u}) {
+    PassEngine engine(PassEngineOptions{.num_threads = threads});
+    std::vector<Edge> buffer = weighted.edges();
+    std::vector<double> degrees(wn, -1.0);
+    const UndirectedPassResult r = engine.RunUndirectedBuffer(
+        buffer, weighted_alive, degrees, /*compact=*/true);
+    EXPECT_EQ(r.edges, ref.edges) << threads;
+    EXPECT_EQ(r.weight, ref.weight) << threads;  // bits, not NEAR
+    EXPECT_EQ(degrees, want_degrees) << threads;
+    EXPECT_EQ(buffer, want_weighted) << threads;
+  }
+
+  // A pass cancelled before its first round leaves the buffer unchanged.
+  CancelToken cancelled;
+  cancelled.Cancel();
+  PassEngine engine(PassEngineOptions{.num_threads = 4});
+  std::vector<Edge> buffer = weighted.edges();
+  std::vector<double> degrees(wn);
+  (void)engine.RunUndirectedBuffer(buffer, weighted_alive, degrees,
+                                   /*compact=*/true, &cancelled);
+  EXPECT_EQ(buffer, weighted.edges());
 }
 
 TEST(PassEngineTest, AlgorithmsIdenticalAcrossInjectedEngines) {
@@ -415,9 +485,9 @@ TEST(PassEngineTest, EmptyStreamYieldsZeroes) {
 }
 
 TEST(PassEngineTest, MultiRoundStreamsSpanRounds) {
-  // More edges than one round (kShardSlots * kShardEdges) to cover the
+  // More edges than one round (kRoundShards * kShardEdges) to cover the
   // refill path and cross-round accumulator reuse.
-  const size_t round = PassEngine::kShardSlots * PassEngine::kShardEdges;
+  const size_t round = PassEngine::kRoundShards * PassEngine::kShardEdges;
   const NodeId n = 1000;
   EdgeList el(n);
   Rng rng(61);
@@ -438,112 +508,9 @@ TEST(PassEngineTest, MultiRoundStreamsSpanRounds) {
 }
 
 // ---------------------------------------------------------------------------
-// An independent oracle for the record schedule: the documented shard/slot
-// partition written out edge by edge, sharing no code with the engine.
-
-constexpr size_t kShardEdges = PassEngine::kShardEdges;
-constexpr size_t kShardSlots = PassEngine::kShardSlots;
-
-/// Record i of the stream belongs to shard i / kShardEdges, which lands in
-/// slot (i / kShardEdges) % kShardSlots. Each slot sums its degree
-/// contributions in stream order; a shard's weight and count are summed in
-/// stream order and added to its slot's totals; slots are reduced in slot
-/// order.
-UndirectedPassResult ReferenceUndirectedPass(const std::vector<Edge>& edges,
-                                             const NodeSet& alive,
-                                             std::vector<double>& degrees) {
-  const size_t n = degrees.size();
-  std::vector<std::vector<double>> slot(kShardSlots,
-                                        std::vector<double>(n, 0.0));
-  std::array<double, kShardSlots> slot_weight{};
-  std::array<EdgeId, kShardSlots> slot_count{};
-  for (size_t begin = 0; begin < edges.size(); begin += kShardEdges) {
-    const size_t s = (begin / kShardEdges) % kShardSlots;
-    const size_t end = std::min(edges.size(), begin + kShardEdges);
-    double weight = 0.0;
-    EdgeId count = 0;
-    for (size_t i = begin; i < end; ++i) {
-      const Edge& e = edges[i];
-      if (alive.Contains(e.u) && alive.Contains(e.v)) {
-        slot[s][e.u] += e.w;
-        slot[s][e.v] += e.w;
-        weight += e.w;
-        ++count;
-      }
-    }
-    slot_weight[s] += weight;
-    slot_count[s] += count;
-  }
-  UndirectedPassResult out;
-  for (size_t s = 0; s < kShardSlots; ++s) {
-    out.weight += slot_weight[s];
-    out.edges += slot_count[s];
-  }
-  for (size_t u = 0; u < n; ++u) {
-    degrees[u] = 0.0;
-    for (size_t s = 0; s < kShardSlots; ++s) degrees[u] += slot[s][u];
-  }
-  return out;
-}
-
-/// The directed twin: out_to_t and in_from_s each get their own slots.
-DirectedPassResult ReferenceDirectedPass(const std::vector<Edge>& arcs,
-                                         const NodeSet& s_set,
-                                         const NodeSet& t_set,
-                                         std::vector<double>& out_to_t,
-                                         std::vector<double>& in_from_s) {
-  const size_t n = out_to_t.size();
-  std::vector<std::vector<double>> out_slot(kShardSlots,
-                                            std::vector<double>(n, 0.0));
-  std::vector<std::vector<double>> in_slot = out_slot;
-  std::array<double, kShardSlots> slot_weight{};
-  std::array<EdgeId, kShardSlots> slot_count{};
-  for (size_t begin = 0; begin < arcs.size(); begin += kShardEdges) {
-    const size_t s = (begin / kShardEdges) % kShardSlots;
-    const size_t end = std::min(arcs.size(), begin + kShardEdges);
-    double weight = 0.0;
-    EdgeId count = 0;
-    for (size_t i = begin; i < end; ++i) {
-      const Edge& e = arcs[i];
-      if (s_set.Contains(e.u) && t_set.Contains(e.v)) {
-        out_slot[s][e.u] += e.w;
-        in_slot[s][e.v] += e.w;
-        weight += e.w;
-        ++count;
-      }
-    }
-    slot_weight[s] += weight;
-    slot_count[s] += count;
-  }
-  DirectedPassResult out;
-  for (size_t s = 0; s < kShardSlots; ++s) {
-    out.weight += slot_weight[s];
-    out.arcs += slot_count[s];
-  }
-  for (size_t u = 0; u < n; ++u) {
-    out_to_t[u] = in_from_s[u] = 0.0;
-    for (size_t s = 0; s < kShardSlots; ++s) {
-      out_to_t[u] += out_slot[s][u];
-      in_from_s[u] += in_slot[s][u];
-    }
-  }
-  return out;
-}
-
-/// Two and a half record rounds of weighted records over n nodes, so
-/// every slot sums shards from more than one round and the last round is
-/// partial.
-EdgeList WeightedRecords(NodeId n, uint64_t seed) {
-  EdgeList el(n);
-  Rng rng(seed);
-  const size_t records = kShardSlots * kShardEdges * 5 / 2 + 777;
-  for (size_t i = 0; i < records; ++i) {
-    el.Add(static_cast<NodeId>(rng.UniformU64(n)),
-           static_cast<NodeId>(rng.UniformU64(n)),
-           0.25 + rng.UniformDouble());
-  }
-  return el;
-}
+// The record schedule: every run sums in stream order, so a pass over a
+// record stream equals the seed's sequential loop bit for bit, weighted
+// records included, on any thread count.
 
 TEST(RecordScheduleTest, UndirectedMatchesReferenceBitForBit) {
   const NodeId n = 2000;
@@ -552,8 +519,7 @@ TEST(RecordScheduleTest, UndirectedMatchesReferenceBitForBit) {
   const NodeSet alive = EveryThirdDead(n);
 
   std::vector<double> want(n);
-  const UndirectedPassResult ref =
-      ReferenceUndirectedPass(el.edges(), alive, want);
+  const UndirectedPassResult ref = ScalarUndirectedPass(stream, alive, want);
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     PassEngine engine(PassEngineOptions{.num_threads = threads});
     std::vector<double> got(n, -1.0);
@@ -574,7 +540,7 @@ TEST(RecordScheduleTest, DirectedMatchesReferenceBitForBit) {
 
   std::vector<double> want_out(n), want_in(n);
   const DirectedPassResult ref =
-      ReferenceDirectedPass(el.edges(), s, t, want_out, want_in);
+      ScalarDirectedPass(stream, s, t, want_out, want_in);
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     PassEngine engine(PassEngineOptions{.num_threads = threads});
     std::vector<double> out(n, -1.0), in(n, -1.0);
@@ -708,27 +674,6 @@ TEST(AbortedPassTest, EngineScratchStaysClean) {
 
 // ---------------------------------------------------------------------------
 // Row-pull kernels over CSR views.
-
-/// Reference scalar directed pass over the stream's records.
-DirectedPassResult ScalarDirectedPass(EdgeStream& stream, const NodeSet& s,
-                                      const NodeSet& t,
-                                      std::vector<double>& out_to_t,
-                                      std::vector<double>& in_from_s) {
-  std::fill(out_to_t.begin(), out_to_t.end(), 0.0);
-  std::fill(in_from_s.begin(), in_from_s.end(), 0.0);
-  DirectedPassResult out;
-  stream.Reset();
-  Edge e;
-  while (stream.Next(&e)) {
-    if (s.Contains(e.u) && t.Contains(e.v)) {
-      out_to_t[e.u] += e.w;
-      in_from_s[e.v] += e.w;
-      out.weight += e.w;
-      ++out.arcs;
-    }
-  }
-  return out;
-}
 
 /// Enough edges for several row shards (2 * kShardEdges entries each),
 /// with self-loops and parallel edges kept. `weighted` draws weights in

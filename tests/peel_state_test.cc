@@ -56,8 +56,8 @@ TEST(PeelStateTest, DirectedPassSplitsOutAndIn) {
 }
 
 TEST(PeelStateTest, RepeatedPassesAreIdempotent) {
-  // One engine, many passes: the engine's reused scratch (slot planes at 4
-  // threads) must start every pass clean.
+  // One engine, many passes: every pass must start from zeroed degree
+  // arrays and totals, at 1 and 4 threads.
   EdgeList el(3);
   el.Add(0, 1);
   el.Add(1, 2);

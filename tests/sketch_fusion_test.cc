@@ -2,9 +2,9 @@
 // a fused Table 4 grid — sketch oracles of several dimensions and seeds
 // plus the exact-counting baseline — must produce results bit-identical to
 // sequential RunAlgorithm1WithOracle / RunSketchedAlgorithm1 calls, across
-// 1..8 fan-out threads (8 threads turn work-major once fewer than 8 runs
-// remain active), and weighted streams, while physically scanning the stream only
-// max-over-runs(passes) times.
+// 1..8 fan-out threads (each run is one task per round, fed its shards in
+// stream order, however many runs remain active), and weighted streams,
+// while physically scanning the stream only max-over-runs(passes) times.
 
 #include "sketch/sketch_runs.h"
 

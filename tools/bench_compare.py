@@ -1,0 +1,253 @@
+#!/usr/bin/env python3
+# Copyright 2026 The densest Authors.
+"""Compares two sets of perfbench results, parent against change (stdlib-only).
+
+Usage:
+  tools/bench_compare.py PARENT_DIR CHANGE_DIR
+  tools/bench_compare.py --self-test
+
+Each directory holds perfbench's own result files,
+result-<workload>-seed<N>-trace0.json, as perfbench/run.py writes them to
+.bench_build/out/. For every workload and every end_to_end metric of
+BENCHMARK.json this prints, per side, the run count n, the median and the
+quartiles q1/q3 (statistics.quantiles(n=4), as perfbench/spread.py
+computes them), then the relative move of the medians and how many
+same-seed pairs the change wins. Each metric gets a verdict:
+
+  worse       the change's median is worse than the parent's by more than
+              the metric's bound, and the two interquartile ranges do not
+              overlap
+  unresolved  worse by more than the bound, but the ranges overlap
+  ok          everything else
+
+It also prints each side's attempted and failed operations and names every
+file whose "correct" is false. Exit status 1 on any `worse` verdict, any
+such file, or a larger failed share on the change side; 0 otherwise.
+--self-test checks the verdicts and the exit rule on synthetic result sets.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import json
+import os
+import re
+import statistics
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RESULT_NAME = re.compile(r"^result-(?P<workload>.+)-seed(?P<seed>\d+)-trace0\.json$")
+
+
+def load_side(directory: str):
+    """{workload: {seed: result document}} of the untraced result files."""
+    runs: dict[str, dict[int, dict]] = {}
+    for path in sorted(glob.glob(os.path.join(directory, "result-*-trace0.json"))):
+        match = RESULT_NAME.match(os.path.basename(path))
+        if match is None:
+            continue
+        with open(path) as f:
+            doc = json.load(f)
+        doc["_path"] = path
+        runs.setdefault(match["workload"], {})[int(match["seed"])] = doc
+    return runs
+
+
+def metric_value(doc: dict, name: str):
+    """The metric's numeric value, or None when missing or insufficient."""
+    value = doc.get("metrics", {}).get(name, {}).get("value")
+    return value if isinstance(value, (int, float)) else None
+
+
+def spread(values: list[float]):
+    """(median, q1, q3) with statistics.quantiles' default method."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return statistics.median(values), q1, q3
+
+
+def verdict(metric: dict, parent: list[float], change: list[float]):
+    """(verdict, relative move of the medians) for one metric."""
+    p_med, p_q1, p_q3 = spread(parent)
+    c_med, c_q1, c_q3 = spread(change)
+    if p_med == 0:
+        move = 0.0 if c_med == 0 else float("inf") * (1 if c_med > 0 else -1)
+    else:
+        move = (c_med - p_med) / abs(p_med)
+    worse_by = move if metric["better"] == "lower" else -move
+    if worse_by <= metric["bound"]:
+        return "ok", move
+    overlap = max(p_q1, c_q1) <= min(p_q3, c_q3)
+    return ("unresolved" if overlap else "worse"), move
+
+
+def wins(metric: dict, parent: dict[int, float], change: dict[int, float]):
+    """(pairs the change wins, same-seed pairs)."""
+    seeds = sorted(set(parent) & set(change))
+    lower = metric["better"] == "lower"
+    won = sum(1 for s in seeds
+              if (change[s] < parent[s] if lower else change[s] > parent[s]))
+    return won, len(seeds)
+
+
+def fmt(value: float) -> str:
+    return f"{value:.4g}"
+
+
+def compare(spec: dict, parent_dir: str, change_dir: str, out=sys.stdout):
+    """Prints the comparison; returns (exit status, {(workload, metric): verdict})."""
+    sides = {"parent": load_side(parent_dir), "change": load_side(change_dir)}
+    verdicts: dict[tuple[str, str], str] = {}
+    status = 0
+
+    workloads = [w["name"] for w in spec["workloads"]]
+    header = (f"{'workload':<14} {'metric':<12} {'parent median [q1, q3]':<30} {'n':>2}  "
+              f"{'change median [q1, q3]':<30} {'n':>2}  {'move':>8}  {'wins':>5}  verdict")
+    print(header, file=out)
+    for workload in workloads:
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            per_seed = {}
+            for side, runs in sides.items():
+                values = {}
+                for seed, doc in runs.get(workload, {}).items():
+                    value = metric_value(doc, name)
+                    if value is not None:
+                        values[seed] = value
+                per_seed[side] = values
+            parent, change = per_seed["parent"], per_seed["change"]
+            if not parent or not change:
+                print(f"{workload:<14} {name:<12} missing on "
+                      f"{'parent' if not parent else 'change'} side", file=out)
+                continue
+            result, move = verdict(metric, list(parent.values()), list(change.values()))
+            verdicts[(workload, name)] = result
+            if result == "worse":
+                status = 1
+            won, pairs = wins(metric, parent, change)
+            cells = []
+            for values in (parent, change):
+                med, q1, q3 = spread(list(values.values()))
+                cells.append(f"{fmt(med) + ' [' + fmt(q1) + ', ' + fmt(q3) + ']':<30} "
+                             f"{len(values):>2}")
+            print(f"{workload:<14} {name:<12} {cells[0]}  {cells[1]}  "
+                  f"{move * 100:>+7.1f}%  {f'{won}/{pairs}':>5}  {result}", file=out)
+
+    print("", file=out)
+    shares = {}
+    for side, runs in sides.items():
+        attempted = failed = 0
+        for workload in sorted(runs):
+            w_attempted = sum(doc.get("attempted", 0) for doc in runs[workload].values())
+            w_failed = sum(doc.get("failed", 0) for doc in runs[workload].values())
+            attempted += w_attempted
+            failed += w_failed
+            print(f"{side} {workload}: attempted={w_attempted} failed={w_failed}", file=out)
+            for seed in sorted(runs[workload]):
+                doc = runs[workload][seed]
+                if doc.get("correct") is not True:
+                    print(f"{side}: correct is false in {doc['_path']}", file=out)
+                    status = 1
+        shares[side] = failed / attempted if attempted else 0.0
+    if shares["change"] > shares["parent"]:
+        print(f"failed share rose: {shares['parent']:.6g} -> {shares['change']:.6g}", file=out)
+        status = 1
+    counts = {v: list(verdicts.values()).count(v) for v in ("ok", "unresolved", "worse")}
+    print(f"verdicts: {counts['ok']} ok, {counts['unresolved']} unresolved, "
+          f"{counts['worse']} worse; exit {status}", file=out)
+    return status, verdicts
+
+
+# -------------------------------------------------------------- self-test --
+
+def self_test() -> int:
+    spec = {
+        "workloads": [{"name": "w"}],
+        "end_to_end": [
+            {"name": "t_s", "better": "lower", "bound": 0.2},
+            {"name": "ops", "better": "higher", "bound": 0.1},
+        ],
+    }
+
+    def write(directory, seed, t_s, ops, correct=True, attempted=10, failed=0):
+        doc = {"workload": "w", "seed": str(seed), "correct": correct,
+               "attempted": attempted, "failed": failed,
+               "metrics": {"t_s": {"value": t_s}, "ops": {"value": ops}}}
+        with open(os.path.join(directory, f"result-w-seed{seed}-trace0.json"), "w") as f:
+            json.dump(doc, f)
+
+    def run(parent_rows, change_rows):
+        """parent_rows/change_rows: lists of write() keyword dicts."""
+        with tempfile.TemporaryDirectory() as tmp:
+            dirs = []
+            for side, rows in (("parent", parent_rows), ("change", change_rows)):
+                d = os.path.join(tmp, side)
+                os.makedirs(d)
+                for seed, row in enumerate(rows, start=1):
+                    write(d, seed, **row)
+                dirs.append(d)
+            sink = open(os.devnull, "w")
+            try:
+                return compare(spec, dirs[0], dirs[1], out=sink)
+            finally:
+                sink.close()
+
+    def rows(t_values, ops_values, **extra):
+        return [dict(t_s=t, ops=o, **extra) for t, o in zip(t_values, ops_values)]
+
+    base_t = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00]
+    base_ops = [100, 101, 99, 100, 102, 98]
+    cases = [
+        # (label, parent, change, want t_s verdict, want ops verdict, want exit)
+        ("same", rows(base_t, base_ops), rows(base_t, base_ops), "ok", "ok", 0),
+        ("faster", rows(base_t, base_ops), rows([t / 2 for t in base_t], base_ops),
+         "ok", "ok", 0),
+        ("tight regression", rows(base_t, base_ops),
+         rows([t * 1.5 for t in base_t], base_ops), "worse", "ok", 1),
+        ("noisy regression", rows(base_t, base_ops),
+         rows([0.9, 1.3, 1.4, 1.25, 2.0, 0.95], base_ops), "unresolved", "ok", 0),
+        ("within bound", rows(base_t, base_ops),
+         rows([t * 1.15 for t in base_t], base_ops), "ok", "ok", 0),
+        ("higher-is-better drop", rows(base_t, base_ops),
+         rows(base_t, [o * 0.5 for o in base_ops]), "ok", "worse", 1),
+        ("incorrect file", rows(base_t, base_ops),
+         rows(base_t, base_ops)[:5] + rows([1.0], [100], correct=False), "ok", "ok", 1),
+        ("failed share rose", rows(base_t, base_ops),
+         rows(base_t, base_ops, failed=1), "ok", "ok", 1),
+    ]
+    bad = 0
+    for label, parent, change, want_t, want_ops, want_exit in cases:
+        status, verdicts = run(parent, change)
+        got = (verdicts.get(("w", "t_s")), verdicts.get(("w", "ops")), status)
+        if got != (want_t, want_ops, want_exit):
+            print(f"self-test FAIL [{label}]: got {got}, want "
+                  f"{(want_t, want_ops, want_exit)}")
+            bad += 1
+    if bad:
+        return 1
+    print(f"bench_compare.py self-test: {len(cases)} cases passed")
+    return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_dir", nargs="?")
+    parser.add_argument("change_dir", nargs="?")
+    parser.add_argument("--self-test", action="store_true",
+                        help="check the verdicts on synthetic result sets")
+    args = parser.parse_args()
+    if args.self_test:
+        return self_test()
+    if args.parent_dir is None or args.change_dir is None:
+        parser.error("PARENT_DIR and CHANGE_DIR are required")
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    status, _ = compare(spec, args.parent_dir, args.change_dir)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
