@@ -1,21 +1,19 @@
 // The multi-tenant serving tier under load: one writer replays a
 // sliding-window update stream and publishes each settled answer into the
-// epoch-based AnswerPlane while a QueryService reader pool answers a
-// closed-loop client workload of batched density/membership/snapshot
-// queries. Measures what serving costs the writer and what latency the
-// readers deliver.
+// epoch-based AnswerPlane while a paced client answers its batched
+// density/membership/snapshot queries off the plane through a
+// QueryService, on the client's own thread. Measures what serving costs
+// the writer and what latency the service delivers.
 //
 // Usage: bench_serve [smoke]
 //
-//   smoke    CI gate: fails (exit 1) when the writer under concurrent
-//            serving (4 readers + a paced client) sustains less than 80%
-//            of its standalone apply throughput, when any query batch
-//            fails with a non-backpressure status, when fewer than 100
-//            queries are actually served, or when any answer a client
-//            observed is not bit-for-bit one writer publication (a torn
-//            read). Emits bench_results/BENCH_serve.json either way.
-//   (none)   figure mode: serving latency percentiles and writer
-//            throughput across reader-pool sizes.
+// The smoke gate is the only mode: it fails (exit 1) when the metrics
+// registry costs the standalone writer more than 2%, when the writer
+// under concurrent serving sustains less than 80% of its standalone apply
+// throughput, when any query batch fails with a status other than a
+// retryable shed, when fewer than 100 queries are actually served, or when
+// any answer the client observed is not bit-for-bit one writer
+// publication (a torn read). Emits bench_results/BENCH_serve.json either way.
 
 #include <algorithm>
 #include <atomic>
@@ -45,7 +43,6 @@ using namespace densest;
 /// The smoke contract: serving must cost the writer at most this fraction
 /// of its standalone apply throughput.
 constexpr double kMinServingRatio = 0.80;
-constexpr size_t kReaders = 4;
 constexpr double kClientQps = 2000;
 constexpr size_t kClientBatch = 16;
 
@@ -100,18 +97,15 @@ struct ServingRun {
 };
 
 StatusOr<ServingRun> RunServing(const std::vector<EdgeUpdate>& updates,
-                                NodeId num_nodes, size_t readers,
-                                bool keep_observations) {
+                                NodeId num_nodes) {
   ServingRun run;
   auto engine = DynamicDensest::Create(num_nodes);
   if (!engine.ok()) return engine.status();
   MemoryUpdateStream stream(updates, num_nodes);
 
   AnswerPlane plane(num_nodes);
-  if (keep_observations) plane.EnableWriterLog();
-  QueryServiceOptions qopt;
-  qopt.num_readers = readers;
-  QueryService service(plane, qopt);
+  plane.EnableWriterLog();
+  QueryService service(plane, {});
 
   ReplayOptions ropt;
   ropt.query_every = 0;
@@ -151,13 +145,11 @@ StatusOr<ServingRun> RunServing(const std::vector<EdgeUpdate>& updates,
     if (s.ok()) {
       ++run.batches_ok;
       run.queries_observed += results.size();
-      if (keep_observations) {
-        for (size_t i = 0; i < results.size(); ++i) {
-          run.observations.push_back({queries[i], std::move(results[i])});
-        }
+      for (size_t i = 0; i < results.size(); ++i) {
+        run.observations.push_back({queries[i], std::move(results[i])});
       }
     } else if (s.code() == Status::Code::kUnavailable) {
-      ++run.batches_shed;  // backpressure is a normal serving outcome
+      ++run.batches_shed;  // a retryable shed is a normal serving outcome
     } else {
       client_status = s;
       break;
@@ -177,7 +169,7 @@ StatusOr<ServingRun> RunServing(const std::vector<EdgeUpdate>& updates,
   run.publications = plane.epoch();
   run.stats = service.stats();
   run.final_answer = plane.ReadAnswer();
-  if (keep_observations) run.writer_log = plane.writer_log();
+  run.writer_log = plane.writer_log();
   return run;
 }
 
@@ -236,7 +228,7 @@ uint64_t CountTornReads(const ServingRun& run) {
 
 int RunSmoke() {
   bench::Banner("Serving tier [smoke]",
-                "writer throughput under concurrent readers + torn-read gate");
+                "writer throughput under concurrent serving + torn-read gate");
   bench::BenchJson json("serve");
   bool ok = true;
 
@@ -288,8 +280,7 @@ int RunSmoke() {
   StatusOr<ServingRun> serving = Status::Internal("never ran");
   uint64_t torn = 0;
   for (int attempt = 0; attempt < 2; ++attempt) {
-    StatusOr<ServingRun> r =
-        RunServing(updates, num_nodes, kReaders, /*keep_observations=*/true);
+    StatusOr<ServingRun> r = RunServing(updates, num_nodes);
     if (!r.ok()) {
       std::printf("FAIL: %s\n", r.status().ToString().c_str());
       return 1;
@@ -309,9 +300,9 @@ int RunSmoke() {
   json.Add("latency_p50_us", serving->stats.latency_p50_us);
   json.Add("latency_p99_us", serving->stats.latency_p99_us);
   std::printf(
-      "serving writer (%zu readers, %.0f qps client): %.2fM updates/s "
+      "serving writer (%.0f qps client): %.2fM updates/s "
       "(%.0f%% of standalone, gate >=%.0f%%), %llu publications\n",
-      kReaders, kClientQps, serving->updates_per_sec / 1e6, 100 * ratio,
+      kClientQps, serving->updates_per_sec / 1e6, 100 * ratio,
       100 * kMinServingRatio,
       static_cast<unsigned long long>(serving->publications));
   std::printf(
@@ -374,43 +365,12 @@ int RunSmoke() {
   return ok ? 0 : 1;
 }
 
-int RunFigure() {
-  bench::Banner("Serving tier",
-                "writer throughput and query latency across reader pools");
-  auto csv = bench::OpenCsv(
-      "serve", {"readers", "updates_per_sec", "publications",
-                "queries_served", "latency_p50_us", "latency_p99_us"});
-  const std::vector<EdgeUpdate> updates = MakeWorkload();
-  const NodeId num_nodes = 32768;
-  for (const size_t readers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    StatusOr<ServingRun> run =
-        RunServing(updates, num_nodes, readers, /*keep_observations=*/false);
-    if (!run.ok()) {
-      std::printf("FAIL: %s\n", run.status().ToString().c_str());
-      return 1;
-    }
-    std::printf(
-        "readers=%zu  %6.2fM updates/s  %llu publications  %llu queries  "
-        "p50=%.1fus p99=%.1fus\n",
-        readers, run->updates_per_sec / 1e6,
-        static_cast<unsigned long long>(run->publications),
-        static_cast<unsigned long long>(run->stats.queries_served),
-        run->stats.latency_p50_us, run->stats.latency_p99_us);
-    if (csv.ok()) {
-      csv->AddRow({std::to_string(readers),
-                   CsvWriter::Num(run->updates_per_sec),
-                   std::to_string(run->publications),
-                   std::to_string(run->stats.queries_served),
-                   CsvWriter::Num(run->stats.latency_p50_us),
-                   CsvWriter::Num(run->stats.latency_p99_us)});
-    }
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "smoke") == 0) return RunSmoke();
-  return RunFigure();
+  if (argc > 1 && std::strcmp(argv[1], "smoke") != 0) {
+    std::fprintf(stderr, "usage: bench_serve [smoke]\n");
+    return 2;
+  }
+  return RunSmoke();
 }

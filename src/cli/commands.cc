@@ -566,11 +566,9 @@ Status CmdServe(const Args& args, std::ostream& out) {
   StatusOr<int64_t> window = args.GetInt("window", 0);
   StatusOr<double> rate = args.GetDouble("rate", 0.0);
   StatusOr<int64_t> publish_every = args.GetInt("publish-every", 1024);
-  StatusOr<int64_t> readers = args.GetInt("readers", 4);
   StatusOr<double> qps = args.GetDouble("qps", 2000.0);
   std::string mix_flag = args.GetString("query-mix", "80,15,5");
   StatusOr<int64_t> batch = args.GetInt("batch", 8);
-  StatusOr<int64_t> queue_capacity = args.GetInt("queue-capacity", 64);
   StatusOr<double> deadline_ms = args.GetDouble("deadline-ms", 0.0);
   StatusOr<int64_t> seed = args.GetInt("seed", 1);
   StatusOr<int64_t> evict_batch = args.GetInt("evict-batch", 1);
@@ -580,19 +578,16 @@ Status CmdServe(const Args& args, std::ostream& out) {
         window.ok() ? Status::OK() : window.status(),
         rate.ok() ? Status::OK() : rate.status(),
         publish_every.ok() ? Status::OK() : publish_every.status(),
-        readers.ok() ? Status::OK() : readers.status(),
         qps.ok() ? Status::OK() : qps.status(),
         batch.ok() ? Status::OK() : batch.status(),
-        queue_capacity.ok() ? Status::OK() : queue_capacity.status(),
         deadline_ms.ok() ? Status::OK() : deadline_ms.status(),
         seed.ok() ? Status::OK() : seed.status(),
         evict_batch.ok() ? Status::OK() : evict_batch.status(),
         stats_every.ok() ? Status::OK() : stats_every.status()}) {
     if (!s.ok()) return s;
   }
-  if (*readers < 1 || *batch < 1 || *queue_capacity < 1) {
-    return Status::InvalidArgument(
-        "--readers/--batch/--queue-capacity must be >= 1");
+  if (*batch < 1) {
+    return Status::InvalidArgument("--batch must be >= 1");
   }
   if (*window < 0 || *publish_every < 0 || *qps < 0 || *deadline_ms < 0 ||
       *evict_batch < 1 || *stats_every < 0) {
@@ -640,13 +635,10 @@ Status CmdServe(const Args& args, std::ostream& out) {
   }
 
   // The serving tier: the replay thread is the plane's single writer; the
-  // reader pool answers the closed-loop client workload below without
+  // closed-loop client below answers its own batches off the plane without
   // ever touching the writer.
   AnswerPlane plane(num_nodes);
-  QueryServiceOptions qopt;
-  qopt.num_readers = static_cast<size_t>(*readers);
-  qopt.queue_capacity = static_cast<size_t>(*queue_capacity);
-  QueryService service(plane, qopt);
+  QueryService service(plane, {});
 
   CancelToken writer_cancel;
   ReplayOptions replay_opt;
@@ -735,7 +727,7 @@ Status CmdServe(const Args& args, std::ostream& out) {
   out << "serve (eps=" << *eps
       << (*window > 0 ? ", sliding window " + std::to_string(*window)
                       : std::string(", insert-only"))
-      << ", readers=" << *readers << "): rho=" << final_answer.density;
+      << "): rho=" << final_answer.density;
   if (final_answer.certified) {
     out << " certified rho* < " << final_answer.upper_bound;
   } else {
@@ -1004,20 +996,20 @@ std::string CliUsage() {
       "      updates) completes. --check-invariants audits the level\n"
       "      structures at every checkpoint\n"
       "  serve <graph> [--eps=0.75] [--window=W] [--rate=R]\n"
-      "      [--publish-every=1024] [--readers=4] [--qps=2000]\n"
-      "      [--query-mix=80,15,5[,T]] [--batch=8] [--queue-capacity=64]\n"
+      "      [--publish-every=1024] [--qps=2000]\n"
+      "      [--query-mix=80,15,5[,T]] [--batch=8]\n"
       "      [--deadline-ms=0] [--seed=1] [--evict-batch=1]\n"
       "      [--stats-every=N]\n"
       "      multi-tenant serving: one writer thread replays the graph's\n"
       "      update stream and publishes each settled answer into an\n"
-      "      epoch-based snapshot-isolated plane, while --readers reader\n"
-      "      threads answer a closed-loop client workload of batched\n"
+      "      epoch-based snapshot-isolated plane, while one client thread\n"
+      "      answers a closed-loop workload of batched\n"
       "      density/membership/snapshot/stats queries (--query-mix\n"
       "      weights; the optional 4th weight draws live-metrics stats\n"
-      "      queries) at\n"
-      "      --qps. Reports writer throughput, publication count, and\n"
-      "      serving latency percentiles; a full queue sheds batches with\n"
-      "      a retryable kUnavailable, --deadline-ms bounds each batch\n"
+      "      queries) off the plane at --qps. Reports writer throughput,\n"
+      "      publication count, and serving latency percentiles;\n"
+      "      --deadline-ms bounds each batch, which stops serving when\n"
+      "      its deadline passes\n"
       "  chaos [--smoke] [--schedules=20] [--seed=1] [--verbose]\n"
       "      [--nodes=70 --edges=1200 --window=150 --eps=0.6]\n"
       "      [--checkpoint-every=300 --snapshot-every=100]\n"

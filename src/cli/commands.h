@@ -58,14 +58,14 @@ Status CmdDynamic(const Args& args, std::ostream& out);
 /// `serve <graph>`: the multi-tenant serving tier. One writer thread
 /// replays the graph's update stream into a DynamicDensest engine and
 /// publishes every settled answer into an epoch-based snapshot-isolated
-/// AnswerPlane; a pool of reader threads (serve/query_service.h) answers
-/// a closed-loop client workload of batched density/membership/snapshot
-/// queries off the plane. Reports writer throughput, publication count,
-/// client outcomes (ok/shed/expired) and serving latency percentiles.
+/// AnswerPlane; one closed-loop client thread answers its batched
+/// density/membership/snapshot queries off the plane through a
+/// QueryService (serve/query_service.h). Reports writer throughput,
+/// publication count, client outcomes (ok/shed/expired) and serving
+/// latency percentiles.
 /// Flags: --eps (0.75), --window (0), --rate (0), --publish-every (1024),
-///        --readers (4), --qps (2000, 0 = unthrottled),
-///        --query-mix (80,15,5), --batch (8), --queue-capacity (64),
-///        --deadline-ms (0), --seed (1), --evict-batch (1).
+///        --qps (2000, 0 = unthrottled), --query-mix (80,15,5),
+///        --batch (8), --deadline-ms (0), --seed (1), --evict-batch (1).
 Status CmdServe(const Args& args, std::ostream& out);
 
 /// `chaos`: randomized chaos/soak harness over the failpoint registry

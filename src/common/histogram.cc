@@ -31,51 +31,6 @@ void Histogram::Add(double value) {
   }
 }
 
-void Histogram::Merge(const Histogram& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0 && other.sample_.size() <= capacity_) {
-    // Adopt other's retained sample wholesale (clipped reservoirs keep
-    // their own capacity_; a bigger donor falls through to the resample).
-    count_ = other.count_;
-    sum_ = other.sum_;
-    min_ = other.min_;
-    max_ = other.max_;
-    sample_ = other.sample_;
-    return;
-  }
-  const uint64_t merged_count = count_ + other.count_;
-  const double merged_sum = sum_ + other.sum_;
-  const double merged_min = std::min(min_, other.min_);
-  const double merged_max = std::max(max_, other.max_);
-  if (sample_.size() + other.sample_.size() <= capacity_) {
-    sample_.insert(sample_.end(), other.sample_.begin(), other.sample_.end());
-  } else {
-    // Rebuild the reservoir: draw capacity_ values, each from this pool
-    // or other's proportionally to true observation mass (not retained
-    // sizes — a 10^6-count reservoir and a 10^2-count one retain equally
-    // many values but deserve very different weight). Sampling is with
-    // replacement within each pool, which is the standard approximation
-    // for merging reservoirs without replaying the streams.
-    std::vector<double> merged;
-    merged.reserve(capacity_);
-    for (size_t i = 0; i < capacity_; ++i) {
-      const uint64_t pick = SplitMix64(rng_state_) % merged_count;
-      const std::vector<double>* pool =
-          pick < count_ ? &sample_ : &other.sample_;
-      // A capacity-0 donor (or an empty self with an oversized donor) has
-      // mass but no retained values; fall back to the non-empty pool.
-      if (pool->empty()) pool = pool == &sample_ ? &other.sample_ : &sample_;
-      if (pool->empty()) break;
-      merged.push_back((*pool)[SplitMix64(rng_state_) % pool->size()]);
-    }
-    sample_ = std::move(merged);
-  }
-  count_ = merged_count;
-  sum_ = merged_sum;
-  min_ = merged_min;
-  max_ = merged_max;
-}
-
 double Histogram::Mean() const {
   return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
 }

@@ -20,15 +20,6 @@ class Histogram {
   /// Records one observation.
   void Add(double value);
 
-  /// Folds `other` into this histogram, as if this one had also seen all
-  /// of other's observations. Count / sum / min / max are exact. The
-  /// retained sample is exact while the combined samples fit capacity;
-  /// beyond that it is rebuilt by sampling the two pools proportionally
-  /// to their observation counts (deterministic, seeded off rng_state_),
-  /// so quantiles stay approximations of the merged distribution. Used to
-  /// combine per-thread / per-reader histograms at report time.
-  void Merge(const Histogram& other);
-
   /// Number of observations recorded.
   uint64_t count() const { return count_; }
   /// Mean of all observations (0 if empty).

@@ -18,7 +18,6 @@
 #ifndef DENSEST_COMMON_MUTEX_H_
 #define DENSEST_COMMON_MUTEX_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -78,19 +77,6 @@ class CondVar {
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     cv_.wait(lock);
     lock.release();
-  }
-
-  /// Like Wait(), but gives up after `ms` milliseconds. Returns false on
-  /// timeout, true when notified (spurious wakeups report true too — the
-  /// caller's predicate loop re-checks either way). Deadline-bounded
-  /// waiters (a query submitter holding a CancelToken deadline) poll their
-  /// predicate through this instead of blocking unboundedly.
-  bool WaitFor(Mutex& mu, double ms) DENSEST_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    const std::cv_status status =
-        cv_.wait_for(lock, std::chrono::duration<double, std::milli>(ms));
-    lock.release();
-    return status == std::cv_status::no_timeout;
   }
 
   void NotifyOne() { cv_.notify_one(); }

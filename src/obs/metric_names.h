@@ -80,17 +80,17 @@ inline constexpr std::string_view kCounterNames[] = {
     "mr.shuffle_records",
     // Bytes the shuffle spilled to disk under its budget.
     "mr.spill_bytes",
-    // Query batches completed OK by the reader pool.
+    // Query batches the QueryService answered OK.
     "serve.batches_served",
     // Batches that hit their deadline / cancel token.
     "serve.expired",
-    // Batches failed at dequeue (armed serve.dequeue seam).
+    // Admitted batches failed before serving (armed serve.dequeue seam).
     "serve.failed",
     // Epoch publications into the answer plane.
     "serve.publications",
     // Individual queries answered inside served batches.
     "serve.queries_served",
-    // Batches shed at submit (queue full or armed serve.enqueue seam).
+    // Batches shed at admission (armed serve.enqueue seam).
     "serve.shed",
     // `stats` queries served (in-process scrapes of this catalogue).
     "serve.stats_queries",
@@ -104,8 +104,6 @@ inline constexpr std::string_view kGaugeNames[] = {
     "serve.answer_age_us",
     // The plane's current publication epoch.
     "serve.answer_epoch",
-    // Batches queued and not yet picked up by a reader.
-    "serve.queue_depth",
 };
 
 /// Histogram metrics: log2-bucketed distributions of non-negative values
@@ -113,7 +111,7 @@ inline constexpr std::string_view kGaugeNames[] = {
 inline constexpr std::string_view kHistogramNames[] = {
     // Engine Query() latency sampled on the replay's query cadence.
     "dynamic.query_latency_us",
-    // Per-batch serving latency (enqueue to completion).
+    // Per-batch serving latency (admission to completion).
     "serve.batch_latency_us",
     // Writer-side cost of one Publish (query + witness walk + seqlock).
     "serve.publish_latency_us",
@@ -148,7 +146,7 @@ inline constexpr std::string_view kTraceSpanNames[] = {
     "mr.map_phase",
     // The reduce phase of one MapReduce job.
     "mr.reduce_phase",
-    // One query batch answered off the plane by a reader thread.
+    // One query batch answered off the plane on its caller's thread.
     "serve.batch",
 };
 

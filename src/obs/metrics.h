@@ -13,7 +13,7 @@
 //     calling thread rarely shares.
 //   - Counters are striped across 8 cache-line-aligned atomics; each
 //     thread picks a stripe once (round-robin thread_local), so writer,
-//     reader-pool, and engine-pool threads don't bounce one line. Value()
+//     query-client, and engine-pool threads don't bounce one line. Value()
 //     and Collect() sum the stripes.
 //   - Unregistered names abort: lint enforces the registry statically
 //     (tools/lint.py --self-test covers it), so hitting the abort means a

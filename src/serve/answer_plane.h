@@ -3,8 +3,9 @@
 // density / membership / snapshot query needs to answer without touching
 // the writer — the scalar Answer, the update-stream prefix it corresponds
 // to, and a membership bitset of the witnessing node set — double-written
-// behind an EpochSeqLock (common/epoch.h) so a pool of readers snapshots
-// it wait-free-with-retry while the single writer streams updates.
+// behind an EpochSeqLock (common/epoch.h) so any number of reader
+// threads snapshot it wait-free-with-retry while the single writer
+// streams updates.
 //
 // Memory-ordering contract (the seqlock discipline, spelled out once here
 // and relied on by QueryService and the chaos/stress harnesses):

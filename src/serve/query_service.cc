@@ -1,9 +1,9 @@
 #include "serve/query_service.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/failpoint.h"
+#include "common/timer.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -12,46 +12,22 @@ namespace densest {
 
 QueryService::QueryService(const AnswerPlane& plane,
                            const QueryServiceOptions& options)
-    : plane_(plane),
-      options_(options),
-      start_(std::chrono::steady_clock::now()) {
-  const size_t readers = std::max<size_t>(1, options_.num_readers);
-  reader_slots_.reserve(readers);
-  for (size_t i = 0; i < readers; ++i) {
-    reader_slots_.push_back(std::make_unique<ReaderSlot>());
-  }
-  readers_.reserve(readers);
-  for (size_t i = 0; i < readers; ++i) {
-    readers_.emplace_back([this, i] { ReaderLoop(i); });
-  }
-}
+    : plane_(plane), options_(options) {}
 
-QueryService::~QueryService() { Stop(); }
+void QueryService::Stop() { stopped_.store(true); }
 
-void QueryService::Stop() {
-  {
-    MutexLock lock(mu_);
-    stopping_ = true;
-  }
-  work_cv_.NotifyAll();
-  done_cv_.NotifyAll();
-  for (std::thread& t : readers_) {
-    if (t.joinable()) t.join();
-  }
-}
-
-double QueryService::NowMicros() const {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - start_)
-      .count();
-}
-
-void QueryService::Serve(Ticket& t) const {
+Status QueryService::Serve(std::span<const ServeQuery> queries,
+                           const CancelToken* token,
+                           std::vector<ServeResult>* results) const {
   DENSEST_TRACE_SPAN("serve.batch");
-  t.results.resize(t.queries.size());
-  for (size_t i = 0; i < t.queries.size(); ++i) {
-    const ServeQuery& q = t.queries[i];
-    ServeResult& r = t.results[i];
+  results->resize(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (ShouldStop(token)) {
+      results->clear();
+      return token->Check();
+    }
+    const ServeQuery& q = queries[i];
+    ServeResult& r = (*results)[i];
     switch (q.kind) {
       case ServeQuery::Kind::kDensity:
         r.answer = plane_.ReadAnswer();
@@ -81,68 +57,33 @@ void QueryService::Serve(Ticket& t) const {
       }
     }
   }
+  return Status::OK();
 }
 
-void QueryService::ReaderLoop(size_t reader_index) {
-  while (true) {
-    std::shared_ptr<Ticket> ticket;
-    Status status = Status::OK();
-    {
-      MutexLock lock(mu_);
-      while (queue_.empty() && !stopping_) work_cv_.Wait(mu_);
-      if (stopping_) return;
-      ticket = std::move(queue_.front());
-      queue_.pop_front();
-      DENSEST_METRIC_GAUGE("serve.queue_depth")
-          .Set(static_cast<double>(queue_.size()));
-      if (ticket->abandoned) continue;  // submitter already gave up
-      // The deadline check must happen while the mutex still pins the
-      // token: an abandoning submitter nulls `cancel` under mu_ and only
-      // then returns (destroying the token), so outside the lock the
-      // pointer may dangle.
-      if (ShouldStop(ticket->cancel)) {
-        status = ticket->cancel->Check();
-      }
-    }
-    if (status.ok() &&
-        DENSEST_FAILPOINT("serve.dequeue") != FailpointAction::kNone) {
-      status = Status::Unavailable("injected serve.dequeue fault");
-    }
-    if (status.ok()) Serve(*ticket);
-
-    double waited = -1;
-    size_t served = 0;
-    {
-      MutexLock lock(mu_);
-      if (ticket->abandoned) continue;
-      ticket->status = status;
-      ticket->done = true;
-      if (status.ok()) {
-        ++batches_served_;
-        served = ticket->queries.size();
-        queries_served_ += served;
-        waited = NowMicros() - ticket->enqueued_us;
-        DENSEST_METRIC_COUNTER("serve.batches_served").Inc();
-        DENSEST_METRIC_COUNTER("serve.queries_served").Inc(served);
-      } else if (status.code() == Status::Code::kUnavailable) {
-        ++failed_;
-        DENSEST_METRIC_COUNTER("serve.failed").Inc();
-      } else {
-        ++expired_;
-        DENSEST_METRIC_COUNTER("serve.expired").Inc();
-      }
-      done_cv_.NotifyAll();
-    }
-    if (waited >= 0) {
-      DENSEST_METRIC_HISTOGRAM("serve.batch_latency_us").Observe(waited);
-      // Per-query latency lands in this reader's own reservoir, off mu_;
-      // stats() merges the slots (Histogram::Merge).
-      ReaderSlot& slot = *reader_slots_[reader_index];
-      MutexLock lock(slot.mu);
-      for (size_t i = 0; i < served; ++i) {
-        slot.latency_us.Add(waited);
-      }
-    }
+void QueryService::Finish(Outcome outcome, size_t queries, double latency_us) {
+  MutexLock lock(mu_);
+  switch (outcome) {
+    case Outcome::kServed:
+      ++batches_served_;
+      queries_served_ += queries;
+      // Every query of the batch waited the batch's latency.
+      for (size_t i = 0; i < queries; ++i) latency_us_.Add(latency_us);
+      DENSEST_METRIC_COUNTER("serve.batches_served").Inc();
+      DENSEST_METRIC_COUNTER("serve.queries_served").Inc(queries);
+      DENSEST_METRIC_HISTOGRAM("serve.batch_latency_us").Observe(latency_us);
+      break;
+    case Outcome::kShed:
+      ++shed_;
+      DENSEST_METRIC_COUNTER("serve.shed").Inc();
+      break;
+    case Outcome::kFailed:
+      ++failed_;
+      DENSEST_METRIC_COUNTER("serve.failed").Inc();
+      break;
+    case Outcome::kExpired:
+      ++expired_;
+      DENSEST_METRIC_COUNTER("serve.expired").Inc();
+      break;
   }
 }
 
@@ -155,70 +96,35 @@ Status QueryService::QueryBatch(std::span<const ServeQuery> queries,
   results->clear();
   if (queries.empty()) return Status::OK();
   const CancelToken* token = cancel != nullptr ? cancel : options_.cancel;
-  if (Status c = CheckCancel(token); !c.ok()) return c;
-  // Admission-side fault seam: an armed action sheds exactly like a full
-  // queue would, so clients exercise their retry path.
+  if (Status c = CheckCancel(token); !c.ok()) {
+    Finish(Outcome::kExpired);
+    return c;
+  }
+  // Admission-side fault seam: an armed action sheds the batch, so
+  // clients exercise their retry path.
   if (DENSEST_FAILPOINT("serve.enqueue") != FailpointAction::kNone) {
-    MutexLock lock(mu_);
-    ++shed_;
-    DENSEST_METRIC_COUNTER("serve.shed").Inc();
+    Finish(Outcome::kShed);
     return Status::Unavailable("injected serve.enqueue shed");
   }
-
-  std::shared_ptr<Ticket> ticket = std::make_shared<Ticket>();
-  ticket->queries.assign(queries.begin(), queries.end());
-  ticket->cancel = token;
-
-  MutexLock lock(mu_);
-  if (stopping_) return Status::Unavailable("query service stopped");
-  const size_t capacity = std::max<size_t>(1, options_.queue_capacity);
-  if (queue_.size() >= capacity) {
-    ++shed_;
-    DENSEST_METRIC_COUNTER("serve.shed").Inc();
-    return Status::Unavailable("query queue full (backpressure)");
+  if (stopped_.load()) {
+    return Status::Unavailable("query service stopped");
   }
-  ticket->enqueued_us = NowMicros();
-  queue_.push_back(ticket);
-  DENSEST_METRIC_GAUGE("serve.queue_depth")
-      .Set(static_cast<double>(queue_.size()));
-  work_cv_.NotifyOne();
 
-  while (!ticket->done) {
-    if (stopping_) {
-      ticket->abandoned = true;
-      ticket->cancel = nullptr;
-      return Status::Unavailable("query service stopped");
-    }
-    if (ShouldStop(token)) {
-      // Give up on the batch but leave its storage to the ticket: a
-      // reader that already picked it up writes into ticket-owned
-      // vectors nobody will read.
-      ticket->abandoned = true;
-      ticket->cancel = nullptr;
-      ++expired_;
-      DENSEST_METRIC_COUNTER("serve.expired").Inc();
-      return token->Check();
-    }
-    if (token != nullptr) {
-      // Bounded wait so the deadline is observed within ~1ms even if no
-      // completion notification arrives.
-      done_cv_.WaitFor(mu_, 1.0);
-    } else {
-      done_cv_.Wait(mu_);
-    }
+  const WallTimer admitted;
+  Status status = DENSEST_FAILPOINT("serve.dequeue") != FailpointAction::kNone
+                      ? Status::Unavailable("injected serve.dequeue fault")
+                      : Serve(queries, token, results);
+  if (status.ok()) {
+    Finish(Outcome::kServed, queries.size(), admitted.ElapsedSeconds() * 1e6);
+  } else if (status.code() == Status::Code::kUnavailable) {
+    Finish(Outcome::kFailed);
+  } else {
+    Finish(Outcome::kExpired);
   }
-  if (ticket->status.ok()) *results = std::move(ticket->results);
-  return ticket->status;
+  return status;
 }
 
 QueryServiceStats QueryService::stats() const {
-  // Combine the per-reader reservoirs first (slot locks only), then take
-  // mu_ for the counters — the two lock levels never nest.
-  Histogram merged;
-  for (const std::unique_ptr<ReaderSlot>& slot : reader_slots_) {
-    MutexLock lock(slot->mu);
-    merged.Merge(slot->latency_us);
-  }
   MutexLock lock(mu_);
   QueryServiceStats s;
   s.batches_served = batches_served_;
@@ -226,9 +132,9 @@ QueryServiceStats QueryService::stats() const {
   s.shed = shed_;
   s.failed = failed_;
   s.expired = expired_;
-  s.latency_p50_us = merged.Quantile(0.5);
-  s.latency_p99_us = merged.Quantile(0.99);
-  s.latency_mean_us = merged.Mean();
+  s.latency_p50_us = latency_us_.Quantile(0.5);
+  s.latency_p99_us = latency_us_.Quantile(0.99);
+  s.latency_mean_us = latency_us_.Mean();
   return s;
 }
 

@@ -1,41 +1,32 @@
 // Copyright 2026 The densest Authors.
-// The serving front-end of the dynamic service: a pool of reader threads
-// draining a bounded queue of batched queries against an AnswerPlane.
+// The serving front-end of the dynamic service: batched queries answered
+// on the calling thread against an AnswerPlane.
 //
-// Shape: clients call QueryBatch() (synchronous — submit, wait, collect).
-// A batch becomes one ticket on a bounded FIFO; reader threads pop
-// tickets and answer every query in the batch straight off the plane
-// (seqlock reads — the writer is never touched, never blocked). The
-// ticket owns copies of the queries and results, so a submitter that
-// gives up on its deadline just abandons the ticket and the reader's
-// late writes land in ticket-private storage nobody reads.
+// Shape: clients call QueryBatch() (synchronous). The service owns no
+// thread and no queue: the caller answers its own batch straight off the
+// plane, one seqlock read per query (answer_plane.h) — the writer is never
+// touched, never blocked. A caller's thread count is its concurrency, so
+// the service needs no admission bound of its own.
 //
-// Backpressure: a full queue rejects the batch immediately with
-// kUnavailable — the transient class the repo's retry-with-backoff
-// machinery (common/retry.h) already understands — instead of queueing
-// into unbounded latency. Deadlines: per-batch via the existing
-// CancelToken; an expired token is observed by the submitter's bounded
-// wait and by readers at dequeue. SLO tracking: per-query latency
-// (enqueue to completion) lands in a common/histogram.h reservoir,
-// p50/p99 exposed through stats().
+// Deadlines: per-batch via the existing CancelToken, checked on entry and
+// before every query, so a batch stops serving as soon as its deadline
+// passes. SLO tracking: per-query latency (admission to completion) lands
+// in a common/histogram.h reservoir, p50/p99 exposed through stats().
 //
 // Failpoint seams (fault-injection tests and chaos):
-//   serve.enqueue   evaluated on every submit; any armed action sheds the
-//                   batch with kUnavailable before it queues
-//   serve.dequeue   evaluated by the reader that picks the batch up; any
-//                   armed action fails the batch with kUnavailable after
-//                   queueing (the client-visible difference is latency)
+//   serve.enqueue   evaluated on entry; any armed action sheds the batch
+//                   with kUnavailable (the retryable class common/retry.h
+//                   understands)
+//   serve.dequeue   evaluated after admission, just before serving; any
+//                   armed action fails the batch with kUnavailable
 
 #ifndef DENSEST_SERVE_QUERY_SERVICE_H_
 #define DENSEST_SERVE_QUERY_SERVICE_H_
 
-#include <chrono>
+#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/cancel.h"
@@ -71,13 +62,11 @@ struct ServeResult {
   std::string stats_text;       ///< kStats: Prometheus-style exposition
 };
 
-/// \brief Knobs for the reader pool.
+/// \brief Knobs for the query service.
 struct QueryServiceOptions {
-  /// Reader threads. Must be >= 1.
+  /// Unused: every batch is answered on its caller's thread. Kept because
+  /// the frozen perfbench harness sets it.
   size_t num_readers = 4;
-  /// Max batches queued (not yet picked up); a submit beyond this sheds
-  /// with kUnavailable. Must be >= 1.
-  size_t queue_capacity = 64;
   /// Per-batch cancellation/deadline observed by QueryBatch when the call
   /// site passes none. Null = no deadline.
   const CancelToken* cancel = nullptr;
@@ -87,32 +76,32 @@ struct QueryServiceOptions {
 struct QueryServiceStats {
   uint64_t batches_served = 0;
   uint64_t queries_served = 0;
-  uint64_t shed = 0;        ///< batches rejected at submit (queue full / failpoint)
-  uint64_t failed = 0;      ///< batches failed at dequeue (failpoint)
-  uint64_t expired = 0;     ///< batches that hit their deadline / cancel
+  uint64_t shed = 0;     ///< batches rejected at admission (failpoint)
+  uint64_t failed = 0;   ///< admitted, then failed before serving (failpoint)
+  uint64_t expired = 0;  ///< batches that hit their deadline / cancel
   double latency_p50_us = 0;
   double latency_p99_us = 0;
   double latency_mean_us = 0;
 };
 
-/// \brief N reader threads over a bounded MPMC batch queue. Thread-safe:
-/// any number of threads may call QueryBatch concurrently. Destruction
-/// stops and joins the readers; in-flight batches complete or expire.
+/// \brief Batched queries over an AnswerPlane, answered on the caller's
+/// thread. Thread-safe: any number of threads may call QueryBatch
+/// concurrently.
 class QueryService {
  public:
   QueryService(const AnswerPlane& plane, const QueryServiceOptions& options);
-  ~QueryService();
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Submits `queries` as one batch and waits for its results.
+  /// Answers `queries` as one batch on the calling thread.
   ///   OK                  -> `results` holds one entry per query, in order
-  ///   kUnavailable        -> shed (queue full, or an armed serve.* seam);
-  ///                          retryable — back off and resubmit
+  ///   kUnavailable        -> shed (service stopped, or an armed serve.*
+  ///                          seam); retryable — back off and resubmit
   ///   kCancelled /
   ///   kDeadlineExceeded   -> the batch's token tripped first
-  /// The token is the per-call `cancel` if non-null, else options.cancel.
+  /// On any non-OK status `results` is empty. The token is the per-call
+  /// `cancel` if non-null, else options.cancel.
   Status QueryBatch(std::span<const ServeQuery> queries,
                     std::vector<ServeResult>* results,
                     const CancelToken* cancel = nullptr);
@@ -120,55 +109,32 @@ class QueryService {
   /// Point-in-time counters + latency percentiles (reservoir quantiles).
   QueryServiceStats stats() const;
 
-  /// Stops the readers (idempotent; the destructor calls it). Queued
-  /// batches that no reader picked up before the stop expire with
-  /// kUnavailable.
+  /// Stops admission (idempotent): later batches get kUnavailable, and
+  /// batches already in service finish.
   void Stop();
 
  private:
-  /// One submitted batch. Queries/results are ticket-owned copies so an
-  /// abandoning submitter and a late reader never share storage.
-  struct Ticket {
-    std::vector<ServeQuery> queries;
-    std::vector<ServeResult> results;
-    Status status = Status::OK();
-    bool done = false;
-    bool abandoned = false;  ///< submitter gave up; drop, don't publish
-    const CancelToken* cancel = nullptr;  ///< nulled when abandoned
-    double enqueued_us = 0;  ///< service clock at submit
-  };
+  /// How one batch ended, for the counters.
+  enum class Outcome : uint8_t { kServed, kShed, kFailed, kExpired };
 
-  /// Per-reader latency reservoir: each reader records completions into
-  /// its own slot under its own mutex, and stats() combines the slots via
-  /// Histogram::Merge() — completion bookkeeping never contends on mu_
-  /// with admission.
-  struct ReaderSlot {
-    mutable Mutex mu;
-    Histogram latency_us DENSEST_GUARDED_BY(mu);
-  };
-
-  void ReaderLoop(size_t reader_index);
-  /// Answers every query in `t` off the plane (no locks held).
-  void Serve(Ticket& t) const;
-  double NowMicros() const;
+  /// Answers every query off the plane, checking `token` before each.
+  Status Serve(std::span<const ServeQuery> queries, const CancelToken* token,
+               std::vector<ServeResult>* results) const;
+  /// Counts one finished batch; a served one also records the latency of
+  /// each of its `queries`.
+  void Finish(Outcome outcome, size_t queries = 0, double latency_us = 0);
 
   const AnswerPlane& plane_;
   const QueryServiceOptions options_;
+  std::atomic<bool> stopped_{false};
 
   mutable Mutex mu_;
-  CondVar work_cv_;   // readers wait: queue non-empty or stopping
-  CondVar done_cv_;   // submitters wait: their ticket done
-  std::deque<std::shared_ptr<Ticket>> queue_ DENSEST_GUARDED_BY(mu_);
-  bool stopping_ DENSEST_GUARDED_BY(mu_) = false;
   uint64_t batches_served_ DENSEST_GUARDED_BY(mu_) = 0;
   uint64_t queries_served_ DENSEST_GUARDED_BY(mu_) = 0;
   uint64_t shed_ DENSEST_GUARDED_BY(mu_) = 0;
   uint64_t failed_ DENSEST_GUARDED_BY(mu_) = 0;
   uint64_t expired_ DENSEST_GUARDED_BY(mu_) = 0;
-  std::vector<std::unique_ptr<ReaderSlot>> reader_slots_;  // set in ctor
-
-  std::vector<std::thread> readers_;  // set in ctor, joined in Stop()
-  std::chrono::steady_clock::time_point start_;
+  Histogram latency_us_ DENSEST_GUARDED_BY(mu_);
 };
 
 }  // namespace densest

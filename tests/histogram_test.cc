@@ -59,70 +59,5 @@ TEST(HistogramTest, ToStringMentionsCount) {
   EXPECT_NE(h.ToString().find("count=2"), std::string::npos);
 }
 
-TEST(HistogramMergeTest, MergeIntoEmptyAdoptsDonor) {
-  Histogram a, b;
-  for (double x : {1.0, 2.0, 3.0}) b.Add(x);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.Sum(), 6.0);
-  EXPECT_EQ(a.Min(), 1.0);
-  EXPECT_EQ(a.Max(), 3.0);
-  EXPECT_NEAR(a.Quantile(0.5), 2.0, 1e-9);
-  // The donor is untouched.
-  EXPECT_EQ(b.count(), 3u);
-}
-
-TEST(HistogramMergeTest, MergeEmptyDonorIsNoOp) {
-  Histogram a, b;
-  a.Add(7.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_EQ(a.Quantile(0.5), 7.0);
-}
-
-TEST(HistogramMergeTest, ExactWhileCombinedSamplesFit) {
-  Histogram a, b;
-  for (int i = 1; i <= 50; ++i) a.Add(static_cast<double>(i));
-  for (int i = 51; i <= 101; ++i) b.Add(static_cast<double>(i));
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 101u);
-  EXPECT_EQ(a.Min(), 1.0);
-  EXPECT_EQ(a.Max(), 101.0);
-  EXPECT_NEAR(a.Quantile(0.5), 51.0, 1e-9);
-}
-
-TEST(HistogramMergeTest, ProportionalResampleBeyondCapacity) {
-  // Two reservoirs over disjoint uniform ranges, 3:1 by observation mass:
-  // the merged quantiles must reflect the 3:1 weighting even though the
-  // combined samples exceed capacity and must be resampled.
-  Histogram a(512), b(512);
-  for (int i = 0; i < 30000; ++i) a.Add(static_cast<double>(i % 1000));
-  for (int i = 0; i < 10000; ++i) {
-    b.Add(static_cast<double>(2000 + i % 1000));
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 40000u);
-  EXPECT_EQ(a.Min(), 0.0);
-  EXPECT_EQ(a.Max(), 2999.0);
-  // 75% of mass sits in [0,1000): p50 lands there, p90 in [2000,3000).
-  EXPECT_LT(a.Quantile(0.5), 1100.0);
-  EXPECT_GT(a.Quantile(0.9), 1900.0);
-}
-
-TEST(HistogramMergeTest, DeterministicAcrossIdenticalRuns) {
-  auto build = [] {
-    Histogram a(256), b(256);
-    for (int i = 0; i < 5000; ++i) a.Add(static_cast<double>(i % 97));
-    for (int i = 0; i < 5000; ++i) b.Add(static_cast<double>(100 + i % 89));
-    a.Merge(b);
-    return a;
-  };
-  Histogram first = build();
-  Histogram second = build();
-  for (double q : {0.1, 0.5, 0.9, 0.99}) {
-    EXPECT_DOUBLE_EQ(first.Quantile(q), second.Quantile(q));
-  }
-}
-
 }  // namespace
 }  // namespace densest

@@ -148,6 +148,28 @@ TEST_F(QueryServiceTest, ExpiredDeadlineReturnsDeadlineExceeded) {
   const std::vector<ServeQuery> queries = {{ServeQuery::Kind::kDensity, 0}};
   EXPECT_EQ(service.QueryBatch(queries, &results, &expired).code(),
             Status::Code::kDeadlineExceeded);
+
+  // A deadline that passes mid-batch: 200 snapshots of a 2^20-node plane
+  // outlast 1 ms by far, so the batch stops where the deadline finds it
+  // and hands back nothing.
+  constexpr NodeId kBigNodes = NodeId{1} << 20;
+  AnswerPlane big_plane(kBigNodes);
+  std::vector<NodeId> every_other;
+  for (NodeId v = 0; v < kBigNodes; v += 2) every_other.push_back(v);
+  big_plane.Publish(
+      MakeAnswer(1.0, 3.0, static_cast<NodeId>(every_other.size())),
+      every_other, 1);
+  QueryService big_service(big_plane, {});
+  const std::vector<ServeQuery> snapshots(
+      200, ServeQuery{ServeQuery::Kind::kSnapshot, 0});
+  const CancelToken one_ms = CancelToken::WithDeadlineAfterMs(1);
+  EXPECT_EQ(big_service.QueryBatch(snapshots, &results, &one_ms).code(),
+            Status::Code::kDeadlineExceeded);
+  EXPECT_TRUE(results.empty());
+  const QueryServiceStats stats = big_service.stats();
+  EXPECT_EQ(stats.expired, 1u);
+  EXPECT_EQ(stats.batches_served, 0u);
+  big_service.Stop();
 }
 
 TEST_F(QueryServiceTest, OptionsTokenAppliesWhenCallPassesNone) {

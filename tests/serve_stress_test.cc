@@ -134,7 +134,6 @@ TEST(ServeStressTest, ConcurrentReadersSeeOnlyWholePublications) {
     plane.EnableWriterLog();
     QueryServiceOptions qopt;
     qopt.num_readers = 2;
-    qopt.queue_capacity = 8;
     QueryService service(plane, qopt);
 
     std::atomic<bool> stop{false};

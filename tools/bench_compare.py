@@ -22,7 +22,8 @@ same-seed pairs the change wins. Each metric gets a verdict:
 
 It also prints each side's attempted and failed operations and names every
 file whose "correct" is false. Exit status 1 on any `worse` verdict, any
-such file, or a larger failed share on the change side; 0 otherwise.
+metric with no values on one side, any such file, or a larger failed share
+on the change side; 0 otherwise.
 --self-test checks the verdicts and the exit rule on synthetic result sets.
 """
 
@@ -122,6 +123,7 @@ def compare(spec: dict, parent_dir: str, change_dir: str, out=sys.stdout):
             if not parent or not change:
                 print(f"{workload:<14} {name:<12} missing on "
                       f"{'parent' if not parent else 'change'} side", file=out)
+                status = 1
                 continue
             result, move = verdict(metric, list(parent.values()), list(change.values()))
             verdicts[(workload, name)] = result
@@ -171,15 +173,19 @@ def self_test() -> int:
             {"name": "ops", "better": "higher", "bound": 0.1},
         ],
     }
+    # The same metrics over two workloads, for the missing-workload case.
+    two_workloads = dict(spec, workloads=[{"name": "w"}, {"name": "v"}])
 
-    def write(directory, seed, t_s, ops, correct=True, attempted=10, failed=0):
-        doc = {"workload": "w", "seed": str(seed), "correct": correct,
+    def write(directory, seed, t_s, ops, correct=True, attempted=10, failed=0,
+              workload="w"):
+        doc = {"workload": workload, "seed": str(seed), "correct": correct,
                "attempted": attempted, "failed": failed,
                "metrics": {"t_s": {"value": t_s}, "ops": {"value": ops}}}
-        with open(os.path.join(directory, f"result-w-seed{seed}-trace0.json"), "w") as f:
+        name = f"result-{workload}-seed{seed}-trace0.json"
+        with open(os.path.join(directory, name), "w") as f:
             json.dump(doc, f)
 
-    def run(parent_rows, change_rows):
+    def run(parent_rows, change_rows, spec=spec):
         """parent_rows/change_rows: lists of write() keyword dicts."""
         with tempfile.TemporaryDirectory() as tmp:
             dirs = []
@@ -201,7 +207,8 @@ def self_test() -> int:
     base_t = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00]
     base_ops = [100, 101, 99, 100, 102, 98]
     cases = [
-        # (label, parent, change, want t_s verdict, want ops verdict, want exit)
+        # (label, parent, change, want t_s verdict, want ops verdict, want
+        # exit[, spec])
         ("same", rows(base_t, base_ops), rows(base_t, base_ops), "ok", "ok", 0),
         ("faster", rows(base_t, base_ops), rows([t / 2 for t in base_t], base_ops),
          "ok", "ok", 0),
@@ -217,10 +224,14 @@ def self_test() -> int:
          rows(base_t, base_ops)[:5] + rows([1.0], [100], correct=False), "ok", "ok", 1),
         ("failed share rose", rows(base_t, base_ops),
          rows(base_t, base_ops, failed=1), "ok", "ok", 1),
+        ("empty change directory", rows(base_t, base_ops), [], None, None, 1),
+        ("workload only on parent side",
+         rows(base_t, base_ops) + rows(base_t, base_ops, workload="v"),
+         rows(base_t, base_ops), "ok", "ok", 1, two_workloads),
     ]
     bad = 0
-    for label, parent, change, want_t, want_ops, want_exit in cases:
-        status, verdicts = run(parent, change)
+    for label, parent, change, want_t, want_ops, want_exit, *case_spec in cases:
+        status, verdicts = run(parent, change, *case_spec)
         got = (verdicts.get(("w", "t_s")), verdicts.get(("w", "ops")), status)
         if got != (want_t, want_ops, want_exit):
             print(f"self-test FAIL [{label}]: got {got}, want "
