@@ -29,7 +29,6 @@ inline constexpr std::string_view kFailpointNames[] = {
     "edge_list.read",      // text edge-list parsing
     "edge_stream.read",    // BinaryFileEdgeStream prefetch fread
     "replay.crash",        // ReplayUpdates mid-replay process kill
-    "serve.dequeue",       // QueryService just before serving a batch
     "serve.enqueue",       // QueryService submit-side admission
     "snapshot.read",       // snapshot file read/decode
     "snapshot.write",      // snapshot temp-file write

@@ -105,12 +105,6 @@ struct IoRetryStats {
   }
 };
 
-/// Sleeps for the policy's backoff before retry number `retry` (0-based).
-inline void BackoffSleep(const RetryPolicy& policy, int retry) {
-  const auto us = static_cast<int64_t>(policy.DelayMs(retry) * 1000.0);
-  if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
-}
-
 }  // namespace densest
 
 #endif  // DENSEST_COMMON_RETRY_H_

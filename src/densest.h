@@ -9,7 +9,6 @@
 #ifndef DENSEST_DENSEST_H_
 #define DENSEST_DENSEST_H_
 
-#include "common/histogram.h"    // IWYU pragma: export
 #include "common/random.h"       // IWYU pragma: export
 #include "common/status.h"       // IWYU pragma: export
 #include "common/timer.h"        // IWYU pragma: export

@@ -74,11 +74,12 @@ Status TakeCheckpoint(DynamicDensest& engine, const ReplayOptions& options,
   return Status::OK();
 }
 
-void TimedQuery(DynamicDensest& engine, ReplayReport& report) {
+void TimedQuery(DynamicDensest& engine, obs::Histogram& latency_us,
+                ReplayReport& report) {
   WallTimer timer;
   const DynamicDensest::Answer answer = engine.Query();
   const double us = timer.ElapsedSeconds() * 1e6;
-  report.query_latency_us.Add(us);
+  latency_us.Observe(us);
   DENSEST_METRIC_HISTOGRAM("dynamic.query_latency_us").Observe(us);
   ++report.queries;
   // The answer itself is intentionally unused: the cadence exists to
@@ -92,6 +93,7 @@ StatusOr<ReplayReport> ReplayUpdates(UpdateStream& updates,
                                      DynamicDensest& engine,
                                      const ReplayOptions& options) {
   ReplayReport report;
+  obs::Histogram query_latency_us;
   const size_t batch_cap = std::max<size_t>(1, options.batch_size);
   std::vector<EdgeUpdate> batch(batch_cap);
   updates.Reset();
@@ -163,7 +165,7 @@ StatusOr<ReplayReport> ReplayUpdates(UpdateStream& updates,
       // returning, so the abort leaves it consistent and queryable).
       if (Status c = CheckCancel(options.cancel); !c.ok()) return c;
       if (options.query_every != 0 && count % options.query_every == 0) {
-        TimedQuery(engine, report);
+        TimedQuery(engine, query_latency_us, report);
       }
       if (options.checkpoint_every != 0 &&
           count % options.checkpoint_every == 0) {
@@ -224,7 +226,8 @@ StatusOr<ReplayReport> ReplayUpdates(UpdateStream& updates,
   // settled end-of-replay answer, whatever cadence the loop used.
   publish_answer();
 
-  TimedQuery(engine, report);
+  TimedQuery(engine, query_latency_us, report);
+  report.query_latency_us = query_latency_us.Sample();
   const DynamicDensest::Answer final_answer = engine.Query();
   report.final_density = final_answer.density;
   report.final_upper_bound = final_answer.upper_bound;

@@ -14,10 +14,10 @@
 #include <vector>
 
 #include "common/cancel.h"
-#include "common/histogram.h"
 #include "common/status.h"
 #include "core/answer.h"
 #include "dynamic/dynamic_densest.h"
+#include "obs/metrics.h"
 #include "stream/update_stream.h"
 
 namespace densest {
@@ -103,7 +103,9 @@ struct [[nodiscard]] ReplayReport {
   double wall_seconds = 0;
   double updates_per_sec = 0;
   uint64_t queries = 0;
-  Histogram query_latency_us;  ///< per-query latency, microseconds
+  /// Per-query latency in microseconds; its quantiles are bucket upper
+  /// bounds, at most 6.25% above the exact percentile.
+  obs::HistogramSample query_latency_us;
   std::vector<ReplayCheckpoint> checkpoints;
   /// Max over checkpoints of reference / maintained (1 = the maintained
   /// density matched the recomputation; bounded by the certified band).

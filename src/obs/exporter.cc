@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 namespace densest::obs {
 
@@ -34,6 +35,30 @@ std::string U64(uint64_t v) {
   return buf;
 }
 
+/// One exposed bucket: an upper bound and the count in its range.
+struct ExposedBucket {
+  double bound;
+  uint64_t count;
+};
+
+/// The exposition keeps one bucket per power of two, le = 1, 2, 4, ...,
+/// 2^38 and +Inf, so scrapers see the same series whatever the sub-bucket
+/// layout: fold the histogram's buckets into those ranges (everything
+/// <= 1 into le = 1).
+std::vector<ExposedBucket> PowerOfTwoBuckets(const HistogramSample& h) {
+  std::vector<ExposedBucket> out;
+  uint64_t count = 0;
+  for (size_t i = 0; i < h.buckets.size(); ++i) {
+    count += h.buckets[i];
+    const double bound = Histogram::BucketBound(i);
+    if (bound >= 1 && std::ldexp(1.0, std::ilogb(bound)) == bound) {
+      out.push_back({bound, count});
+      count = 0;
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 std::string MetricsExporter::RenderPrometheus(const MetricsSnapshot& snapshot) {
@@ -52,17 +77,19 @@ std::string MetricsExporter::RenderPrometheus(const MetricsSnapshot& snapshot) {
   for (const HistogramSample& h : snapshot.histograms) {
     const std::string m = Mangle(h.name);
     out += "# TYPE " + m + " histogram\n";
+    const std::vector<ExposedBucket> buckets = PowerOfTwoBuckets(h);
     uint64_t cumulative = 0;
-    for (size_t i = 0; i < h.buckets.size(); ++i) {
+    for (size_t i = 0; i < buckets.size(); ++i) {
       // Trailing all-zero buckets past the data still need one +Inf line;
       // interior zero buckets are kept (cumulative form requires them for
       // correct quantile math on the scrape side) except when the whole
       // tail is empty — elide runs of empty buckets above the max bound
       // to keep the exposition readable.
-      cumulative += h.buckets[i];
-      const double bound = Histogram::BucketBound(i);
-      const bool last = i + 1 == h.buckets.size();
-      if (!last && cumulative == h.count && bound > h.max && h.buckets[i] == 0) {
+      cumulative += buckets[i].count;
+      const double bound = buckets[i].bound;
+      const bool last = i + 1 == buckets.size();
+      if (!last && cumulative == h.count && bound > h.max &&
+          buckets[i].count == 0) {
         continue;
       }
       out += m + "_bucket{le=\"" + Num(bound) + "\"} " + U64(cumulative) + "\n";
@@ -96,13 +123,14 @@ std::string MetricsExporter::RenderJson(const MetricsSnapshot& snapshot) {
            ", \"p50\": " + Num(h.Quantile(0.5)) +
            ", \"p99\": " + Num(h.Quantile(0.99)) + ", \"buckets\": [";
     // Only up to the last non-empty bucket; the fixed shape is implied.
+    const std::vector<ExposedBucket> buckets = PowerOfTwoBuckets(h);
     size_t last = 0;
-    for (size_t b = 0; b < h.buckets.size(); ++b) {
-      if (h.buckets[b] != 0) last = b + 1;
+    for (size_t b = 0; b < buckets.size(); ++b) {
+      if (buckets[b].count != 0) last = b + 1;
     }
     for (size_t b = 0; b < last; ++b) {
       if (b != 0) out += ", ";
-      out += U64(h.buckets[b]);
+      out += U64(buckets[b].count);
     }
     out += "]}";
   }

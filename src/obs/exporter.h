@@ -8,7 +8,10 @@
 // are pre-allocated, so "never incremented" renders as an explicit 0, not
 // an absent series. Names are mangled `subsystem.operation` ->
 // `densest_subsystem_operation`; histograms expand to cumulative
-// `_bucket{le="..."}` lines plus `_sum` and `_count`.
+// `_bucket{le="..."}` lines plus `_sum` and `_count`. Bucket lines and the
+// JSON `buckets` array keep one range per power of two (le = 1, 2, 4,
+// ..., 2^38, +Inf); the histogram's 16 sub-buckets per range fold into
+// them and show only in the finer p50/p99.
 
 #ifndef DENSEST_OBS_EXPORTER_H_
 #define DENSEST_OBS_EXPORTER_H_

@@ -84,8 +84,6 @@ inline constexpr std::string_view kCounterNames[] = {
     "serve.batches_served",
     // Batches that hit their deadline / cancel token.
     "serve.expired",
-    // Admitted batches failed before serving (armed serve.dequeue seam).
-    "serve.failed",
     // Epoch publications into the answer plane.
     "serve.publications",
     // Individual queries answered inside served batches.
@@ -106,8 +104,8 @@ inline constexpr std::string_view kGaugeNames[] = {
     "serve.answer_epoch",
 };
 
-/// Histogram metrics: log2-bucketed distributions of non-negative values
-/// (all in microseconds today).
+/// Histogram metrics: log-linear distributions of non-negative values
+/// (obs::Histogram; all in microseconds today).
 inline constexpr std::string_view kHistogramNames[] = {
     // Engine Query() latency sampled on the replay's query cadence.
     "dynamic.query_latency_us",

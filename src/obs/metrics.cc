@@ -45,20 +45,44 @@ ptrdiff_t IndexOf(const std::string_view (&names)[N], std::string_view name) {
 
 }  // namespace metrics_internal
 
+// Bucket 16 * (e - kMinExponent) + j, for j = 1..16, is the range
+// (2^e * (1 + (j-1)/16), 2^e * (1 + j/16)]. With j = 0 the same formula
+// names the bucket that ends at exactly 2^e; for e = kMinExponent that is
+// bucket 0.
 size_t Histogram::BucketIndex(double value) {
-  // Bucket i spans (2^(i-1), 2^i]; bucket 0 is [0, 1]. ceil(log2) via
-  // repeated doubling would be exact but slow; std::ilogb plus the
-  // power-check gives the same answer in a few instructions.
-  if (value <= 1.0) return 0;
-  const int e = std::ilogb(value);  // floor(log2(value)), value > 1
-  const size_t idx =
-      static_cast<size_t>(e) + (std::ldexp(1.0, e) == value ? 0 : 1);
-  return std::min(idx, kBuckets - 1);
+  if (!(value > std::ldexp(1.0, kMinExponent))) return 0;  // NaN too
+  if (value > std::ldexp(1.0, kMaxExponent)) return kBuckets - 1;
+  const int e = std::ilogb(value);  // floor(log2(value))
+  // (mantissa - 1) * 16 is exact in double, so the ceiling is exact too.
+  const double j = std::ceil((std::scalbn(value, -e) - 1) * kSubBuckets);
+  return static_cast<size_t>((e - kMinExponent) * kSubBuckets) +
+         static_cast<size_t>(j);
 }
 
 double Histogram::BucketBound(size_t i) {
+  if (i == 0) return std::ldexp(1.0, kMinExponent);
   if (i + 1 >= kBuckets) return std::numeric_limits<double>::infinity();
-  return std::ldexp(1.0, static_cast<int>(i));
+  const int e = static_cast<int>((i - 1) / kSubBuckets) + kMinExponent;
+  const double j = static_cast<double>((i - 1) % kSubBuckets + 1);
+  return std::ldexp(1 + j / kSubBuckets, e);
+}
+
+HistogramSample Histogram::Sample() const {
+  HistogramSample s;
+  s.name = name_;
+  // Count from the buckets: a separate count could differ transiently
+  // under concurrent Observe(), and the exporters promise
+  // sum(buckets) == count in every exposition.
+  for (size_t i = 0; i < kBuckets; ++i) {
+    s.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
+    s.count += s.buckets[i];
+  }
+  s.sum = sum_.load(std::memory_order_relaxed);
+  const double mn = min_.load(std::memory_order_relaxed);
+  const double mx = max_.load(std::memory_order_relaxed);
+  s.min = std::isfinite(mn) ? mn : 0;
+  s.max = std::isfinite(mx) ? mx : 0;
+  return s;
 }
 
 double HistogramSample::Quantile(double q) const {
@@ -156,24 +180,6 @@ CounterSample SampleOf(const Counter& c) {
 
 GaugeSample SampleOf(const Gauge& g) { return GaugeSample{g.name(), g.Value()}; }
 
-HistogramSample SampleOf(const Histogram& h) {
-  HistogramSample s;
-  s.name = h.name();
-  // Count from the buckets, not the count field: under concurrent
-  // Observe() the two can differ transiently, and the exporters promise
-  // sum(buckets) == count in every exposition.
-  for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-    s.buckets[i] = h.BucketCount(i);
-    s.count += s.buckets[i];
-  }
-  s.sum = h.Sum();
-  const double mn = h.MinSeen();
-  const double mx = h.MaxSeen();
-  s.min = std::isfinite(mn) ? mn : 0;
-  s.max = std::isfinite(mx) ? mx : 0;
-  return s;
-}
-
 }  // namespace
 
 MetricsSnapshot MetricsRegistry::Collect() const {
@@ -183,7 +189,7 @@ MetricsSnapshot MetricsRegistry::Collect() const {
   snap.gauges.reserve(gauges_.size());
   for (const auto& g : gauges_) snap.gauges.push_back(SampleOf(*g));
   snap.histograms.reserve(histograms_.size());
-  for (const auto& h : histograms_) snap.histograms.push_back(SampleOf(*h));
+  for (const auto& h : histograms_) snap.histograms.push_back(h->Sample());
   MutexLock lock(test_slots_->mu);
   for (const auto& [name, c] : test_slots_->counters) {
     snap.counters.push_back(SampleOf(*c));
@@ -192,7 +198,7 @@ MetricsSnapshot MetricsRegistry::Collect() const {
     snap.gauges.push_back(SampleOf(*g));
   }
   for (const auto& [name, h] : test_slots_->histograms) {
-    snap.histograms.push_back(SampleOf(*h));
+    snap.histograms.push_back(h->Sample());
   }
   return snap;
 }
@@ -208,7 +214,6 @@ void MetricsRegistry::ResetForTest() {
     for (std::atomic<uint64_t>& b : h->buckets_) {
       b.store(0, std::memory_order_relaxed);
     }
-    h->count_.store(0, std::memory_order_relaxed);
     h->sum_.store(0, std::memory_order_relaxed);
     h->min_.store(std::numeric_limits<double>::infinity(),
                   std::memory_order_relaxed);

@@ -61,13 +61,15 @@ Status QueryService::Serve(std::span<const ServeQuery> queries,
 }
 
 void QueryService::Finish(Outcome outcome, size_t queries, double latency_us) {
+  if (outcome == Outcome::kServed) {
+    // Every query of the batch waited the batch's latency.
+    for (size_t i = 0; i < queries; ++i) latency_us_.Observe(latency_us);
+  }
   MutexLock lock(mu_);
   switch (outcome) {
     case Outcome::kServed:
       ++batches_served_;
       queries_served_ += queries;
-      // Every query of the batch waited the batch's latency.
-      for (size_t i = 0; i < queries; ++i) latency_us_.Add(latency_us);
       DENSEST_METRIC_COUNTER("serve.batches_served").Inc();
       DENSEST_METRIC_COUNTER("serve.queries_served").Inc(queries);
       DENSEST_METRIC_HISTOGRAM("serve.batch_latency_us").Observe(latency_us);
@@ -75,10 +77,6 @@ void QueryService::Finish(Outcome outcome, size_t queries, double latency_us) {
     case Outcome::kShed:
       ++shed_;
       DENSEST_METRIC_COUNTER("serve.shed").Inc();
-      break;
-    case Outcome::kFailed:
-      ++failed_;
-      DENSEST_METRIC_COUNTER("serve.failed").Inc();
       break;
     case Outcome::kExpired:
       ++expired_;
@@ -111,13 +109,10 @@ Status QueryService::QueryBatch(std::span<const ServeQuery> queries,
   }
 
   const WallTimer admitted;
-  Status status = DENSEST_FAILPOINT("serve.dequeue") != FailpointAction::kNone
-                      ? Status::Unavailable("injected serve.dequeue fault")
-                      : Serve(queries, token, results);
+  // Serve fails only when the batch's token trips.
+  Status status = Serve(queries, token, results);
   if (status.ok()) {
     Finish(Outcome::kServed, queries.size(), admitted.ElapsedSeconds() * 1e6);
-  } else if (status.code() == Status::Code::kUnavailable) {
-    Finish(Outcome::kFailed);
   } else {
     Finish(Outcome::kExpired);
   }
@@ -125,16 +120,16 @@ Status QueryService::QueryBatch(std::span<const ServeQuery> queries,
 }
 
 QueryServiceStats QueryService::stats() const {
-  MutexLock lock(mu_);
   QueryServiceStats s;
+  const obs::HistogramSample latency = latency_us_.Sample();
+  s.latency_p50_us = latency.Quantile(0.5);
+  s.latency_p99_us = latency.Quantile(0.99);
+  s.latency_mean_us = latency.Mean();
+  MutexLock lock(mu_);
   s.batches_served = batches_served_;
   s.queries_served = queries_served_;
   s.shed = shed_;
-  s.failed = failed_;
   s.expired = expired_;
-  s.latency_p50_us = latency_us_.Quantile(0.5);
-  s.latency_p99_us = latency_us_.Quantile(0.99);
-  s.latency_mean_us = latency_us_.Mean();
   return s;
 }
 

@@ -11,14 +11,11 @@
 // Deadlines: per-batch via the existing CancelToken, checked on entry and
 // before every query, so a batch stops serving as soon as its deadline
 // passes. SLO tracking: per-query latency (admission to completion) lands
-// in a common/histogram.h reservoir, p50/p99 exposed through stats().
+// in the service's own obs::Histogram, p50/p99 exposed through stats().
 //
-// Failpoint seams (fault-injection tests and chaos):
-//   serve.enqueue   evaluated on entry; any armed action sheds the batch
-//                   with kUnavailable (the retryable class common/retry.h
-//                   understands)
-//   serve.dequeue   evaluated after admission, just before serving; any
-//                   armed action fails the batch with kUnavailable
+// Failpoint seam (fault-injection tests and chaos): serve.enqueue is
+// evaluated on entry; any armed action sheds the batch with kUnavailable
+// (the retryable class common/retry.h understands).
 
 #ifndef DENSEST_SERVE_QUERY_SERVICE_H_
 #define DENSEST_SERVE_QUERY_SERVICE_H_
@@ -30,11 +27,11 @@
 #include <vector>
 
 #include "common/cancel.h"
-#include "common/histogram.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "core/answer.h"
+#include "obs/metrics.h"
 #include "serve/answer_plane.h"
 
 namespace densest {
@@ -77,8 +74,12 @@ struct QueryServiceStats {
   uint64_t batches_served = 0;
   uint64_t queries_served = 0;
   uint64_t shed = 0;     ///< batches rejected at admission (failpoint)
-  uint64_t failed = 0;   ///< admitted, then failed before serving (failpoint)
+  /// Always 0: no batch fails after admission. Kept because the frozen
+  /// perfbench harness reads it.
+  uint64_t failed = 0;
   uint64_t expired = 0;  ///< batches that hit their deadline / cancel
+  /// Bucket upper bounds (obs::HistogramSample::Quantile): at most 6.25%
+  /// above the exact percentile.
   double latency_p50_us = 0;
   double latency_p99_us = 0;
   double latency_mean_us = 0;
@@ -96,8 +97,9 @@ class QueryService {
 
   /// Answers `queries` as one batch on the calling thread.
   ///   OK                  -> `results` holds one entry per query, in order
-  ///   kUnavailable        -> shed (service stopped, or an armed serve.*
-  ///                          seam); retryable — back off and resubmit
+  ///   kUnavailable        -> shed (service stopped, or an armed
+  ///                          serve.enqueue seam); retryable — back off
+  ///                          and resubmit
   ///   kCancelled /
   ///   kDeadlineExceeded   -> the batch's token tripped first
   /// On any non-OK status `results` is empty. The token is the per-call
@@ -106,7 +108,7 @@ class QueryService {
                     std::vector<ServeResult>* results,
                     const CancelToken* cancel = nullptr);
 
-  /// Point-in-time counters + latency percentiles (reservoir quantiles).
+  /// Point-in-time counters + latency percentiles.
   QueryServiceStats stats() const;
 
   /// Stops admission (idempotent): later batches get kUnavailable, and
@@ -115,7 +117,7 @@ class QueryService {
 
  private:
   /// How one batch ended, for the counters.
-  enum class Outcome : uint8_t { kServed, kShed, kFailed, kExpired };
+  enum class Outcome : uint8_t { kServed, kShed, kExpired };
 
   /// Answers every query off the plane, checking `token` before each.
   Status Serve(std::span<const ServeQuery> queries, const CancelToken* token,
@@ -132,9 +134,8 @@ class QueryService {
   uint64_t batches_served_ DENSEST_GUARDED_BY(mu_) = 0;
   uint64_t queries_served_ DENSEST_GUARDED_BY(mu_) = 0;
   uint64_t shed_ DENSEST_GUARDED_BY(mu_) = 0;
-  uint64_t failed_ DENSEST_GUARDED_BY(mu_) = 0;
   uint64_t expired_ DENSEST_GUARDED_BY(mu_) = 0;
-  Histogram latency_us_ DENSEST_GUARDED_BY(mu_);
+  obs::Histogram latency_us_;
 };
 
 }  // namespace densest

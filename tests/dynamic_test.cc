@@ -480,6 +480,7 @@ TEST(ReplayTest, InsertOnlyReplayReportsAndStaysInBand) {
   EXPECT_TRUE(report->band_ok);
   EXPECT_EQ(report->checkpoints.size(), edges.num_edges() / 300);
   EXPECT_GT(report->queries, 0u);
+  EXPECT_EQ(report->query_latency_us.count, report->queries);
   EXPECT_GT(report->updates_per_sec, 0);
   EXPECT_GE(report->max_observed_error, 1.0);
   EXPECT_LE(report->max_observed_error,

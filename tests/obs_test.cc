@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -111,29 +112,26 @@ TEST_F(ObsTest, HistogramBucketsCountSumMinMax) {
   h.Observe(3.0);
   h.Observe(1000.0);
   h.Observe(-5.0);  // clamped to 0
-  EXPECT_EQ(h.Count(), 4u);
-  EXPECT_DOUBLE_EQ(h.Sum(), 1003.5);
-  EXPECT_DOUBLE_EQ(h.MinSeen(), 0.0);
-  EXPECT_DOUBLE_EQ(h.MaxSeen(), 1000.0);
-  uint64_t bucket_total = 0;
-  for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-    bucket_total += h.BucketCount(i);
-  }
-  EXPECT_EQ(bucket_total, 4u);
+  const HistogramSample s = h.Sample();
+  EXPECT_EQ(s.count, 4u);
+  EXPECT_DOUBLE_EQ(s.sum, 1003.5);
+  EXPECT_DOUBLE_EQ(s.min, 0.0);
+  EXPECT_DOUBLE_EQ(s.max, 1000.0);
+  EXPECT_EQ(s.buckets[0], 1u);  // the clamped 0
 }
 
 TEST_F(ObsTest, HistogramSampleQuantileClampedToObservedRange) {
   Histogram& h = MetricsRegistry::Get().GetHistogram("t.obs_hist_q");
-  for (int i = 0; i < 100; ++i) h.Observe(100.0);
+  for (int i = 0; i < 100; ++i) h.Observe(99.0);
   const MetricsSnapshot snap = MetricsRegistry::Get().Collect();
   for (const HistogramSample& s : snap.histograms) {
     if (s.name != "t.obs_hist_q") continue;
     EXPECT_EQ(s.count, 100u);
-    // The log2 bucket upper bound for 100 is 128; the sample clamps the
-    // quantile to the observed max.
-    EXPECT_DOUBLE_EQ(s.Quantile(0.5), 100.0);
-    EXPECT_DOUBLE_EQ(s.Quantile(0.99), 100.0);
-    EXPECT_DOUBLE_EQ(s.Mean(), 100.0);
+    // 99 lies in the bucket (96, 100]; the sample clamps the quantile to
+    // the observed max.
+    EXPECT_DOUBLE_EQ(s.Quantile(0.5), 99.0);
+    EXPECT_DOUBLE_EQ(s.Quantile(0.99), 99.0);
+    EXPECT_DOUBLE_EQ(s.Mean(), 99.0);
     return;
   }
   FAIL() << "t.obs_hist_q not collected";
@@ -182,6 +180,74 @@ TEST_F(ObsTest, HistogramExpositionBucketSumMatchesCount) {
   const std::string count = "densest_dynamic_query_latency_us_count 7";
   EXPECT_NE(text.find(inf), std::string::npos) << text;
   EXPECT_NE(text.find(count), std::string::npos) << text;
+}
+
+TEST_F(ObsTest, HistogramExpositionKeepsPowerOfTwoBounds) {
+  // The exposition contract: `_bucket` lines only at le = 1, 2, 4, ...,
+  // 2^38 and +Inf, empty ranges above the max elided, and one JSON bucket
+  // count per power-of-two range. The literals are the rendering of the
+  // log2-bucketed histogram this layout replaced.
+  Histogram& h = MetricsRegistry::Get().GetHistogram("t.obs_expo");
+  for (double v : {0.0, 1e-4, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 3.0, 17.0, 100.0,
+                   1000.0, 1024.0, 5e6, 3e11, 1e12}) {
+    h.Observe(v);
+  }
+  const MetricsSnapshot snap = MetricsRegistry::Get().Collect();
+  std::istringstream text(MetricsExporter::RenderPrometheus(snap));
+  std::string series;
+  for (std::string line; std::getline(text, line);) {
+    if (line.rfind("densest_t_obs_expo_", 0) == 0) series += line + "\n";
+  }
+  EXPECT_EQ(series, R"(densest_t_obs_expo_bucket{le="1"} 5
+densest_t_obs_expo_bucket{le="2"} 7
+densest_t_obs_expo_bucket{le="4"} 9
+densest_t_obs_expo_bucket{le="8"} 9
+densest_t_obs_expo_bucket{le="16"} 9
+densest_t_obs_expo_bucket{le="32"} 10
+densest_t_obs_expo_bucket{le="64"} 10
+densest_t_obs_expo_bucket{le="128"} 11
+densest_t_obs_expo_bucket{le="256"} 11
+densest_t_obs_expo_bucket{le="512"} 11
+densest_t_obs_expo_bucket{le="1024"} 13
+densest_t_obs_expo_bucket{le="2048"} 13
+densest_t_obs_expo_bucket{le="4096"} 13
+densest_t_obs_expo_bucket{le="8192"} 13
+densest_t_obs_expo_bucket{le="16384"} 13
+densest_t_obs_expo_bucket{le="32768"} 13
+densest_t_obs_expo_bucket{le="65536"} 13
+densest_t_obs_expo_bucket{le="131072"} 13
+densest_t_obs_expo_bucket{le="262144"} 13
+densest_t_obs_expo_bucket{le="524288"} 13
+densest_t_obs_expo_bucket{le="1048576"} 13
+densest_t_obs_expo_bucket{le="2097152"} 13
+densest_t_obs_expo_bucket{le="4194304"} 13
+densest_t_obs_expo_bucket{le="8388608"} 14
+densest_t_obs_expo_bucket{le="16777216"} 14
+densest_t_obs_expo_bucket{le="33554432"} 14
+densest_t_obs_expo_bucket{le="67108864"} 14
+densest_t_obs_expo_bucket{le="134217728"} 14
+densest_t_obs_expo_bucket{le="268435456"} 14
+densest_t_obs_expo_bucket{le="536870912"} 14
+densest_t_obs_expo_bucket{le="1073741824"} 14
+densest_t_obs_expo_bucket{le="2147483648"} 14
+densest_t_obs_expo_bucket{le="4294967296"} 14
+densest_t_obs_expo_bucket{le="8589934592"} 14
+densest_t_obs_expo_bucket{le="17179869184"} 14
+densest_t_obs_expo_bucket{le="34359738368"} 14
+densest_t_obs_expo_bucket{le="68719476736"} 14
+densest_t_obs_expo_bucket{le="137438953472"} 14
+densest_t_obs_expo_bucket{le="274877906944"} 14
+densest_t_obs_expo_bucket{le="+Inf"} 16
+densest_t_obs_expo_sum 1.30001e+12
+densest_t_obs_expo_count 16
+)");
+  const std::string json = MetricsExporter::RenderJson(snap);
+  const size_t from = json.find("\"buckets\": [", json.find("\"t.obs_expo\""));
+  ASSERT_NE(from, std::string::npos) << json;
+  EXPECT_EQ(json.substr(from, json.find(']', from) + 1 - from),
+            "\"buckets\": [5, 2, 2, 0, 0, 1, 0, 1, 0, 0, 2, 0, 0, 0, 0, 0, 0, "
+            "0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, "
+            "0, 2]");
 }
 
 TEST_F(ObsTest, JsonMirrorRendersAllThreeKinds) {

@@ -1,7 +1,7 @@
 // Copyright 2026 The densest Authors.
 // Unit tests for the serving front-end: the batched QueryBatch surface
 // over an AnswerPlane, its deadline/cancel/backpressure status contract,
-// the serve.enqueue / serve.dequeue fault seams, the SLO counters, and
+// the serve.enqueue fault seam, the SLO counters, and
 // the unified Answer type the whole query surface now shares.
 
 #include "serve/query_service.h"
@@ -96,6 +96,8 @@ TEST_F(QueryServiceTest, ServesThePublishedState) {
   EXPECT_EQ(stats.batches_served, 1u);
   EXPECT_EQ(stats.queries_served, 4u);
   EXPECT_EQ(stats.shed, 0u);
+  // Every served query lands in the service's latency histogram.
+  EXPECT_GT(stats.latency_p50_us, 0);
   EXPECT_GE(stats.latency_p99_us, stats.latency_p50_us);
 }
 
@@ -211,22 +213,6 @@ TEST_F(QueryServiceTest, EnqueueFailpointShedsAtAdmission) {
   Failpoints::Instance().Clear("serve.enqueue");
   ASSERT_TRUE(service.QueryBatch(queries, &results).ok());
   EXPECT_EQ(results.size(), 1u);
-}
-
-TEST_F(QueryServiceTest, DequeueFailpointFailsTheBatchAfterQueueing) {
-  if (!Failpoints::compiled_in()) GTEST_SKIP() << "failpoints compiled out";
-  AnswerPlane plane(4);
-  QueryService service(plane, {});
-  ASSERT_TRUE(Failpoints::Instance().Set("serve.dequeue", "after=0").ok());
-  std::vector<ServeResult> results;
-  const std::vector<ServeQuery> queries = {{ServeQuery::Kind::kDensity, 0}};
-  EXPECT_EQ(service.QueryBatch(queries, &results).code(),
-            Status::Code::kUnavailable);
-  EXPECT_EQ(service.stats().failed, 1u);
-  EXPECT_GE(Failpoints::Instance().fires("serve.dequeue"), 1u);
-
-  Failpoints::Instance().Clear("serve.dequeue");
-  ASSERT_TRUE(service.QueryBatch(queries, &results).ok());
 }
 
 // --- The unified Answer surface (satellite of the serving redesign) ---
