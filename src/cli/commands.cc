@@ -191,7 +191,9 @@ Status CmdDirected(const Args& args, std::ostream& out) {
   if (!edges.ok()) return edges.status();
   DirectedGraph graph = DirectedGraph::FromEdgeList(*edges);
 
-  if (*c > 0) {
+  // An explicit --c runs Algorithm 3, which rejects a c that is not finite
+  // and > 0; without one the ratio is searched.
+  if (args.Has("c")) {
     Algorithm3Options opt;
     opt.c = *c;
     opt.epsilon = *eps;

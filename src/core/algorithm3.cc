@@ -9,6 +9,12 @@
 
 namespace densest {
 
+namespace {
+
+bool ValidDelta(double delta) { return std::isfinite(delta) && delta > 1.0; }
+
+}  // namespace
+
 StatusOr<DirectedDensestResult> RunAlgorithm3(
     EdgeStream& stream, const Algorithm3Options& options) {
   PassEngine& engine =
@@ -27,9 +33,10 @@ StatusOr<DirectedDensestResult> RunAlgorithm3(
 
 std::vector<Algorithm3Options> CSearchGrid(NodeId n,
                                            const CSearchOptions& options) {
-  // delta <= 1 spans no finite grid (RunCSearch rejects it with a status);
-  // guard here too since this helper is public.
-  if (!(options.delta > 1.0) || n == 0) return {};
+  // delta <= 1 spans no finite grid and an infinite delta a one-ratio grid
+  // (RunCSearch rejects both with a status); guard here too since this
+  // helper is public.
+  if (!ValidDelta(options.delta) || n == 0) return {};
   // c only matters over [1/n, n]: |S|, |T| are integers in [1, n].
   const int j_max = static_cast<int>(
       std::ceil(std::log(static_cast<double>(n)) / std::log(options.delta)));
@@ -51,8 +58,8 @@ std::vector<Algorithm3Options> CSearchGrid(NodeId n,
 
 StatusOr<CSearchResult> RunCSearch(EdgeStream& stream,
                                    const CSearchOptions& options) {
-  if (!(options.delta > 1.0)) {
-    return Status::InvalidArgument("delta must be > 1");
+  if (!ValidDelta(options.delta)) {
+    return Status::InvalidArgument("delta must be finite and > 1");
   }
   const NodeId n = stream.num_nodes();
   if (n == 0) return Status::InvalidArgument("graph has no nodes");

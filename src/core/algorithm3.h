@@ -21,7 +21,10 @@ class PassEngine;
 /// \brief Which set to peel when both are nonempty.
 enum class DirectedRemovalRule {
   /// The paper's preferred rule: peel S when |S|/|T| >= c, else T.
-  /// Needs only one degree array per pass.
+  /// Needs only one degree array per pass, and a pass fills only that
+  /// one: out_to_t (|E(i,T)| over i in S) when it peels S, in_from_s
+  /// (|E(S,j)| over j in T) when it peels T. The other array is undefined
+  /// after the pass.
   kSizeRatio,
   /// The naive alternative the paper describes first: compute both A(S)
   /// and B(T), compare the max outdegree E(i*,T) against the max indegree
@@ -32,7 +35,7 @@ enum class DirectedRemovalRule {
 
 /// \brief Knobs for Algorithm 3 (single ratio c).
 struct Algorithm3Options {
-  /// Assumed ratio |S*|/|T*| (> 0).
+  /// Assumed ratio |S*|/|T*| (finite, > 0).
   double c = 1.0;
   /// Paper epsilon: a pass removes from S every i with
   /// |E(i,T)| <= (1+eps) |E(S,T)|/|S| (resp. for T).
@@ -51,7 +54,8 @@ struct Algorithm3Options {
 
 /// Runs Algorithm 3 for one ratio c over an arc stream: a one-run
 /// PassEngine::RunDirectedRuns. Fails with InvalidArgument for an epsilon
-/// that is negative, NaN or infinite, c <= 0, or an empty node set.
+/// that is negative, NaN or infinite, a c that is not finite and > 0, or
+/// an empty node set.
 StatusOr<DirectedDensestResult> RunAlgorithm3(EdgeStream& stream,
                                               const Algorithm3Options& options);
 
@@ -63,7 +67,7 @@ StatusOr<DirectedDensestResult> RunAlgorithm3(const DirectedGraph& g,
 /// all j with 1/n <= delta^j <= n, keep the best result. This worsens the
 /// approximation by at most a factor delta.
 struct CSearchOptions {
-  /// Resolution of the c grid (> 1); the paper uses delta = 2.
+  /// Resolution of the c grid (finite, > 1); the paper uses delta = 2.
   double delta = 2.0;
   double epsilon = 0.5;
   DirectedRemovalRule rule = DirectedRemovalRule::kSizeRatio;
@@ -97,14 +101,14 @@ struct [[nodiscard]] CSearchResult {
 /// The c-grid a CSearchOptions spans: one Algorithm3Options per c = delta^j,
 /// j in [-ceil(log_delta n), +ceil(log_delta n)], each on `multi_engine`.
 /// Exposed so callers can drive the same grid through
-/// PassEngine::RunDirectedRuns themselves. Empty when n == 0 or
-/// !(delta > 1) (invalid; RunCSearch reports those as statuses).
+/// PassEngine::RunDirectedRuns themselves. Empty when n == 0 or delta is
+/// not finite and > 1 (invalid; RunCSearch reports those as statuses).
 std::vector<Algorithm3Options> CSearchGrid(NodeId n,
                                            const CSearchOptions& options);
 
 /// Runs Algorithm 3 for every c in the delta-grid and returns the best.
-/// Fails with InvalidArgument unless delta > 1 (NaN fails), or for an
-/// invalid epsilon or an empty node set.
+/// Fails with InvalidArgument unless delta is finite and > 1 (NaN and
+/// infinity fail), or for an invalid epsilon or an empty node set.
 StatusOr<CSearchResult> RunCSearch(EdgeStream& stream,
                                    const CSearchOptions& options);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstring>
 #include <deque>
 #include <thread>
@@ -99,6 +100,8 @@ class DirectedPass {
   bool done() const { return done_; }
   const NodeSet& s() const { return s_; }
   const NodeSet& t() const { return t_; }
+  /// The bare pass promises the caller both arrays.
+  DirectedSides sides() const { return {}; }
   void ApplyPass(const DirectedPassResult& stats, const std::vector<double>&,
                  const std::vector<double>&) {
     stats_ = stats;
@@ -219,7 +222,8 @@ class UndirectedRun final : public PassEngine::FusedRun {
 };
 
 /// A directed run (Algorithm 3, or a bare pass): peel logic plus its two
-/// degree arrays.
+/// degree arrays. Each pass fills only the arrays logic_.sides() names, so
+/// a size-ratio run leaves the array it does not peel on unwritten.
 template <typename Logic>
 class DirectedRun final : public PassEngine::FusedRun {
  public:
@@ -239,28 +243,29 @@ class DirectedRun final : public PassEngine::FusedRun {
   }
   void BeginPass(const CsrView* view) override {
     pulled_ = view != nullptr;
+    sides_ = logic_.sides();
     if (pulled_) {
       pull_.Begin(view->shards.size());
     } else {
-      std::fill(out_->begin(), out_->end(), 0.0);
-      std::fill(in_->begin(), in_->end(), 0.0);
+      if (sides_.out) std::fill(out_->begin(), out_->end(), 0.0);
+      if (sides_.in) std::fill(in_->begin(), in_->end(), 0.0);
       totals_ = {};
     }
   }
   void PullShard(const CsrView& view, size_t shard) override {
-    pull_.Directed(view, shard, logic_.s(), logic_.t(), *out_, *in_);
+    pull_.Directed(view, shard, logic_.s(), logic_.t(), sides_, *out_, *in_);
   }
   void AccumulateShard(std::span<const Edge> shard) override {
     const NodeSet& s_set = logic_.s();
     const NodeSet& t_set = logic_.t();
-    double* out_acc = out_->data();
-    double* in_acc = in_->data();
+    double* out_acc = sides_.out ? out_->data() : nullptr;
+    double* in_acc = sides_.in ? in_->data() : nullptr;
     double weight = totals_.weight;
     EdgeId arcs = totals_.arcs;
     for (const Edge& e : shard) {
       if (s_set.Contains(e.u) && t_set.Contains(e.v)) {
-        out_acc[e.u] += e.w;
-        in_acc[e.v] += e.w;
+        if (out_acc != nullptr) out_acc[e.u] += e.w;
+        if (in_acc != nullptr) in_acc[e.v] += e.w;
         weight += e.w;
         ++arcs;
       }
@@ -280,6 +285,7 @@ class DirectedRun final : public PassEngine::FusedRun {
   DirectedPassResult totals_;  // record passes: stream-order sums
   RowPull pull_;
   bool pulled_ = false;
+  DirectedSides sides_;  // the arrays this pass fills
 };
 
 /// Stream passes a run consumed: its run-by-run scan cost.
@@ -339,7 +345,8 @@ void RowPull::Undirected(const CsrView& view, size_t shard,
 }
 
 void RowPull::Directed(const CsrView& view, size_t shard, const NodeSet& s,
-                       const NodeSet& t, std::vector<double>& out_to_t,
+                       const NodeSet& t, DirectedSides sides,
+                       std::vector<double>& out_to_t,
                        std::vector<double>& in_from_s) {
   const DirectedGraph& g = *view.directed;
   const auto in_s = [&s](NodeId v) { return s.Contains(v); };
@@ -347,18 +354,28 @@ void RowPull::Directed(const CsrView& view, size_t shard, const NodeSet& s,
   // An arc is one entry of each of its two rows, never a doubled self
   // entry: pass an owner id no neighbor carries.
   constexpr NodeId kNoSelf = static_cast<NodeId>(-1);
-  EdgeId in_count = 0;  // equals the out-side arc count; not reported
+  // Every arc of E(S,T) is one out-entry and one in-entry, so either
+  // side's rows sum the shard's totals; the out-rows do when pulled.
+  double out_weight = 0.0, in_weight = 0.0;
+  EdgeId out_count = 0, in_count = 0;
   for (NodeId u = view.shards[shard].begin; u < view.shards[shard].end; ++u) {
-    out_to_t[u] = s.Contains(u) ? PullRow(g.OutNeighbors(u),
-                                          g.OutNeighborWeights(u), kNoSelf,
-                                          in_t, count_[shard])
-                                : 0.0;
-    weight_[shard] += out_to_t[u];
-    in_from_s[u] = t.Contains(u) ? PullRow(g.InNeighbors(u),
-                                           g.InNeighborWeights(u), kNoSelf,
-                                           in_s, in_count)
-                                 : 0.0;
+    if (sides.out) {
+      out_to_t[u] = s.Contains(u) ? PullRow(g.OutNeighbors(u),
+                                            g.OutNeighborWeights(u), kNoSelf,
+                                            in_t, out_count)
+                                  : 0.0;
+      out_weight += out_to_t[u];
+    }
+    if (sides.in) {
+      in_from_s[u] = t.Contains(u) ? PullRow(g.InNeighbors(u),
+                                             g.InNeighborWeights(u), kNoSelf,
+                                             in_s, in_count)
+                                   : 0.0;
+      in_weight += in_from_s[u];
+    }
   }
+  weight_[shard] = sides.out ? out_weight : in_weight;
+  count_[shard] = sides.out ? out_count : in_count;
 }
 
 UndirectedPassResult RowPull::FinishUndirected(std::vector<Edge>* survivors) {
@@ -571,8 +588,9 @@ StatusOr<std::vector<DirectedDensestResult>> PassEngine::RunDirectedRuns(
     EdgeStream& stream, const std::vector<Algorithm3Options>& runs) {
   return RunFused<DirectedRun<Algorithm3Run>, DirectedDensestResult>(
       stream, runs, [](const Algorithm3Options& options, NodeId) {
-        return options.c > 0 ? Status::OK()
-                             : Status::InvalidArgument("c must be > 0");
+        return std::isfinite(options.c) && options.c > 0
+                   ? Status::OK()
+                   : Status::InvalidArgument("c must be finite and > 0");
       });
 }
 

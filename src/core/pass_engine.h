@@ -16,7 +16,8 @@
 //                   each task pulls its shard into every run, deg_S(u) =
 //                   sum over v in N(u) of [v in S] w(u, v) over u's own
 //                   row (directed: out_to_t over the out-rows of S,
-//                   in_from_s over the in-rows of T). Tasks write
+//                   in_from_s over the in-rows of T, pulling only the
+//                   side the run's next peel step reads). Tasks write
 //                   disjoint rows.
 //   record rounds — every other stream is read kShardEdges edges at a
 //                   time through EdgeStream::NextView; a round is up to
@@ -80,6 +81,14 @@ struct [[nodiscard]] DirectedPassResult {
   double weight = 0;
 };
 
+/// \brief The degree arrays a directed pass fills: out_to_t over the
+/// out-rows of S, in_from_s over the in-rows of T. A peeling run asks for
+/// only the arrays its next peel step reads (Algorithm3Run::sides()).
+struct DirectedSides {
+  bool out = true;
+  bool in = true;
+};
+
 /// \brief Contiguous row range [begin, end) of a CSR graph: the unit of work
 /// of the row-pull schedule.
 struct RowShard {
@@ -117,10 +126,14 @@ class RowPull {
   /// a record stream.
   void Undirected(const CsrView& view, size_t shard, const NodeSet& alive,
                   std::vector<double>& degrees);
-  /// out_to_t[u] for u in S and in_from_s[u] for u in T, for every row u
-  /// of shard `shard` of `view.directed`.
+  /// out_to_t[u] for u in S (when `sides.out`) and in_from_s[u] for u in
+  /// T (when `sides.in`), for every row u of shard `shard` of
+  /// `view.directed`; the array of a side not pulled is left untouched.
+  /// The shard's |E(S,T)| count and weight are summed over the out-rows
+  /// when they are pulled, else over the in-rows.
   void Directed(const CsrView& view, size_t shard, const NodeSet& s,
-                const NodeSet& t, std::vector<double>& out_to_t,
+                const NodeSet& t, DirectedSides sides,
+                std::vector<double>& out_to_t,
                 std::vector<double>& in_from_s);
 
   /// Pass totals; with `survivors`, appends the staged survivors in the
@@ -181,7 +194,10 @@ class PassEngine {
     virtual bool CanPull(const CsrView&) const { return false; }
     /// Starts a pass. `view` is the CSR view the pass pulls, or null when
     /// the pass arrives as record shards through AccumulateShard, in which
-    /// case the run zeroes its degree arrays and totals.
+    /// case the run zeroes its degree arrays and totals. A run fills only
+    /// the degree arrays its next peel step reads: an array it does not
+    /// read is left unwritten by the pass (a directed run under the
+    /// size-ratio rule fills one of its two).
     virtual void BeginPass(const CsrView* view) = 0;
     /// Pulls row shard `shard` of the view given to BeginPass. Distinct
     /// shards of a pass arrive concurrently; they write disjoint rows.
@@ -232,7 +248,7 @@ class PassEngine {
   /// `cancel` token (one token governs a sweep — the scan is physically
   /// shared, so one run cannot be cancelled without stopping the others).
   /// Fails with InvalidArgument for an empty node set, an epsilon that is
-  /// negative, NaN or infinite, or c <= 0.
+  /// negative, NaN or infinite, or a c that is not finite and > 0.
   StatusOr<std::vector<DirectedDensestResult>> RunDirectedRuns(
       EdgeStream& stream, const std::vector<Algorithm3Options>& runs);
 

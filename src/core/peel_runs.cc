@@ -187,6 +187,15 @@ Algorithm3Run::Algorithm3Run(NodeId n, const Algorithm3Options& options)
   done_ = s_.empty() || t_.empty();
 }
 
+DirectedSides Algorithm3Run::sides() const {
+  if (options_.rule == DirectedRemovalRule::kMaxDegree) return {};
+  // Algorithm 3 line 3: drive |S|/|T| toward c.
+  const double ratio =
+      static_cast<double>(s_.size()) / static_cast<double>(t_.size());
+  const bool peel_s = ratio >= options_.c;
+  return {.out = peel_s, .in = !peel_s};
+}
+
 void Algorithm3Run::ApplyPass(const DirectedPassResult& stats,
                               const std::vector<double>& out_to_t,
                               const std::vector<double>& in_from_s) {
@@ -202,12 +211,11 @@ void Algorithm3Run::ApplyPass(const DirectedPassResult& stats,
     best_t_ = t_;
   }
 
-  bool peel_s;
-  if (options_.rule == DirectedRemovalRule::kSizeRatio) {
-    // Algorithm 3 line 3: drive |S|/|T| toward c.
-    peel_s = static_cast<double>(s_.size()) / static_cast<double>(t_.size()) >=
-             options_.c;
-  } else {
+  // The pass filled the arrays sides() named over the current sizes; a
+  // rule that reads one array has already picked its side.
+  const DirectedSides read = sides();
+  bool peel_s = read.out;
+  if (read.out && read.in) {
     peel_s = PeelSByMaxDegreeRule(s_, t_, out_to_t, in_from_s, stats.weight,
                                   options_.epsilon, options_.c);
   }

@@ -104,9 +104,14 @@ class Algorithm3Run {
   bool done() const { return done_; }
   const NodeSet& s() const { return s_; }
   const NodeSet& t() const { return t_; }
+  /// The degree arrays the next ApplyPass reads. kSizeRatio picks its side
+  /// from |S|/|T| >= c before the pass (out_to_t to peel S, in_from_s to
+  /// peel T); kMaxDegree compares both. Call while !done().
+  DirectedSides sides() const;
 
-  /// Consumes one directed pass: weight |E(S,T)| plus the two degree
-  /// arrays the pass accumulated over the CURRENT s()/t().
+  /// Consumes one directed pass: weight |E(S,T)| plus the degree arrays
+  /// sides() named, accumulated over the CURRENT s()/t(); an array
+  /// sides() left out is not read.
   void ApplyPass(const DirectedPassResult& stats,
                  const std::vector<double>& out_to_t,
                  const std::vector<double>& in_from_s);

@@ -161,7 +161,9 @@ StatusOr<MrDensestResult> RunMrDensestUndirected(
 StatusOr<MrDirectedResult> RunMrDensestDirected(
     MapReduceEnv& env, EdgeStream& stream, const MrDirectedOptions& options) {
   if (Status s = CheckEpsilon(options.epsilon); !s.ok()) return s;
-  if (!(options.c > 0)) return Status::InvalidArgument("c must be > 0");
+  if (!(std::isfinite(options.c) && options.c > 0)) {
+    return Status::InvalidArgument("c must be finite and > 0");
+  }
   const NodeId n = stream.num_nodes();
   if (n == 0) return Status::InvalidArgument("graph has no nodes");
 

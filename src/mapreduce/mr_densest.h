@@ -70,6 +70,7 @@ StatusOr<MrDensestResult> RunMrDensestUndirected(MapReduceEnv& env,
 
 /// \brief Knobs for the directed MapReduce driver (one ratio c).
 struct MrDirectedOptions {
+  /// Assumed ratio |S*|/|T*| (finite, > 0).
   double c = 1.0;
   double epsilon = 1.0;
   uint64_t max_passes = 1000;
@@ -89,7 +90,9 @@ struct [[nodiscard]] MrDirectedResult {
 };
 
 /// Runs the MapReduce version of Algorithm 3 over an arc stream.
-/// Matches RunAlgorithm3 with the same options (size-ratio rule).
+/// Matches RunAlgorithm3 with the same options (size-ratio rule). Fails
+/// with InvalidArgument for an invalid epsilon, a c that is not finite
+/// and > 0, or an empty node set.
 StatusOr<MrDirectedResult> RunMrDensestDirected(MapReduceEnv& env,
                                                 EdgeStream& stream,
                                                 const MrDirectedOptions& options);

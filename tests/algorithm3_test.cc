@@ -123,6 +123,22 @@ TEST(Algorithm3Test, InvalidArguments) {
   EXPECT_FALSE(RunAlgorithm3(empty, {.c = 1.0}).ok());
 }
 
+TEST(Algorithm3Test, NonFiniteRatioAndDeltaRejected) {
+  DirectedGraph g = TwoNodeCycle();
+  for (double c : {INFINITY, -INFINITY}) {
+    auto r = RunAlgorithm3(g, {.c = c});
+    ASSERT_FALSE(r.ok()) << c;
+    EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument) << c;
+  }
+  // An infinite delta spans a one-ratio grid: no search at all.
+  CSearchOptions opt;
+  opt.delta = INFINITY;
+  EXPECT_TRUE(CSearchGrid(g.num_nodes(), opt).empty());
+  auto search = RunCSearch(g, opt);
+  ASSERT_FALSE(search.ok());
+  EXPECT_EQ(search.status().code(), Status::Code::kInvalidArgument);
+}
+
 TEST(CSearchTest, SweepCoversRatioGridAndFindsBest) {
   PlantedDirectedGraph pg = PlantDirectedBlock(200, 600, 32, 8, 1.0, 41);
   DirectedGraph g = BuildDirected(pg.arcs);

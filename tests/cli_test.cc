@@ -300,8 +300,17 @@ TEST_F(CliCommandTest, NonFiniteEpsilonAndDeltaRejected) {
        {"directed", {"--eps=nan", "--c=1"}},
        {"directed", {"--eps=inf"}},
        {"directed", {"--delta=nan"}},
+       {"directed", {"--delta=inf"}},
+       // An explicit --c runs Algorithm 3, so a bad ratio fails instead
+       // of falling back to a c-search (or, for inf, never peeling S).
+       {"directed", {"--c=-2"}},
+       {"directed", {"--c=0"}},
+       {"directed", {"--c=nan"}},
+       {"directed", {"--c=inf"}},
        {"mapreduce", {"--eps=nan"}},
-       {"mapreduce", {"--eps=nan", "--directed", "--c=2"}}};
+       {"mapreduce", {"--eps=nan", "--directed", "--c=2"}},
+       {"mapreduce", {"--directed", "--c=inf"}},
+       {"mapreduce", {"--directed", "--c=nan"}}};
   for (const auto& [command, flags] : cases) {
     Status status;
     const std::string out = Run(command, flags, &status);

@@ -14,14 +14,17 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/cancel.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "core/algorithm1.h"
 #include "core/algorithm3.h"
 #include "gen/erdos_renyi.h"
+#include "gen/planted.h"
 #include "graph/graph_builder.h"
 #include "stream/file_stream.h"
 #include "stream/generated_stream.h"
@@ -796,6 +799,166 @@ void CheckDirectedPull(bool weighted) {
 TEST(RowPullTest, DirectedUnitWeights) { CheckDirectedPull(false); }
 
 TEST(RowPullTest, DirectedWeighted) { CheckDirectedPull(true); }
+
+/// What RowPull::Directed writes over every shard of a view.
+struct DirectedPullBits {
+  std::vector<double> out_to_t, in_from_s;
+  DirectedPassResult totals;
+};
+
+/// Pulls every shard of `view` for `sides`, on `threads` threads, into
+/// arrays that start at -1.0.
+DirectedPullBits PullDirectedShards(const CsrView& view, const NodeSet& s,
+                                    const NodeSet& t, DirectedSides sides,
+                                    size_t threads) {
+  DirectedPullBits bits;
+  bits.out_to_t.assign(s.universe_size(), -1.0);
+  bits.in_from_s.assign(s.universe_size(), -1.0);
+  RowPull pull;
+  pull.Begin(view.shards.size());
+  const std::function<void(size_t)> shard = [&](size_t i) {
+    pull.Directed(view, i, s, t, sides, bits.out_to_t, bits.in_from_s);
+  };
+  if (threads == 1) {
+    for (size_t i = 0; i < view.shards.size(); ++i) shard(i);
+  } else {
+    ThreadPool pool(threads);
+    pool.ParallelFor(view.shards.size(), shard);
+  }
+  bits.totals = pull.FinishDirected();
+  return bits;
+}
+
+/// A one-sided pull fills its array exactly as the two-sided pull does,
+/// leaves the other untouched, and sums the same |E(S,T)| from its own
+/// rows: exactly on unit weights, within rounding when weighted, and
+/// bit-identically across thread counts.
+void CheckOneSidedDirectedPull(bool weighted) {
+  const NodeId n = 3000;
+  EdgeList arcs = ErdosRenyiDirectedGnm(n, 5 * PassEngine::kShardEdges, 239);
+  Rng rng(241);
+  if (weighted) {
+    for (Edge& e : arcs.mutable_edges()) e.w = 0.25 + rng.UniformDouble();
+  }
+  DirectedGraph g = DirectedGraph::FromEdgeList(arcs);
+  ASSERT_EQ(g.is_weighted(), weighted);
+  DirectedGraphStream stream(g);
+  const CsrView view = CsrView::Of(stream);
+  ASSERT_GE(view.shards.size(), 4u);
+  NodeSet s = EveryThirdDead(n);
+  NodeSet t(n, /*full=*/true);
+  for (NodeId u = 1; u < n; u += 5) t.Remove(u);
+  const std::vector<double> unpulled(n, -1.0);
+
+  double in_weight1 = 0.0;
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    const DirectedPullBits both = PullDirectedShards(view, s, t, {}, threads);
+    const DirectedPullBits out =
+        PullDirectedShards(view, s, t, {.out = true, .in = false}, threads);
+    const DirectedPullBits in =
+        PullDirectedShards(view, s, t, {.out = false, .in = true}, threads);
+    EXPECT_EQ(out.out_to_t, both.out_to_t) << label;
+    EXPECT_EQ(out.in_from_s, unpulled) << label;
+    EXPECT_EQ(in.in_from_s, both.in_from_s) << label;
+    EXPECT_EQ(in.out_to_t, unpulled) << label;
+    EXPECT_EQ(out.totals.arcs, both.totals.arcs) << label;
+    EXPECT_EQ(in.totals.arcs, both.totals.arcs) << label;
+    // The out-only pull sums the same rows as the two-sided one.
+    EXPECT_EQ(out.totals.weight, both.totals.weight) << label;
+    if (weighted) {
+      ExpectRelNear(in.totals.weight, both.totals.weight, label);
+    } else {
+      EXPECT_EQ(in.totals.weight, both.totals.weight) << label;
+    }
+    // In-row sums are bit-identical across thread counts, not NEAR.
+    if (threads == 1) in_weight1 = in.totals.weight;
+    EXPECT_EQ(in.totals.weight, in_weight1) << label;
+  }
+}
+
+TEST(RowPullTest, OneSidedDirectedUnitWeights) {
+  CheckOneSidedDirectedPull(/*weighted=*/false);
+}
+
+TEST(RowPullTest, OneSidedDirectedWeighted) {
+  CheckOneSidedDirectedPull(/*weighted=*/true);
+}
+
+void ExpectSameDirectedRuns(const std::vector<DirectedDensestResult>& got,
+                            const std::vector<DirectedDensestResult>& want,
+                            const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < got.size(); ++i) {
+    const std::string run = label + " c=" + std::to_string(want[i].c);
+    EXPECT_EQ(got[i].density, want[i].density) << run;
+    EXPECT_EQ(got[i].s_nodes, want[i].s_nodes) << run;
+    EXPECT_EQ(got[i].t_nodes, want[i].t_nodes) << run;
+    EXPECT_EQ(got[i].passes, want[i].passes) << run;
+    ASSERT_EQ(got[i].trace.size(), want[i].trace.size()) << run;
+    for (size_t p = 0; p < want[i].trace.size(); ++p) {
+      const DirectedPassSnapshot& a = got[i].trace[p];
+      const DirectedPassSnapshot& b = want[i].trace[p];
+      EXPECT_EQ(a.weight, b.weight) << run << " pass " << p;
+      EXPECT_EQ(a.density, b.density) << run << " pass " << p;
+      EXPECT_EQ(a.removed_from_s, b.removed_from_s) << run << " pass " << p;
+      EXPECT_EQ(a.removed, b.removed) << run << " pass " << p;
+    }
+  }
+}
+
+/// Unit weights: a row-pull c-grid over a DirectedGraph and a record-round
+/// c-grid over the same arcs agree bit for bit, pass by pass, at 1 and 4
+/// threads, under both removal rules. The size-skewed planted block makes
+/// the size-ratio runs peel both sides, so passes that sum |E(S,T)| over
+/// in-rows are compared too.
+TEST(DirectedFormatTest, RowPullMatchesRecordRoundsOnUnitWeights) {
+  const PlantedDirectedGraph planted =
+      PlantDirectedBlock(4000, 60000, 40, 400, 0.5, 251);
+  DirectedGraph g = DirectedGraph::FromEdgeList(planted.arcs);
+  ASSERT_FALSE(g.is_weighted());
+  DirectedGraphStream pulled(g);
+  ASSERT_NE(pulled.DirectedCsrView(), nullptr);
+  const EdgeList arcs(g.num_nodes(), DrainScalar(pulled));
+  EdgeListStream records(arcs);
+  ASSERT_EQ(records.DirectedCsrView(), nullptr);
+
+  for (DirectedRemovalRule rule :
+       {DirectedRemovalRule::kSizeRatio, DirectedRemovalRule::kMaxDegree}) {
+    CSearchOptions search;
+    search.rule = rule;
+    search.record_trace = true;
+    const std::vector<Algorithm3Options> grid =
+        CSearchGrid(g.num_nodes(), search);
+    const std::string rule_name =
+        rule == DirectedRemovalRule::kSizeRatio ? "size-ratio" : "max-degree";
+    std::vector<DirectedDensestResult> want;
+    for (size_t threads : {1u, 4u}) {
+      PassEngine engine(PassEngineOptions{.num_threads = threads});
+      EdgeStream* const streams[] = {&pulled, &records};
+      for (EdgeStream* stream : streams) {
+        auto got = engine.RunDirectedRuns(*stream, grid);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        if (want.empty()) {
+          want = std::move(*got);
+          continue;
+        }
+        const std::string format = stream == &pulled ? " pull" : " records";
+        ExpectSameDirectedRuns(
+            *got, want,
+            rule_name + format + " threads=" + std::to_string(threads));
+      }
+    }
+    size_t peel_s = 0, peel_t = 0;
+    for (const DirectedDensestResult& run : want) {
+      for (const DirectedPassSnapshot& snap : run.trace) {
+        ++(snap.removed_from_s ? peel_s : peel_t);
+      }
+    }
+    EXPECT_GT(peel_s, 0u) << rule_name;
+    EXPECT_GT(peel_t, 0u) << rule_name;
+  }
+}
 
 TEST(RowPullTest, CollectEmitsSurvivorsInStreamOrder) {
   const NodeId n = 3000;

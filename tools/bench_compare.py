@@ -3,7 +3,7 @@
 """Compares two sets of perfbench results, parent against change (stdlib-only).
 
 Usage:
-  tools/bench_compare.py PARENT_DIR CHANGE_DIR
+  tools/bench_compare.py PARENT_DIR CHANGE_DIR [--claim WORKLOAD/METRIC]
   tools/bench_compare.py --self-test
 
 Each directory holds perfbench's own result files,
@@ -24,13 +24,22 @@ It also prints each side's attempted and failed operations and names every
 file whose "correct" is false. Exit status 1 on any `worse` verdict, any
 metric with no values on one side, any such file, or a larger failed share
 on the change side; 0 otherwise.
---self-test checks the verdicts and the exit rule on synthetic result sets.
+
+--claim WORKLOAD/METRIC checks a claimed gain on one end_to_end metric and
+appends one line, "claim WORKLOAD/METRIC: met" or "not met" with the
+reason. The gain rule: at least 10 same-seed pairs; the change wins at
+least 9/10 of them, ties counting for neither side; and the medians differ
+in the better direction by more than the parent's q3 - q1. A claim that is
+not met also makes the exit status 1.
+--self-test checks the verdicts, the claim rule and the exit rule on
+synthetic result sets.
 """
 
 from __future__ import annotations
 
 import argparse
 import glob
+import io
 import json
 import os
 import re
@@ -40,6 +49,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_NAME = re.compile(r"^result-(?P<workload>.+)-seed(?P<seed>\d+)-trace0\.json$")
+# The gain rule's smallest number of same-seed pairs.
+CLAIM_MIN_PAIRS = 10
 
 
 def load_side(directory: str):
@@ -98,10 +109,34 @@ def fmt(value: float) -> str:
     return f"{value:.4g}"
 
 
-def compare(spec: dict, parent_dir: str, change_dir: str, out=sys.stdout):
-    """Prints the comparison; returns (exit status, {(workload, metric): verdict})."""
+def claim_verdict(metric: dict, parent: dict[int, float], change: dict[int, float]):
+    """(met, reason) of a claimed gain on one metric under the gain rule."""
+    won, pairs = wins(metric, parent, change)
+    p_med, p_q1, p_q3 = spread(list(parent.values()))
+    c_med = spread(list(change.values()))[0]
+    gap = p_med - c_med if metric["better"] == "lower" else c_med - p_med
+    iqr = p_q3 - p_q1
+    detail = (f"{won}/{pairs} pairs won, median {fmt(p_med)} -> {fmt(c_med)}, "
+              f"gap {fmt(gap)} vs parent q3 - q1 {fmt(iqr)}")
+    if pairs < CLAIM_MIN_PAIRS:
+        return False, f"{pairs} same-seed pairs, fewer than {CLAIM_MIN_PAIRS}; {detail}"
+    if won * 10 < pairs * 9:
+        return False, f"the change wins fewer than 9/10 pairs; {detail}"
+    if not gap > iqr:
+        return False, f"the median gap is not above the parent's q3 - q1; {detail}"
+    return True, detail
+
+
+def compare(spec: dict, parent_dir: str, change_dir: str, out=sys.stdout,
+            claim: str | None = None):
+    """Prints the comparison; returns (exit status, {(workload, metric): verdict}).
+
+    With `claim` ("WORKLOAD/METRIC"), also judges that claimed gain: its line
+    comes last, and a claim that is not met sets the exit status to 1.
+    """
     sides = {"parent": load_side(parent_dir), "change": load_side(change_dir)}
     verdicts: dict[tuple[str, str], str] = {}
+    claim_values = None  # the claimed metric's {seed: value} per side
     status = 0
 
     workloads = [w["name"] for w in spec["workloads"]]
@@ -120,6 +155,8 @@ def compare(spec: dict, parent_dir: str, change_dir: str, out=sys.stdout):
                         values[seed] = value
                 per_seed[side] = values
             parent, change = per_seed["parent"], per_seed["change"]
+            if claim == f"{workload}/{name}":
+                claim_values = (metric, parent, change)
             if not parent or not change:
                 print(f"{workload:<14} {name:<12} missing on "
                       f"{'parent' if not parent else 'change'} side", file=out)
@@ -157,9 +194,22 @@ def compare(spec: dict, parent_dir: str, change_dir: str, out=sys.stdout):
     if shares["change"] > shares["parent"]:
         print(f"failed share rose: {shares['parent']:.6g} -> {shares['change']:.6g}", file=out)
         status = 1
+    claim_line = None
+    if claim is not None:
+        if claim_values is None:
+            met, reason = False, "no such workload and end_to_end metric"
+        elif not claim_values[1] or not claim_values[2]:
+            met, reason = False, "no values on one side"
+        else:
+            met, reason = claim_verdict(*claim_values)
+        claim_line = f"claim {claim}: {'met' if met else 'not met'} ({reason})"
+        if not met:
+            status = 1
     counts = {v: list(verdicts.values()).count(v) for v in ("ok", "unresolved", "worse")}
     print(f"verdicts: {counts['ok']} ok, {counts['unresolved']} unresolved, "
           f"{counts['worse']} worse; exit {status}", file=out)
+    if claim_line is not None:
+        print(claim_line, file=out)
     return status, verdicts
 
 
@@ -185,8 +235,9 @@ def self_test() -> int:
         with open(os.path.join(directory, name), "w") as f:
             json.dump(doc, f)
 
-    def run(parent_rows, change_rows, spec=spec):
-        """parent_rows/change_rows: lists of write() keyword dicts."""
+    def run(parent_rows, change_rows, spec=spec, claim=None):
+        """parent_rows/change_rows: lists of write() keyword dicts; returns
+        (exit status, verdicts, printed comparison)."""
         with tempfile.TemporaryDirectory() as tmp:
             dirs = []
             for side, rows in (("parent", parent_rows), ("change", change_rows)):
@@ -195,11 +246,9 @@ def self_test() -> int:
                 for seed, row in enumerate(rows, start=1):
                     write(d, seed, **row)
                 dirs.append(d)
-            sink = open(os.devnull, "w")
-            try:
-                return compare(spec, dirs[0], dirs[1], out=sink)
-            finally:
-                sink.close()
+            out = io.StringIO()
+            status, verdicts = compare(spec, dirs[0], dirs[1], out=out, claim=claim)
+            return status, verdicts, out.getvalue()
 
     def rows(t_values, ops_values, **extra):
         return [dict(t_s=t, ops=o, **extra) for t, o in zip(t_values, ops_values)]
@@ -231,15 +280,38 @@ def self_test() -> int:
     ]
     bad = 0
     for label, parent, change, want_t, want_ops, want_exit, *case_spec in cases:
-        status, verdicts = run(parent, change, *case_spec)
+        status, verdicts, _ = run(parent, change, *case_spec)
         got = (verdicts.get(("w", "t_s")), verdicts.get(("w", "ops")), status)
         if got != (want_t, want_ops, want_exit):
             print(f"self-test FAIL [{label}]: got {got}, want "
                   f"{(want_t, want_ops, want_exit)}")
             bad += 1
+
+    # The gain rule on t_s (lower is better), over ten pairs unless stated.
+    ten_t = base_t + [1.03, 0.97, 1.01, 0.99]
+    ten_ops = base_ops + [100, 99, 101, 100]
+    faster = [t * 0.7 for t in ten_t]
+    wide_t = [0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.9, 1.1, 1.0, 1.0]
+    claim_cases = [
+        # (label, parent t_s, change t_s, want met)
+        ("claim met", ten_t, faster, True),
+        # Two ties count for neither side: 8/10 wins.
+        ("claim too few wins", ten_t, ten_t[:2] + faster[2:], False),
+        ("claim too few pairs", ten_t[:6], faster[:6], False),
+        ("claim gap inside the IQR", wide_t, [t - 0.05 for t in wide_t], False),
+    ]
+    for label, parent_t, change_t, want_met in claim_cases:
+        ops = ten_ops[:len(parent_t)]
+        status, _, printed = run(rows(parent_t, ops), rows(change_t, ops),
+                                 claim="w/t_s")
+        last = printed.splitlines()[-1]
+        met = last.startswith("claim w/t_s: met ")
+        if (met, status) != (want_met, 0 if want_met else 1):
+            print(f"self-test FAIL [{label}]: got met={met} exit {status}: {last}")
+            bad += 1
     if bad:
         return 1
-    print(f"bench_compare.py self-test: {len(cases)} cases passed")
+    print(f"bench_compare.py self-test: {len(cases) + len(claim_cases)} cases passed")
     return 0
 
 
@@ -247,6 +319,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_dir", nargs="?")
     parser.add_argument("change_dir", nargs="?")
+    parser.add_argument("--claim", metavar="WORKLOAD/METRIC",
+                        help="check a claimed gain on one end_to_end metric")
     parser.add_argument("--self-test", action="store_true",
                         help="check the verdicts on synthetic result sets")
     args = parser.parse_args()
@@ -256,7 +330,7 @@ def main() -> int:
         parser.error("PARENT_DIR and CHANGE_DIR are required")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    status, _ = compare(spec, args.parent_dir, args.change_dir)
+    status, _ = compare(spec, args.parent_dir, args.change_dir, claim=args.claim)
     return status
 
 
