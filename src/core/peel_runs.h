@@ -6,9 +6,11 @@
 // aggregated statistics of one completed pass at a time through ApplyPass.
 // The state machine never touches a stream: PassEngine (core/pass_engine.h)
 // scans the edges and accumulates the degrees, feeding one run or many
-// from each physical scan, and every driver — RunAlgorithm1/2/3 and the
-// sweeps alike — shares exactly this peeling logic, so a fused run can
-// never diverge from a solo one by reimplementation drift.
+// from each physical scan, or the MapReduce drivers (mapreduce/mr_densest.h)
+// compute them with the §5.2 density and degree jobs. Every driver —
+// RunAlgorithm1/2/3, the sweeps and the MapReduce drivers alike — shares
+// exactly this peeling logic, so no driver can diverge from another by
+// reimplementation drift.
 
 #ifndef DENSEST_CORE_PEEL_RUNS_H_
 #define DENSEST_CORE_PEEL_RUNS_H_

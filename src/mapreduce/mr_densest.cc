@@ -1,9 +1,11 @@
 #include "mapreduce/mr_densest.h"
 
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <optional>
 
+#include "core/peel_runs.h"
 #include "graph/subgraph.h"
 #include "mapreduce/stream_source.h"
 #include "stream/memory_stream.h"
@@ -52,6 +54,20 @@ JobOptions DriverJobOptions(uint64_t spill_budget_bytes,
   return opts;
 }
 
+/// The nodes a run's peel step removed, for the removal job to mark: the
+/// set before ApplyPass minus the (shrunken) set after it.
+NodeSet Peeled(const NodeSet& before, const NodeSet& after) {
+  NodeSet peeled(before.universe_size());
+  const std::vector<uint64_t>& b = before.words();
+  const std::vector<uint64_t>& a = after.words();
+  for (size_t w = 0; w < b.size(); ++w) {
+    for (uint64_t bits = b[w] & ~a[w]; bits != 0; bits &= bits - 1) {
+      peeled.Insert(static_cast<NodeId>(64 * w + std::countr_zero(bits)));
+    }
+  }
+  return peeled;
+}
+
 }  // namespace
 
 StatusOr<MrDensestResult> RunMrDensestUndirected(
@@ -60,20 +76,18 @@ StatusOr<MrDensestResult> RunMrDensestUndirected(
   const NodeId n = stream.num_nodes();
   if (n == 0) return Status::InvalidArgument("graph has no nodes");
 
+  Algorithm1Options run_options;
+  run_options.epsilon = options.epsilon;
+  run_options.record_trace = options.record_trace;
+  Algorithm1Run run(n, run_options);
   MrDensestResult out;
-  NodeSet alive(n, /*full=*/true);
-  NodeSet best = alive;
-  double best_density = -1.0;
   PassCursor cursor(stream);
   DriverInput input(cursor);
   const JobOptions base_opts =
       DriverJobOptions(options.spill_budget_bytes, options.spill_dir);
 
-  const double factor = 2.0 * (1.0 + options.epsilon);
-  std::vector<EdgeId> deg(n, 0);
-  uint64_t pass = 0;
-  while (!alive.empty() && pass < options.max_passes) {
-    ++pass;
+  std::vector<double> degrees(n, 0.0);
+  while (!run.done()) {
     JobStats pass_stats;
 
     // Job 1 (§5.2 "density"): count the surviving edges.
@@ -87,43 +101,21 @@ StatusOr<MrDensestResult> RunMrDensestUndirected(
     // so the shuffle carries O(|V_alive|) records per chunk, not O(|E|).
     JobStats degree_stats;
     JobOptions degree_opts = base_opts;
-    degree_opts.reduce_output_hint = alive.size();
-    StatusOr<std::vector<KV<NodeId, EdgeId>>> degrees =
+    degree_opts.reduce_output_hint = run.alive().size();
+    StatusOr<std::vector<KV<NodeId, EdgeId>>> counts =
         MrDegreeJobCombined(env, input.source(), degree_opts, &degree_stats);
-    if (!degrees.ok()) return degrees.status();
+    if (!counts.ok()) return counts.status();
     pass_stats.Accumulate(degree_stats);
 
-    const double rho =
-        static_cast<double>(*m) / static_cast<double>(alive.size());
-    if (rho > best_density) {
-      best_density = rho;
-      best = alive;
+    // Algorithm 1's peel step on the jobs' outputs. (Nodes with no
+    // surviving edge have no degree record and read 0.)
+    std::fill(degrees.begin(), degrees.end(), 0.0);
+    for (const auto& kv : *counts) {
+      degrees[kv.key] = static_cast<double>(kv.value);
     }
-
-    // Driver decision: mark every node at or below the threshold.
-    // (Nodes with no surviving edge have degree 0 and are always marked.)
-    std::fill(deg.begin(), deg.end(), 0);
-    for (const auto& kv : *degrees) deg[kv.key] = kv.value;
-    const double threshold = factor * rho;
-    NodeSet marked(n);
-    for (NodeId u = 0; u < n; ++u) {
-      if (alive.Contains(u) && static_cast<double>(deg[u]) <= threshold) {
-        marked.Insert(u);
-        alive.Remove(u);
-      }
-    }
-
-    if (options.record_trace) {
-      PassSnapshot snap;
-      snap.pass = pass;
-      snap.nodes = static_cast<NodeId>(alive.size() + marked.size());
-      snap.edges = *m;
-      snap.weight = static_cast<double>(*m);
-      snap.density = rho;
-      snap.threshold = threshold;
-      snap.removed = marked.size();
-      out.result.trace.push_back(snap);
-    }
+    const NodeSet before = run.alive();
+    run.ApplyPass({*m, static_cast<double>(*m)}, degrees);
+    const NodeSet marked = Peeled(before, run.alive());
 
     // Jobs 3+4 (§5.2 "removal"): delete marked nodes and incident edges.
     if (!marked.empty() && !input.in_memory_empty()) {
@@ -141,11 +133,7 @@ StatusOr<MrDensestResult> RunMrDensestUndirected(
     out.pass_stats.push_back(pass_stats);
   }
 
-  out.result.nodes = best.ToVector();
-  out.result.density = best_density < 0 ? 0.0 : best_density;
-  out.result.passes = pass;
-  // Same peeling decisions as RunAlgorithm1, so the same Lemma 1 band.
-  out.result.certified_band = 2.0 * (1.0 + options.epsilon);
+  out.result = run.TakeResult();
   out.totals = env.totals();
   out.input_scans = cursor.passes();
   return out;
@@ -167,20 +155,19 @@ StatusOr<MrDirectedResult> RunMrDensestDirected(
   const NodeId n = stream.num_nodes();
   if (n == 0) return Status::InvalidArgument("graph has no nodes");
 
+  Algorithm3Options run_options;
+  run_options.c = options.c;
+  run_options.epsilon = options.epsilon;
+  run_options.record_trace = options.record_trace;
+  Algorithm3Run run(n, run_options);
   MrDirectedResult out;
-  out.result.c = options.c;
-  NodeSet s(n, /*full=*/true), t(n, /*full=*/true);
-  NodeSet best_s = s, best_t = t;
-  double best_density = -1.0;
   PassCursor cursor(stream);
   DriverInput input(cursor);
   const JobOptions base_opts =
       DriverJobOptions(options.spill_budget_bytes, options.spill_dir);
 
-  std::vector<EdgeId> out_deg(n, 0), in_deg(n, 0);
-  uint64_t pass = 0;
-  while (!s.empty() && !t.empty() && pass < options.max_passes) {
-    ++pass;
+  std::vector<double> out_to_t(n, 0.0), in_from_s(n, 0.0);
+  while (!run.done()) {
     JobStats pass_stats;
 
     JobStats density_stats;
@@ -191,72 +178,25 @@ StatusOr<MrDirectedResult> RunMrDensestDirected(
 
     JobStats degree_stats;
     JobOptions degree_opts = base_opts;
-    degree_opts.reduce_output_hint = s.size() + t.size();
-    StatusOr<std::vector<KV<uint64_t, EdgeId>>> degrees =
+    degree_opts.reduce_output_hint = run.s().size() + run.t().size();
+    StatusOr<std::vector<KV<uint64_t, EdgeId>>> counts =
         MrDirectedDegreeJobCombined(env, input.source(), degree_opts,
                                     &degree_stats);
-    if (!degrees.ok()) return degrees.status();
+    if (!counts.ok()) return counts.status();
     pass_stats.Accumulate(degree_stats);
 
-    const double rho = static_cast<double>(*m) /
-                       std::sqrt(static_cast<double>(s.size()) *
-                                 static_cast<double>(t.size()));
-    if (rho > best_density) {
-      best_density = rho;
-      best_s = s;
-      best_t = t;
+    // Algorithm 3's peel step (size-ratio rule) on the jobs' outputs; the
+    // side it peels is the side sides() names before the pass.
+    std::fill(out_to_t.begin(), out_to_t.end(), 0.0);
+    std::fill(in_from_s.begin(), in_from_s.end(), 0.0);
+    for (const auto& kv : *counts) {
+      std::vector<double>& side = (kv.key & 1) ? in_from_s : out_to_t;
+      side[kv.key >> 1] = static_cast<double>(kv.value);
     }
-
-    std::fill(out_deg.begin(), out_deg.end(), 0);
-    std::fill(in_deg.begin(), in_deg.end(), 0);
-    for (const auto& kv : *degrees) {
-      NodeId node = static_cast<NodeId>(kv.key >> 1);
-      if (kv.key & 1) {
-        in_deg[node] = kv.value;
-      } else {
-        out_deg[node] = kv.value;
-      }
-    }
-
-    const bool peel_s =
-        static_cast<double>(s.size()) / static_cast<double>(t.size()) >=
-        options.c;
-    NodeSet marked(n);
-    if (peel_s) {
-      const double threshold = (1.0 + options.epsilon) *
-                               static_cast<double>(*m) /
-                               static_cast<double>(s.size());
-      for (NodeId u = 0; u < n; ++u) {
-        if (s.Contains(u) && static_cast<double>(out_deg[u]) <= threshold) {
-          marked.Insert(u);
-          s.Remove(u);
-        }
-      }
-    } else {
-      const double threshold = (1.0 + options.epsilon) *
-                               static_cast<double>(*m) /
-                               static_cast<double>(t.size());
-      for (NodeId u = 0; u < n; ++u) {
-        if (t.Contains(u) && static_cast<double>(in_deg[u]) <= threshold) {
-          marked.Insert(u);
-          t.Remove(u);
-        }
-      }
-    }
-
-    if (options.record_trace) {
-      DirectedPassSnapshot snap;
-      snap.pass = pass;
-      snap.s_size = peel_s ? static_cast<NodeId>(s.size() + marked.size())
-                           : s.size();
-      snap.t_size = peel_s ? t.size()
-                           : static_cast<NodeId>(t.size() + marked.size());
-      snap.weight = static_cast<double>(*m);
-      snap.density = rho;
-      snap.removed_from_s = peel_s;
-      snap.removed = marked.size();
-      out.result.trace.push_back(snap);
-    }
+    const bool peel_s = run.sides().out;
+    const NodeSet before = peel_s ? run.s() : run.t();
+    run.ApplyPass({*m, static_cast<double>(*m)}, out_to_t, in_from_s);
+    const NodeSet marked = Peeled(before, peel_s ? run.s() : run.t());
 
     if (!marked.empty() && !input.in_memory_empty()) {
       JobStats removal_stats;
@@ -273,12 +213,7 @@ StatusOr<MrDirectedResult> RunMrDensestDirected(
     out.pass_stats.push_back(pass_stats);
   }
 
-  out.result.s_nodes = best_s.ToVector();
-  out.result.t_nodes = best_t.ToVector();
-  out.result.density = best_density < 0 ? 0.0 : best_density;
-  out.result.passes = pass;
-  // Same peeling decisions as RunAlgorithm3, so the same Theorem 6 band.
-  out.result.certified_band = 2.0 * (1.0 + options.epsilon);
+  out.result = run.TakeResult();
   out.totals = env.totals();
   out.input_scans = cursor.passes();
   return out;

@@ -1,8 +1,10 @@
 // Copyright 2026 The densest Authors.
 // Full MapReduce realizations of Algorithm 1 (undirected) and Algorithm 3
-// (directed): the drivers orchestrate the §5.2 jobs pass by pass, exactly
-// mirroring the streaming algorithms' decisions, and collect the simulated
-// per-pass cluster time (Figure 6.7).
+// (directed): the drivers orchestrate the §5.2 jobs pass by pass and drive
+// the streaming algorithms' own peeling runs (Algorithm1Run, Algorithm3Run
+// in core/peel_runs.h) with the jobs' outputs, so every peel decision is
+// made in one place; they also collect the simulated per-pass cluster time
+// (Figure 6.7).
 //
 // The drivers read EdgeStreams: the first pass's jobs each scan the input
 // through a StreamRecordSource (binary file, generator, or in-memory
@@ -29,7 +31,6 @@ namespace densest {
 /// \brief Knobs for the undirected MapReduce driver.
 struct MrDensestOptions {
   double epsilon = 1.0;
-  uint64_t max_passes = 1000;
   bool record_trace = true;
   /// Shuffle spill budget per job in bytes (see
   /// JobOptions::spill_budget_bytes). 0 keeps every shuffle in memory.
@@ -55,10 +56,14 @@ struct [[nodiscard]] MrDensestResult {
   uint64_t input_scans = 0;
 };
 
-/// Runs the MapReduce version of Algorithm 1 over an edge stream.
-/// Produces exactly the same subgraph as RunAlgorithm1 with the same
-/// epsilon (the drivers make identical decisions); only the execution
-/// substrate differs. Unweighted edges only (weights are ignored).
+/// Runs the MapReduce version of Algorithm 1 over an edge stream: the
+/// density and degree jobs feed an Algorithm1Run, and the removal jobs
+/// delete what its peel step removed. Produces exactly RunAlgorithm1's
+/// result with the same epsilon (subgraph, density, passes, trace and
+/// band); only the execution substrate differs. The §5.2 records carry no
+/// weight, so every edge must have weight 1.0: the first job fails with
+/// InvalidArgument on any other weight. Also InvalidArgument for an
+/// invalid epsilon or an empty node set.
 StatusOr<MrDensestResult> RunMrDensestUndirected(MapReduceEnv& env,
                                                  EdgeStream& stream,
                                                  const MrDensestOptions& options);
@@ -73,7 +78,6 @@ struct MrDirectedOptions {
   /// Assumed ratio |S*|/|T*| (finite, > 0).
   double c = 1.0;
   double epsilon = 1.0;
-  uint64_t max_passes = 1000;
   bool record_trace = true;
   /// See MrDensestOptions.
   uint64_t spill_budget_bytes = 0;
@@ -89,9 +93,11 @@ struct [[nodiscard]] MrDirectedResult {
   uint64_t input_scans = 0;
 };
 
-/// Runs the MapReduce version of Algorithm 3 over an arc stream.
-/// Matches RunAlgorithm3 with the same options (size-ratio rule). Fails
-/// with InvalidArgument for an invalid epsilon, a c that is not finite
+/// Runs the MapReduce version of Algorithm 3 over an arc stream by
+/// driving an Algorithm3Run (size-ratio rule) with the jobs' outputs.
+/// Matches RunAlgorithm3 with the same c and epsilon. Unit weights only,
+/// as for RunMrDensestUndirected. Fails with InvalidArgument for an arc
+/// whose weight is not 1.0, an invalid epsilon, a c that is not finite
 /// and > 0, or an empty node set.
 StatusOr<MrDirectedResult> RunMrDensestDirected(MapReduceEnv& env,
                                                 EdgeStream& stream,

@@ -18,8 +18,10 @@ namespace densest {
 
 /// \brief RecordSource over an EdgeStream: each Reset() begins one physical
 /// pass on the shared cursor; FillChunk converts the cursor's edge views
-/// into (first endpoint; second endpoint) records. Weights are dropped —
-/// the §5.2 MR jobs are unweighted. The cursor must outlive the source.
+/// into (first endpoint; second endpoint) records. The §5.2 records carry
+/// no weight, so weights are rejected, not dropped: the first edge whose
+/// weight is not 1.0 ends the scan with a sticky InvalidArgument. The
+/// cursor must outlive the source.
 class StreamRecordSource : public RecordSource<NodeId, NodeId> {
  public:
   explicit StreamRecordSource(PassCursor& cursor) : cursor_(&cursor) {}
@@ -34,9 +36,12 @@ class StreamRecordSource : public RecordSource<NodeId, NodeId> {
   void Reset() override { cursor_->BeginPass(); }
   size_t FillChunk(KV<NodeId, NodeId>* buf, size_t cap) override;
   uint64_t SizeHint() const override { return cursor_->stream().SizeHint(); }
-  /// Forwards the stream's sticky IO health; the engine aborts the job on
-  /// a truncated scan instead of reducing over partial data.
-  Status status() const override { return cursor_->stream().status(); }
+  /// The sticky weight error if one was seen, else the stream's sticky IO
+  /// health; the engine aborts the job on either instead of reducing over
+  /// partial or weight-stripped data.
+  Status status() const override {
+    return weight_status_.ok() ? cursor_->stream().status() : weight_status_;
+  }
   /// kDfsRecordBytes per record delivered, across all scans.
   uint64_t bytes_scanned() const override { return bytes_scanned_; }
   /// Forwards the stream's retry-loop outcomes (transient faults healed
@@ -49,6 +54,7 @@ class StreamRecordSource : public RecordSource<NodeId, NodeId> {
   PassCursor* cursor_;
   std::vector<Edge> scratch_;
   uint64_t bytes_scanned_ = 0;
+  Status weight_status_;
 };
 
 }  // namespace densest

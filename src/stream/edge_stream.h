@@ -71,13 +71,6 @@ class EdgeStream {
   /// clean one.
   virtual IoRetryStats io_retry_stats() const { return {}; }
 
-  /// True when every edge is guaranteed to carry weight exactly 1.0.
-  /// Unit-weight sums are exact in double precision, so the pass engine may
-  /// accumulate them in any order and still be bit-reproducible; returning
-  /// false (the conservative default) merely selects the slower
-  /// order-deterministic path.
-  virtual bool HasUnitWeights() const { return false; }
-
   /// CSR escape hatches: a stream backed by an in-memory CSR graph may
   /// expose it so the pass engine can run its cache-friendly kernel over
   /// the adjacency arrays instead of materializing Edge records. The

@@ -63,7 +63,6 @@ class BinaryFileEdgeStream : public EdgeStream {
   /// Reset() — the underlying file is bad and every further pass would be
   /// silently short, which is exactly the wrong-density bug this guards.
   Status status() const override { return status_; }
-  bool HasUnitWeights() const override { return !weighted_; }
   NodeId num_nodes() const override { return header_.num_nodes; }
   /// The header's edge count, capped by the records the file can hold.
   EdgeId SizeHint() const override { return size_hint_; }

@@ -105,7 +105,6 @@ class GnpEdgeStream : public EdgeStream {
   /// Serves the cached pass zero-copy, or generates into `scratch` (and
   /// records it, while the first pass is being captured).
   std::span<const Edge> NextView(Edge* scratch, size_t cap) override;
-  bool HasUnitWeights() const override { return true; }
   NodeId num_nodes() const override { return n_; }
   /// Exact once a pass has been materialized; 0 (unknown) before that.
   EdgeId SizeHint() const override {
@@ -141,7 +140,6 @@ class CirculantEdgeStream : public EdgeStream {
   /// Serves the cached pass zero-copy, or emits offset rings into
   /// `scratch` (and records them, while the first pass is being captured).
   std::span<const Edge> NextView(Edge* scratch, size_t cap) override;
-  bool HasUnitWeights() const override { return true; }
   NodeId num_nodes() const override { return n_; }
   EdgeId SizeHint() const override {
     return static_cast<EdgeId>(n_) * (d_ / 2);

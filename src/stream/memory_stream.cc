@@ -12,19 +12,6 @@ std::span<const Edge> EdgeListStream::NextView(Edge* /*scratch*/, size_t cap) {
   return view;
 }
 
-bool EdgeListStream::HasUnitWeights() const {
-  if (unit_weights_ < 0) {
-    unit_weights_ = 1;
-    for (const Edge& e : edges_->edges()) {
-      if (e.w != 1.0) {
-        unit_weights_ = 0;
-        break;
-      }
-    }
-  }
-  return unit_weights_ != 0;
-}
-
 std::span<const Edge> UndirectedGraphStream::NextView(Edge* scratch,
                                                       size_t cap) {
   // Hoists the per-edge span construction out of the loop: the CSR row is

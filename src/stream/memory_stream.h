@@ -22,15 +22,12 @@ class EdgeListStream : public EdgeStream {
   void Reset() override { pos_ = 0; }
   /// Views straight into the EdgeList's storage — a pass copies nothing.
   std::span<const Edge> NextView(Edge* scratch, size_t cap) override;
-  /// Scans the edge list once (cached) to discover exact unit weights.
-  bool HasUnitWeights() const override;
   NodeId num_nodes() const override { return edges_->num_nodes(); }
   EdgeId SizeHint() const override { return edges_->num_edges(); }
 
  private:
   const EdgeList* edges_;
   size_t pos_ = 0;
-  mutable int unit_weights_ = -1;  // -1 unknown, else 0/1
 };
 
 /// \brief Streams each undirected edge of a CSR graph exactly once
@@ -46,7 +43,6 @@ class UndirectedGraphStream : public EdgeStream {
   }
   /// Materializes the edges into `scratch`, one CSR row at a time.
   std::span<const Edge> NextView(Edge* scratch, size_t cap) override;
-  bool HasUnitWeights() const override { return !g_->is_weighted(); }
   const UndirectedGraph* UndirectedCsrView() const override { return g_; }
   NodeId num_nodes() const override { return g_->num_nodes(); }
   EdgeId SizeHint() const override { return g_->num_edges(); }
@@ -69,7 +65,6 @@ class DirectedGraphStream : public EdgeStream {
   }
   /// Materializes the arcs into `scratch`, one CSR row at a time.
   std::span<const Edge> NextView(Edge* scratch, size_t cap) override;
-  bool HasUnitWeights() const override { return !g_->is_weighted(); }
   const DirectedGraph* DirectedCsrView() const override { return g_; }
   NodeId num_nodes() const override { return g_->num_nodes(); }
   EdgeId SizeHint() const override { return g_->num_edges(); }

@@ -52,7 +52,6 @@ class CountingEdgeStream : public EdgeStream {
     if (view.empty()) SyncRetryStats();
     return view;
   }
-  bool HasUnitWeights() const override { return inner_->HasUnitWeights(); }
   Status status() const override { return inner_->status(); }
   IoRetryStats io_retry_stats() const override {
     return inner_->io_retry_stats();

@@ -229,6 +229,56 @@ TEST(CliMapReduceTest, RunsOutOfCoreOnBinaryInput) {
   std::remove(path.c_str());
 }
 
+/// `densest_cli mapreduce path` at eps 0.5, or as Algorithm 3 at c = 1
+/// when `directed`: returns the output and sets `status`.
+std::string RunMapReduce(const std::string& path, bool directed,
+                         Status* status) {
+  std::vector<std::string> tokens = {path, "--eps=0.5"};
+  if (directed) tokens = {path, "--directed", "--c=1"};
+  auto args = Args::Parse(tokens);
+  EXPECT_TRUE(args.ok());
+  std::ostringstream out;
+  *status = RunCliCommand("mapreduce", *args, out);
+  return out.str();
+}
+
+TEST(CliMapReduceTest, RejectsWeightedTextAndAcceptsUnitWeights) {
+  // 1500 random unit edges, a unit 30-clique and a 10-cycle of weight 100:
+  // dropping the weights would report the clique under a band the cycle
+  // breaks.
+  PlantedGraph pg = PlantDenseBlocks(400, 1500, {{30, 1.0}}, 5);
+  EdgeList weighted = pg.edges;
+  for (NodeId u = 0; u < 10; ++u) weighted.Add(u, (u + 1) % 10, 100.0);
+  const std::string dir = ::testing::TempDir();
+  const std::string w_path = dir + "/cli_mr_weighted.txt";
+  const std::string plain_path = dir + "/cli_mr_plain.txt";
+  const std::string ones_path = dir + "/cli_mr_ones.txt";
+  ASSERT_TRUE(WriteEdgeListText(w_path, weighted, true).ok());
+  ASSERT_TRUE(WriteEdgeListText(plain_path, pg.edges, false).ok());
+  ASSERT_TRUE(WriteEdgeListText(ones_path, pg.edges, true).ok());
+
+  for (bool directed : {false, true}) {
+    Status status;
+    std::string out = RunMapReduce(w_path, directed, &status);
+    EXPECT_EQ(status.code(), Status::Code::kInvalidArgument) << directed;
+    EXPECT_NE(status.message().find("unit weights"), std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(out.find("rho="), std::string::npos) << out;
+
+    // "u v 1" lines are the unit graph: same answer as "u v" lines.
+    Status plain_status, ones_status;
+    std::string plain = RunMapReduce(plain_path, directed, &plain_status);
+    std::string ones = RunMapReduce(ones_path, directed, &ones_status);
+    ASSERT_TRUE(plain_status.ok()) << plain_status.ToString();
+    ASSERT_TRUE(ones_status.ok()) << ones_status.ToString();
+    EXPECT_NE(plain.find("rho="), std::string::npos);
+    EXPECT_EQ(ones, plain);
+  }
+  std::remove(w_path.c_str());
+  std::remove(plain_path.c_str());
+  std::remove(ones_path.c_str());
+}
+
 TEST_F(CliCommandTest, DynamicInsertOnlyReplayWithCheckpoints) {
   Status status;
   std::string out = Run(

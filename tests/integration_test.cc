@@ -97,8 +97,15 @@ TEST(IntegrationTest, StreamingFromDiskMatchesInMemory) {
 
 TEST(IntegrationTest, MapReduceMatchesStreamingOnSocialGraph) {
   UndirectedGraph g = SmallSocialGraph();
-  EdgeList el = g.ToEdgeList();
-  el.set_num_nodes(g.num_nodes());
+  // Cleaning merged duplicate edges into weight 2, and the §5.2 records
+  // carry no weight: MR gets the same graph as unit multi-edges, each
+  // weight-w edge as w unit edges.
+  const EdgeList weighted = g.ToEdgeList();
+  EdgeList el(g.num_nodes());
+  for (const Edge& e : weighted.edges()) {
+    ASSERT_TRUE(e.w >= 1 && e.w == std::floor(e.w)) << "weight " << e.w;
+    for (int k = 0; k < static_cast<int>(e.w); ++k) el.Add(e.u, e.v);
+  }
 
   Algorithm1Options s_opt;
   s_opt.epsilon = 1.0;
@@ -111,6 +118,7 @@ TEST(IntegrationTest, MapReduceMatchesStreamingOnSocialGraph) {
   auto mr = RunMrDensestUndirected(env, el, mr_opt);
   ASSERT_TRUE(mr.ok());
   EXPECT_EQ(mr->result.nodes, streaming->nodes);
+  EXPECT_EQ(mr->result.density, streaming->density);
   EXPECT_EQ(mr->result.passes, streaming->passes);
 }
 

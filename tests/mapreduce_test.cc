@@ -262,6 +262,49 @@ TEST(GraphJobsTest, RemoveArcsBySourceAndTarget) {
 
 // ---- Driver equivalence with the streaming algorithms. ----
 
+// The MR drivers peel through the streaming runs, so every trace field
+// matches the streaming trace exactly.
+void ExpectSameTrace(const std::vector<PassSnapshot>& got,
+                     const std::vector<PassSnapshot>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].pass, want[i].pass) << "pass " << i;
+    EXPECT_EQ(got[i].nodes, want[i].nodes) << "pass " << i;
+    EXPECT_EQ(got[i].edges, want[i].edges) << "pass " << i;
+    EXPECT_EQ(got[i].weight, want[i].weight) << "pass " << i;
+    EXPECT_EQ(got[i].density, want[i].density) << "pass " << i;
+    EXPECT_EQ(got[i].threshold, want[i].threshold) << "pass " << i;
+    EXPECT_EQ(got[i].removed, want[i].removed) << "pass " << i;
+  }
+}
+
+void ExpectSameTrace(const std::vector<DirectedPassSnapshot>& got,
+                     const std::vector<DirectedPassSnapshot>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].pass, want[i].pass) << "pass " << i;
+    EXPECT_EQ(got[i].s_size, want[i].s_size) << "pass " << i;
+    EXPECT_EQ(got[i].t_size, want[i].t_size) << "pass " << i;
+    EXPECT_EQ(got[i].weight, want[i].weight) << "pass " << i;
+    EXPECT_EQ(got[i].density, want[i].density) << "pass " << i;
+    EXPECT_EQ(got[i].removed_from_s, want[i].removed_from_s) << "pass " << i;
+    EXPECT_EQ(got[i].removed, want[i].removed) << "pass " << i;
+  }
+}
+
+/// The §5.2 records carry no weight, so MR sees a GraphBuilder graph (whose
+/// merged duplicates weigh 2) as unit multi-edges: each weight-w edge as w
+/// unit edges, the same graph with every weight 1.
+EdgeList UnitMultiEdges(const UndirectedGraph& g) {
+  const EdgeList weighted = g.ToEdgeList();
+  EdgeList el(g.num_nodes());
+  for (const Edge& e : weighted.edges()) {
+    EXPECT_TRUE(e.w >= 1 && e.w == std::floor(e.w)) << "weight " << e.w;
+    for (int k = 0; k < static_cast<int>(e.w); ++k) el.Add(e.u, e.v);
+  }
+  return el;
+}
+
 class MrUndirectedEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(MrUndirectedEquivalenceTest, MatchesStreamingAlgorithm1) {
@@ -286,8 +329,11 @@ TEST_P(MrUndirectedEquivalenceTest, MatchesStreamingAlgorithm1) {
   ASSERT_TRUE(mr.ok());
 
   EXPECT_EQ(mr->result.nodes, streaming->nodes) << "seed=" << seed;
-  EXPECT_DOUBLE_EQ(mr->result.density, streaming->density);
+  EXPECT_EQ(mr->result.density, streaming->density);
   EXPECT_EQ(mr->result.passes, streaming->passes);
+  EXPECT_EQ(mr->result.io_passes, streaming->io_passes);
+  EXPECT_EQ(mr->result.certified_band, streaming->certified_band);
+  ExpectSameTrace(mr->result.trace, streaming->trace);
   EXPECT_EQ(mr->pass_seconds.size(), mr->result.passes);
   for (double s : mr->pass_seconds) EXPECT_GT(s, 0.0);
 }
@@ -318,8 +364,11 @@ TEST_P(MrDirectedEquivalenceTest, MatchesStreamingAlgorithm3) {
 
   EXPECT_EQ(mr->result.s_nodes, streaming->s_nodes) << "seed=" << seed;
   EXPECT_EQ(mr->result.t_nodes, streaming->t_nodes);
-  EXPECT_DOUBLE_EQ(mr->result.density, streaming->density);
+  EXPECT_EQ(mr->result.density, streaming->density);
   EXPECT_EQ(mr->result.passes, streaming->passes);
+  EXPECT_EQ(mr->result.c, streaming->c);
+  EXPECT_EQ(mr->result.certified_band, streaming->certified_band);
+  ExpectSameTrace(mr->result.trace, streaming->trace);
 }
 
 INSTANTIATE_TEST_SUITE_P(MrDirectedSweep, MrDirectedEquivalenceTest,
@@ -354,8 +403,7 @@ TEST(MrDriverTest, SimulatedTimeDecaysAcrossPasses) {
   b.ReserveNodes(pg.edges.num_nodes());
   for (const Edge& e : pg.edges.edges()) b.Add(e.u, e.v);
   UndirectedGraph g = std::move(b.BuildUndirected()).value();
-  EdgeList el = g.ToEdgeList();
-  el.set_num_nodes(g.num_nodes());
+  EdgeList el = UnitMultiEdges(g);
 
   CostModel model;
   model.map_seconds_per_record = 1e-3;  // exaggerate data-dependent cost

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "core/algorithm1.h"
@@ -261,6 +262,101 @@ TEST(MrStreamFailureTest, TruncatedBinaryInputSurfacesIOError) {
   ASSERT_FALSE(mr.ok());
   EXPECT_EQ(mr.status().code(), Status::Code::kIOError);
   std::remove(path.c_str());
+}
+
+// ---- Weights: the §5.2 records carry none, so weighted input fails. ----
+
+/// 1500 random unit edges on 400 nodes, a unit 30-clique and a 10-cycle of
+/// weight 100: the weighted densest subgraph (density ~100) is the cycle,
+/// which a run that dropped the weights would miss for the clique.
+EdgeList WeightedCycleGraph() {
+  EdgeList el = ErdosRenyiGnm(400, 1500, 91);
+  for (NodeId u = 300; u < 330; ++u) {
+    for (NodeId v = u + 1; v < 330; ++v) el.Add(u, v);
+  }
+  for (NodeId u = 0; u < 10; ++u) el.Add(u, (u + 1) % 10, 100.0);
+  return el;
+}
+
+TEST(StreamRecordSourceTest, WeightedEdgeEndsEveryScanWithStickyError) {
+  EdgeList el = WeightedCycleGraph();
+  EdgeListStream stream(el);
+  PassCursor cursor(stream);
+  StreamRecordSource source(cursor);
+  for (int scan = 1; scan <= 2; ++scan) {
+    source.Reset();
+    KV<NodeId, NodeId> buf[64];
+    size_t records = 0, n = 0;
+    while ((n = source.FillChunk(buf, 64)) > 0) records += n;
+    EXPECT_LT(records, el.num_edges());
+    EXPECT_EQ(source.status().code(), Status::Code::kInvalidArgument);
+  }
+  EXPECT_NE(source.status().message().find("unit weights"), std::string::npos);
+  EXPECT_NE(source.status().message().find("(0, 1) has weight 100"),
+            std::string::npos)
+      << source.status().message();
+}
+
+TEST(MrWeightTest, WeightedListAndFileAreRejected) {
+  const EdgeList el = WeightedCycleGraph();
+  const std::string path = ::testing::TempDir() + "/mr_weighted_cycle.bin";
+  ASSERT_TRUE(WriteBinaryEdgeFile(path, el, /*weighted=*/true).ok());
+  auto file = BinaryFileEdgeStream::Open(path);
+  ASSERT_TRUE(file.ok());
+  EdgeListStream list(el);
+  for (EdgeStream* stream : std::vector<EdgeStream*>{&list, file->get()}) {
+    MapReduceEnv env;
+    auto undirected = RunMrDensestUndirected(env, *stream, {});
+    ASSERT_FALSE(undirected.ok());
+    EXPECT_EQ(undirected.status().code(), Status::Code::kInvalidArgument);
+    EXPECT_NE(undirected.status().message().find("unit weights"),
+              std::string::npos);
+
+    MrDirectedOptions directed_opt;
+    directed_opt.c = 1.0;
+    auto directed = RunMrDensestDirected(env, *stream, directed_opt);
+    ASSERT_FALSE(directed.ok());
+    EXPECT_EQ(directed.status().code(), Status::Code::kInvalidArgument);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(MrWeightTest, WeightedFormatWithUnitWeightsMatchesUnweightedFile) {
+  // A weighted-format file whose weights are all 1.0 describes the unit
+  // graph, so MR accepts it and gives the unweighted file's answer.
+  const EdgeList el = ErdosRenyiGnm(150, 900, 35);
+  const std::string plain_path = ::testing::TempDir() + "/mr_plain.bin";
+  const std::string ones_path = ::testing::TempDir() + "/mr_ones.bin";
+  ASSERT_TRUE(WriteBinaryEdgeFile(plain_path, el, /*weighted=*/false).ok());
+  ASSERT_TRUE(WriteBinaryEdgeFile(ones_path, el, /*weighted=*/true).ok());
+  auto plain = BinaryFileEdgeStream::Open(plain_path);
+  auto ones = BinaryFileEdgeStream::Open(ones_path);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(ones.ok());
+
+  MapReduceEnv env;
+  MrDensestOptions opt;
+  opt.epsilon = 0.5;
+  auto want = RunMrDensestUndirected(env, **plain, opt);
+  auto got = RunMrDensestUndirected(env, **ones, opt);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->result.nodes, want->result.nodes);
+  EXPECT_EQ(got->result.density, want->result.density);
+  EXPECT_EQ(got->result.passes, want->result.passes);
+
+  MrDirectedOptions directed_opt;
+  directed_opt.c = 2.0;
+  auto want_directed = RunMrDensestDirected(env, **plain, directed_opt);
+  auto got_directed = RunMrDensestDirected(env, **ones, directed_opt);
+  ASSERT_TRUE(want_directed.ok()) << want_directed.status().ToString();
+  ASSERT_TRUE(got_directed.ok()) << got_directed.status().ToString();
+  EXPECT_EQ(got_directed->result.s_nodes, want_directed->result.s_nodes);
+  EXPECT_EQ(got_directed->result.t_nodes, want_directed->result.t_nodes);
+  EXPECT_EQ(got_directed->result.density, want_directed->result.density);
+  EXPECT_EQ(got_directed->result.passes, want_directed->result.passes);
+  std::remove(plain_path.c_str());
+  std::remove(ones_path.c_str());
 }
 
 // ---- Combiner ceiling: the shuffle carries O(V), not O(E). ----

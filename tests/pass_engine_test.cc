@@ -574,7 +574,6 @@ class CancelAfterThirdChunk final : public EdgeStream {
     if (!view.empty() && ++chunks_ == 3) token_.Cancel();
     return view;
   }
-  bool HasUnitWeights() const override { return inner_.HasUnitWeights(); }
   NodeId num_nodes() const override { return inner_.num_nodes(); }
 
  private:
@@ -635,7 +634,6 @@ TEST(AbortedPassTest, EngineScratchStaysClean) {
       for (Edge& e : el.mutable_edges()) e.w = 1.0;
     }
     EdgeListStream healthy(el);
-    ASSERT_EQ(healthy.HasUnitWeights(), !weighted);
     // A file that ends mid-stream: the pass fails with an IO error after
     // accumulating the records before the cut.
     ASSERT_TRUE(WriteBinaryEdgeFile(path, el, weighted).ok());

@@ -405,7 +405,7 @@ class Linter:
     STREAM_METHODS = re.compile(
         r"^\s*(?:virtual\s+)?[\w:<>,*&\s]+?\b"
         r"(Reset|Next|NextBatch|NextView|status|io_retry_stats|"
-        r"HasUnitWeights|num_nodes|SizeHint|UndirectedCsrView|"
+        r"num_nodes|SizeHint|UndirectedCsrView|"
         r"DirectedCsrView|FillChunk|bytes_scanned|Skip)\s*\([^;{]*?[;{]",
         re.M,
     )
