@@ -109,17 +109,11 @@ Status CmdStats(const Args& args, std::ostream& out) {
 Status CmdUndirected(const Args& args, std::ostream& out) {
   StatusOr<double> eps = args.GetDouble("eps", 0.5);
   StatusOr<int64_t> min_size = args.GetInt("min-size", 0);
-  StatusOr<int64_t> sketch_buckets = args.GetInt("sketch-buckets", 0);
-  StatusOr<int64_t> sketch_tables = args.GetInt("sketch-tables", 5);
-  StatusOr<int64_t> compact = args.GetInt("compact-below", 0);
   StatusOr<bool> trace = args.GetBool("trace", false);
   std::string output = args.GetString("output", "");
   for (const Status& s :
        {eps.ok() ? Status::OK() : eps.status(),
         min_size.ok() ? Status::OK() : min_size.status(),
-        sketch_buckets.ok() ? Status::OK() : sketch_buckets.status(),
-        sketch_tables.ok() ? Status::OK() : sketch_tables.status(),
-        compact.ok() ? Status::OK() : compact.status(),
         trace.ok() ? Status::OK() : trace.status()}) {
     if (!s.ok()) return s;
   }
@@ -134,7 +128,12 @@ Status CmdUndirected(const Args& args, std::ostream& out) {
   StatusOr<UndirectedGraph> graph = builder.BuildUndirected();
   if (!graph.ok()) return graph.status();
 
+  // Each path reads only its own flags, so a flag given off its path stays
+  // unread and RunCliCommand rejects it as unknown instead of ignoring it.
   UndirectedDensestResult result;
+  StatusOr<int64_t> sketch_buckets =
+      *min_size > 0 ? int64_t{0} : args.GetInt("sketch-buckets", 0);
+  if (!sketch_buckets.ok()) return sketch_buckets.status();
   if (*min_size > 0) {
     Algorithm2Options opt;
     opt.epsilon = *eps;
@@ -145,6 +144,8 @@ Status CmdUndirected(const Args& args, std::ostream& out) {
     result = std::move(*r);
     out << "algorithm 2 (min size " << *min_size << "): ";
   } else if (*sketch_buckets > 0) {
+    StatusOr<int64_t> sketch_tables = args.GetInt("sketch-tables", 5);
+    if (!sketch_tables.ok()) return sketch_tables.status();
     Algorithm1Options opt;
     opt.epsilon = *eps;
     opt.record_trace = *trace;
@@ -159,6 +160,8 @@ Status CmdUndirected(const Args& args, std::ostream& out) {
         << "): ";
     result = std::move(r->result);
   } else {
+    StatusOr<int64_t> compact = args.GetInt("compact-below", 0);
+    if (!compact.ok()) return compact.status();
     Algorithm1Options opt;
     opt.epsilon = *eps;
     opt.record_trace = *trace;
@@ -176,15 +179,7 @@ Status CmdUndirected(const Args& args, std::ostream& out) {
 
 Status CmdDirected(const Args& args, std::ostream& out) {
   StatusOr<double> eps = args.GetDouble("eps", 0.5);
-  StatusOr<double> c = args.GetDouble("c", 0.0);
-  StatusOr<double> delta = args.GetDouble("delta", 2.0);
-  StatusOr<bool> trace = args.GetBool("trace", false);
-  for (const Status& s : {eps.ok() ? Status::OK() : eps.status(),
-                          c.ok() ? Status::OK() : c.status(),
-                          delta.ok() ? Status::OK() : delta.status(),
-                          trace.ok() ? Status::OK() : trace.status()}) {
-    if (!s.ok()) return s;
-  }
+  if (!eps.ok()) return eps.status();
   StatusOr<std::string> path = RequireGraphArg(args);
   if (!path.ok()) return path.status();
   StatusOr<EdgeList> edges = LoadEdges(*path);
@@ -192,8 +187,14 @@ Status CmdDirected(const Args& args, std::ostream& out) {
   DirectedGraph graph = DirectedGraph::FromEdgeList(*edges);
 
   // An explicit --c runs Algorithm 3, which rejects a c that is not finite
-  // and > 0; without one the ratio is searched.
+  // and > 0; without one the ratio is searched. Each path reads only its
+  // own flags (--trace with --c, --delta without), so RunCliCommand
+  // rejects an off-path one as unknown.
   if (args.Has("c")) {
+    StatusOr<double> c = args.GetDouble("c", 0.0);
+    StatusOr<bool> trace = args.GetBool("trace", false);
+    if (!c.ok()) return c.status();
+    if (!trace.ok()) return trace.status();
     Algorithm3Options opt;
     opt.c = *c;
     opt.epsilon = *eps;
@@ -212,6 +213,8 @@ Status CmdDirected(const Args& args, std::ostream& out) {
     return Status::OK();
   }
 
+  StatusOr<double> delta = args.GetDouble("delta", 2.0);
+  if (!delta.ok()) return delta.status();
   CSearchOptions opt;
   opt.delta = *delta;
   opt.epsilon = *eps;
@@ -225,7 +228,6 @@ Status CmdDirected(const Args& args, std::ostream& out) {
 Status CmdMapReduce(const Args& args, std::ostream& out) {
   StatusOr<double> eps = args.GetDouble("eps", 1.0);
   StatusOr<bool> directed = args.GetBool("directed", false);
-  StatusOr<double> c = args.GetDouble("c", 1.0);
   StatusOr<int64_t> spill = args.GetInt("spill-budget", 0);
   StatusOr<int64_t> mappers = args.GetInt("mappers", 2000);
   StatusOr<int64_t> reducers = args.GetInt("reducers", 2000);
@@ -233,7 +235,6 @@ Status CmdMapReduce(const Args& args, std::ostream& out) {
   for (const Status& s :
        {eps.ok() ? Status::OK() : eps.status(),
         directed.ok() ? Status::OK() : directed.status(),
-        c.ok() ? Status::OK() : c.status(),
         spill.ok() ? Status::OK() : spill.status(),
         mappers.ok() ? Status::OK() : mappers.status(),
         reducers.ok() ? Status::OK() : reducers.status(),
@@ -275,6 +276,9 @@ Status CmdMapReduce(const Args& args, std::ostream& out) {
   MapReduceEnv env(model);
 
   if (*directed) {
+    // --c is read only here, so an undirected run rejects it as unknown.
+    StatusOr<double> c = args.GetDouble("c", 1.0);
+    if (!c.ok()) return c.status();
     MrDirectedOptions opt;
     opt.c = *c;
     opt.epsilon = *eps;
@@ -965,11 +969,12 @@ std::string CliUsage() {
       "commands:\n"
       "  stats <graph> [--directed]\n"
       "      print graph parameters\n"
-      "  undirected <graph> [--eps=0.5] [--min-size=K] [--sketch-buckets=B\n"
-      "      --sketch-tables=5] [--compact-below=E] [--trace] [--output=F]\n"
+      "  undirected <graph> [--eps=0.5] [--trace] [--output=F]\n"
+      "      [--compact-below=E | --min-size=K |\n"
+      "       --sketch-buckets=B [--sketch-tables=5]]\n"
       "      Algorithm 1 (default), Algorithm 2 (--min-size), or the\n"
       "      Count-Sketch variant (--sketch-buckets)\n"
-      "  directed <graph> [--eps=0.5] [--c=RATIO | --delta=2] [--trace]\n"
+      "  directed <graph> [--eps=0.5] [--c=RATIO [--trace] | --delta=2]\n"
       "      Algorithm 3 for one ratio c, or a c-search in powers of delta\n"
       "  mapreduce <graph> [--eps=1] [--directed --c=1] [--spill-budget=B]\n"
       "      [--mappers=2000 --reducers=2000] [--trace]\n"

@@ -199,4 +199,30 @@ FailpointAction Failpoints::Eval(const char* name) {
   return p.kind;
 }
 
+FailpointAction EvalFailpointWithRetry(const char* name,
+                                       const RetryPolicy& policy,
+                                       IoRetryStats& stats) {
+  int attempt = 0;
+  RetryBackoff backoff(policy);
+  for (;;) {
+    const FailpointAction fp = DENSEST_FAILPOINT(name);
+    if (fp != FailpointAction::kUnavailable) {
+      if (attempt > 0) {
+        ++stats.healed;
+        DENSEST_METRIC_COUNTER("io.retries_healed").Inc();
+      }
+      return fp;
+    }
+    if (attempt + 1 >= policy.max_attempts) {
+      ++stats.exhausted;
+      DENSEST_METRIC_COUNTER("io.retries_exhausted").Inc();
+      return FailpointAction::kUnavailable;
+    }
+    ++stats.retries;
+    DENSEST_METRIC_COUNTER("io.retries").Inc();
+    ++attempt;
+    backoff.Sleep();
+  }
+}
+
 }  // namespace densest

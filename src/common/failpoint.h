@@ -1,10 +1,11 @@
 // Copyright 2026 The densest Authors.
 // Failpoint registry: named, deterministic fault-injection trigger points
 // compiled into every IO seam of the library (binary edge/update stream
-// reads, spill write/read/merge, snapshot write/read). A failpoint is armed
-// from tests or the CLI (--failpoint=name:spec) with a small spec grammar;
-// an unarmed failpoint is one mutex-guarded hash lookup per evaluation, and
-// when DENSEST_FAILPOINTS_ENABLED is 0 the seams compile to nothing at all.
+// reads, spill write and merge read, snapshot write/read). A failpoint is
+// armed from tests or the CLI (--failpoint=name:spec) with a small spec
+// grammar; an unarmed failpoint is one mutex-guarded hash lookup per
+// evaluation, and when DENSEST_FAILPOINTS_ENABLED is 0 the seams compile to
+// nothing at all.
 //
 // Spec grammar — comma-separated clauses, e.g. "after=2,times=1,kind=unavailable":
 //
@@ -29,6 +30,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/retry.h"
 #include "common/status.h"
 
 #ifndef DENSEST_FAILPOINTS_ENABLED
@@ -84,6 +86,17 @@ class Failpoints {
   struct Impl;
   Impl* impl();  // lazily constructed, never destroyed (used from atexit paths)
 };
+
+/// The one retry loop of the IO seams that heal transient faults (edge and
+/// update stream reads, spill append and merge read): evaluates failpoint
+/// `name` (it models the device, so a seam calls this before its real IO),
+/// sleeping under `policy`'s backoff and re-evaluating while it fires
+/// kUnavailable. Returns kNone, kIOError or kShortRead, or kUnavailable
+/// once the policy's attempts are spent. Tallies each retry, heal and
+/// exhaustion into `stats` and the io.retries* counters.
+FailpointAction EvalFailpointWithRetry(const char* name,
+                                       const RetryPolicy& policy,
+                                       IoRetryStats& stats);
 
 }  // namespace densest
 

@@ -33,7 +33,6 @@ inline constexpr std::string_view kFailpointNames[] = {
     "snapshot.read",       // snapshot file read/decode
     "snapshot.write",      // snapshot temp-file write
     "spill.append",        // SpillFile::Append
-    "spill.read",          // SpillFile::Reader::Read
     "spill.read_at",       // SpillFile::ReadAt (merge path)
     "update_file.flush",   // WriteBinaryUpdateFile final flush
     "update_file.write",   // WriteBinaryUpdateFile body writes

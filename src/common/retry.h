@@ -19,9 +19,10 @@
 
 namespace densest {
 
-/// \brief Knobs for the retry loops at the IO seams (binary stream
-/// prefetch, spill reads). `max_attempts` counts total tries, so 1 means
-/// "no retries".
+/// \brief Knobs for EvalFailpointWithRetry (common/failpoint.h), the one
+/// retry loop that the edge-stream prefetch, the update-stream read and the
+/// spill append and merge read go through. `max_attempts` counts total
+/// tries, so 1 means "no retries".
 struct RetryPolicy {
   int max_attempts = 4;
   double base_delay_ms = 0.1;  // doubled per retry: 0.1, 0.2, 0.4, ...
@@ -90,9 +91,10 @@ class RetryBackoff {
   int retry_ = 0;
 };
 
-/// \brief Observable outcome of the retry loops, surfaced through
-/// PassStats / JobStats so transient faults that healed are visible and
-/// distinguishable from permanent ones that aborted.
+/// \brief Observable outcome of the retry loop, tallied per stream and per
+/// spill file (their io_retry_stats()) and summed into JobStats, so
+/// transient faults that healed are visible and distinguishable from
+/// permanent ones that aborted.
 struct IoRetryStats {
   uint64_t retries = 0;    ///< individual retry attempts made
   uint64_t healed = 0;     ///< operations that succeeded after >=1 retry

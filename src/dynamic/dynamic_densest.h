@@ -200,8 +200,7 @@ class DynamicDensest {
   /// logically-const query bumps (stale_answers_served) is a relaxed
   /// atomic — an independent monotone tally with no ordering relationship
   /// to any other engine state, so a read that misses an in-flight
-  /// increment just attributes it to the next call (the same contract as
-  /// BinaryFileEdgeStream::io_retry_stats()). Every other field is
+  /// increment just attributes it to the next call. Every other field is
   /// writer-owned plain state: reading it concurrently with Apply* keeps
   /// the engine's single-writer rules.
   DynamicDensestStats stats() const {

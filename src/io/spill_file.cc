@@ -8,7 +8,6 @@
 #include <filesystem>
 
 #include "common/failpoint.h"
-#include "obs/metrics.h"
 
 namespace densest {
 
@@ -58,33 +57,10 @@ SpillFile::~SpillFile() {
   std::filesystem::remove(path_, ec);  // best effort
 }
 
-FailpointAction SpillFile::EvalFailpointWithRetry(const char* name) const {
-  int attempt = 0;
-  RetryBackoff backoff(retry_policy_);
-  for (;;) {
-    const FailpointAction fp = DENSEST_FAILPOINT(name);
-    if (fp != FailpointAction::kUnavailable) {
-      if (attempt > 0) {
-        healed_.fetch_add(1, std::memory_order_relaxed);
-        DENSEST_METRIC_COUNTER("io.retries_healed").Inc();
-      }
-      return fp;
-    }
-    if (attempt + 1 >= retry_policy_.max_attempts) {
-      exhausted_.fetch_add(1, std::memory_order_relaxed);
-      DENSEST_METRIC_COUNTER("io.retries_exhausted").Inc();
-      return FailpointAction::kUnavailable;
-    }
-    retries_.fetch_add(1, std::memory_order_relaxed);
-    DENSEST_METRIC_COUNTER("io.retries").Inc();
-    ++attempt;
-    backoff.Sleep();
-  }
-}
-
 StatusOr<size_t> SpillFile::ReadAt(uint64_t offset, void* buf, size_t cap) {
   if (offset >= bytes_written_) return size_t{0};
-  const FailpointAction fp = EvalFailpointWithRetry("spill.read_at");
+  const FailpointAction fp =
+      EvalFailpointWithRetry("spill.read_at", retry_policy_, retry_stats_);
   if (fp == FailpointAction::kUnavailable) {
     return Status::Unavailable(
         "read failed after " + std::to_string(retry_policy_.max_attempts) +
@@ -124,7 +100,8 @@ StatusOr<size_t> SpillFile::ReadAt(uint64_t offset, void* buf, size_t cap) {
 Status SpillFile::Append(const void* data, size_t bytes) {
   if (!status_.ok()) return status_;
   if (bytes == 0) return Status::OK();
-  const FailpointAction fp = EvalFailpointWithRetry("spill.append");
+  const FailpointAction fp =
+      EvalFailpointWithRetry("spill.append", retry_policy_, retry_stats_);
   if (fp == FailpointAction::kUnavailable) {
     status_ = Status::Unavailable(
         "write failed after " + std::to_string(retry_policy_.max_attempts) +
@@ -135,8 +112,10 @@ Status SpillFile::Append(const void* data, size_t bytes) {
       fp == FailpointAction::kNone ? std::fwrite(data, 1, bytes, file_)
                                    : bytes / 2;  // injected short write
   if (written != bytes) {
-    status_ = Status::IOError("short write to spill file " + path_ + ": " +
-                              ErrnoMessage());
+    status_ = Status::IOError(
+        fp == FailpointAction::kNone
+            ? "short write to spill file " + path_ + ": " + ErrnoMessage()
+            : "short write (injected) to spill file " + path_);
     return status_;
   }
   bytes_written_ += bytes;
@@ -150,83 +129,6 @@ Status SpillFile::Flush() {
                               ErrnoMessage());
   }
   return status_;
-}
-
-StatusOr<SpillFile::Reader> SpillFile::OpenReader(uint64_t offset,
-                                                  uint64_t length) const {
-  if (offset + length > bytes_written_) {
-    return Status::InvalidArgument(
-        "spill segment [" + std::to_string(offset) + ", " +
-        std::to_string(offset + length) + ") beyond written size " +
-        std::to_string(bytes_written_));
-  }
-  FILE* file = std::fopen(path_.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::IOError("cannot reopen spill file " + path_ + ": " +
-                           ErrnoMessage());
-  }
-  if (std::fseek(file, static_cast<long>(offset), SEEK_SET) != 0) {
-    const std::string msg = ErrnoMessage();
-    std::fclose(file);
-    return Status::IOError("cannot seek spill file " + path_ + ": " + msg);
-  }
-  return Reader(this, file, length, path_);
-}
-
-SpillFile::Reader::Reader(Reader&& other) noexcept
-    : owner_(other.owner_),
-      file_(other.file_),
-      remaining_(other.remaining_),
-      path_(std::move(other.path_)) {
-  other.file_ = nullptr;
-  other.remaining_ = 0;
-}
-
-SpillFile::Reader& SpillFile::Reader::operator=(Reader&& other) noexcept {
-  if (this != &other) {
-    if (file_ != nullptr) std::fclose(file_);
-    owner_ = other.owner_;
-    file_ = other.file_;
-    remaining_ = other.remaining_;
-    path_ = std::move(other.path_);
-    other.file_ = nullptr;
-    other.remaining_ = 0;
-  }
-  return *this;
-}
-
-SpillFile::Reader::~Reader() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-StatusOr<size_t> SpillFile::Reader::Read(void* buf, size_t cap) {
-  if (remaining_ == 0) return size_t{0};
-  const size_t want = static_cast<size_t>(
-      std::min<uint64_t>(cap, remaining_));
-  if (want == 0) return size_t{0};
-  const FailpointAction fp = owner_->EvalFailpointWithRetry("spill.read");
-  if (fp == FailpointAction::kUnavailable) {
-    return Status::Unavailable("read failed after retries: spill file " +
-                               path_);
-  }
-  if (fp == FailpointAction::kIOError) {
-    return Status::IOError("read error (injected) on spill file " + path_);
-  }
-  size_t got = std::fread(buf, 1, want, file_);
-  if (fp == FailpointAction::kShortRead) got /= 2;  // torn sequential read
-  if (got != want) {
-    // The segment promised more bytes than the file delivered: either an
-    // IO error or somebody truncated the file. Both corrupt the partition.
-    if (std::ferror(file_)) {
-      return Status::IOError("read error on spill file " + path_ + ": " +
-                             ErrnoMessage());
-    }
-    return Status::IOError("truncated spill file " + path_ + ": expected " +
-                           std::to_string(want) + " more bytes, got " +
-                           std::to_string(got));
-  }
-  remaining_ -= got;
-  return got;
 }
 
 }  // namespace densest

@@ -1,35 +1,35 @@
 // Copyright 2026 The densest Authors.
 // Temp-file spill store for the MapReduce shuffle: when a shuffle partition
 // outgrows its memory budget, its sorted runs are serialized here and
-// merge-read back at reduce time, so resident shuffle memory is bounded by
-// the budget instead of by |E|. Byte-oriented: callers frame their own
-// records (the shuffle writes arrays of trivially-copyable KV structs).
+// merge-read back at reduce time through ReadAt, so resident shuffle memory
+// is bounded by the budget instead of by |E|. Byte-oriented: callers frame
+// their own records (the shuffle writes arrays of trivially-copyable KV
+// structs).
 //
 // Failure model mirrors the edge streams' sticky status(): a short read
-// before a segment is exhausted is an IOError ("truncated spill file"),
-// never a silent end-of-data — a reduce over a partial partition would
-// produce a plausible-looking but wrong aggregate.
+// before the written size is an IOError ("truncated spill file"), never a
+// silent end-of-data — a reduce over a partial partition would produce a
+// plausible-looking but wrong aggregate. Append and ReadAt evaluate their
+// failpoints through EvalFailpointWithRetry, so a transient fault retries
+// under the file's RetryPolicy.
 
 #ifndef DENSEST_IO_SPILL_FILE_H_
 #define DENSEST_IO_SPILL_FILE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
 
-#include "common/failpoint.h"
 #include "common/retry.h"
 #include "common/status.h"
 
 namespace densest {
 
 /// \brief One append-only temp file of spilled bytes, deleted when the
-/// object dies. Writes happen single-threaded (the shuffle appends runs in
-/// chunk order); reads go through independent Reader cursors, each with its
-/// own FILE handle, so the merge phase may read several runs of the same
-/// file concurrently.
+/// object dies. Each shuffle partition owns its own file: the caller's
+/// thread appends its runs in chunk order, and one reduce task merge-reads
+/// them, so a file is never used by two threads at once.
 class SpillFile {
  public:
   /// Creates a uniquely-named spill file in `dir` ("" uses the system temp
@@ -50,8 +50,8 @@ class SpillFile {
   /// full); the error is sticky and every later Append fails too.
   Status Append(const void* data, size_t bytes);
 
-  /// Flushes buffered writes to the OS so Readers (which reopen the path)
-  /// observe everything appended so far.
+  /// Flushes buffered writes to the OS so ReadAt (which reopens the path)
+  /// observes everything appended so far.
   Status Flush();
 
   /// Total bytes successfully appended.
@@ -63,75 +63,19 @@ class SpillFile {
   /// and write seams.
   void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
 
-  /// Accumulated retry-loop outcomes across Append/ReadAt/Reader::Read.
-  /// Counters are atomic: distinct partitions' merges may read their own
-  /// SpillFiles concurrently, and independent Readers may share one file.
-  IoRetryStats io_retry_stats() const {
-    IoRetryStats stats;
-    stats.retries = retries_.load(std::memory_order_relaxed);
-    stats.healed = healed_.load(std::memory_order_relaxed);
-    stats.exhausted = exhausted_.load(std::memory_order_relaxed);
-    return stats;
-  }
+  /// Accumulated retry-loop outcomes across Append and ReadAt.
+  IoRetryStats io_retry_stats() const { return retry_stats_; }
 
-  /// \brief Sequential cursor over one byte segment of the file.
-  class Reader {
-   public:
-    Reader(Reader&& other) noexcept;
-    Reader& operator=(Reader&& other) noexcept;
-    Reader(const Reader&) = delete;
-    Reader& operator=(const Reader&) = delete;
-    ~Reader();
-
-    /// Reads up to min(cap, remaining()) bytes into `buf` and returns how
-    /// many were read. 0 exactly when the segment is exhausted. A short
-    /// read before that — the file was truncated or the disk failed — is
-    /// an IOError, not an end-of-data.
-    StatusOr<size_t> Read(void* buf, size_t cap);
-
-    /// Bytes of the segment not yet delivered.
-    uint64_t remaining() const { return remaining_; }
-
-   private:
-    friend class SpillFile;
-    Reader(const SpillFile* owner, FILE* file, uint64_t remaining,
-           std::string path)
-        : owner_(owner),
-          file_(file),
-          remaining_(remaining),
-          path_(std::move(path)) {}
-
-    const SpillFile* owner_;  // retry policy + shared retry counters
-    FILE* file_;
-    uint64_t remaining_;
-    std::string path_;  // for error messages
-  };
-
-  /// Opens an independent reader over bytes [offset, offset + length).
-  /// Requires offset + length <= bytes_written(). The SpillFile must
-  /// outlive the reader (destruction unlinks the path).
-  StatusOr<Reader> OpenReader(uint64_t offset, uint64_t length) const;
-
-  /// Positioned read through one lazily-opened handle shared by all
-  /// callers of this file — the merge phase reads its many sorted runs
-  /// through this, so open fds stay at one per partition no matter how
-  /// many runs spilled (independent Readers would exhaust the fd limit on
-  /// exactly the out-of-core workloads the spill path targets). Reads up
-  /// to min(cap, bytes_written() - offset) bytes; a short read before
-  /// that is an IOError (truncation), mirroring Reader::Read. NOT
-  /// thread-safe: one partition's merge — this file's only ReadAt caller
-  /// — runs single-threaded.
+  /// Positioned read through one lazily-opened handle — the merge phase
+  /// reads its many sorted runs through this, so open fds stay at one per
+  /// partition no matter how many runs spilled. Reads up to min(cap,
+  /// bytes_written() - offset) bytes (0 at or past the end); a short read
+  /// before that is an IOError (truncation).
   StatusOr<size_t> ReadAt(uint64_t offset, void* buf, size_t cap);
 
  private:
   SpillFile(FILE* file, std::string path)
       : file_(file), path_(std::move(path)) {}
-
-  /// Evaluates the named failpoint, retrying transient (kUnavailable)
-  /// fires under the file's policy. Returns the terminal action: kNone,
-  /// kIOError or kShortRead, or kUnavailable when the retry budget ran
-  /// out. Counts into the shared retry stats.
-  FailpointAction EvalFailpointWithRetry(const char* name) const;
 
   FILE* file_;
   FILE* read_file_ = nullptr;  // lazily opened by ReadAt
@@ -139,9 +83,7 @@ class SpillFile {
   uint64_t bytes_written_ = 0;
   Status status_;  // sticky write-side error
   RetryPolicy retry_policy_;
-  mutable std::atomic<uint64_t> retries_{0};
-  mutable std::atomic<uint64_t> healed_{0};
-  mutable std::atomic<uint64_t> exhausted_{0};
+  IoRetryStats retry_stats_;
 };
 
 }  // namespace densest

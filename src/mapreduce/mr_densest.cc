@@ -118,7 +118,8 @@ StatusOr<MrDensestResult> RunMrDensestUndirected(
     const NodeSet marked = Peeled(before, run.alive());
 
     // Jobs 3+4 (§5.2 "removal"): delete marked nodes and incident edges.
-    if (!marked.empty() && !input.in_memory_empty()) {
+    // The pass that ends the run skips them: no later pass reads survivors.
+    if (!run.done() && !marked.empty() && !input.in_memory_empty()) {
       JobStats removal1, removal2;
       JobOptions removal_opts = base_opts;
       removal_opts.reduce_output_hint = *m;
@@ -198,7 +199,7 @@ StatusOr<MrDirectedResult> RunMrDensestDirected(
     run.ApplyPass({*m, static_cast<double>(*m)}, out_to_t, in_from_s);
     const NodeSet marked = Peeled(before, peel_s ? run.s() : run.t());
 
-    if (!marked.empty() && !input.in_memory_empty()) {
+    if (!run.done() && !marked.empty() && !input.in_memory_empty()) {
       JobStats removal_stats;
       JobOptions removal_opts = base_opts;
       removal_opts.reduce_output_hint = *m;

@@ -58,7 +58,8 @@ struct [[nodiscard]] MrDensestResult {
 
 /// Runs the MapReduce version of Algorithm 1 over an edge stream: the
 /// density and degree jobs feed an Algorithm1Run, and the removal jobs
-/// delete what its peel step removed. Produces exactly RunAlgorithm1's
+/// delete what its peel step removed (on every pass but the one that ends
+/// the run, whose survivors nothing reads). Produces exactly RunAlgorithm1's
 /// result with the same epsilon (subgraph, density, passes, trace and
 /// band); only the execution substrate differs. The §5.2 records carry no
 /// weight, so every edge must have weight 1.0: the first job fails with

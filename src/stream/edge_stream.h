@@ -66,9 +66,9 @@ class EdgeStream {
 
   /// Outcomes of the retry loop at this stream's IO seam: transient
   /// (kUnavailable) faults that were retried, healed, or exhausted. All
-  /// zero for streams that cannot fail. Surfaced through PassStats so a
-  /// run that limped through transient faults is distinguishable from a
-  /// clean one.
+  /// zero for streams that cannot fail; decorators forward their inner
+  /// stream's, so a run that limped through transient faults is
+  /// distinguishable from a clean one.
   virtual IoRetryStats io_retry_stats() const { return {}; }
 
   /// CSR escape hatches: a stream backed by an in-memory CSR graph may

@@ -5,7 +5,6 @@
 #include <filesystem>
 
 #include "common/failpoint.h"
-#include "obs/metrics.h"
 
 namespace densest {
 
@@ -109,56 +108,34 @@ void BinaryFileEdgeStream::IssuePrefetch() {
   if (exhausted_) return;
   back_ready_ = false;
   prefetch_ = reader_->Submit([this] {
-    back_unavailable_ = false;
-    int attempt = 0;
-    RetryBackoff backoff(retry_policy_);
-    for (;;) {
-      // The failpoint models the device: evaluated before the real fread,
-      // a transient (kUnavailable) fault is retried with backoff until the
-      // policy's budget runs out, so an armed "times=K" spec heals mid-loop
-      // exactly like a flaky-then-recovered disk.
-      const FailpointAction fp = DENSEST_FAILPOINT("edge_stream.read");
-      if (fp == FailpointAction::kUnavailable) {
-        if (attempt + 1 >= retry_policy_.max_attempts) {
-          retry_exhausted_.fetch_add(1, std::memory_order_relaxed);
-          DENSEST_METRIC_COUNTER("io.retries_exhausted").Inc();
-          back_len_ = 0;
-          back_error_ = false;
-          back_unavailable_ = true;
-          return;
-        }
-        retries_.fetch_add(1, std::memory_order_relaxed);
-        DENSEST_METRIC_COUNTER("io.retries").Inc();
-        ++attempt;
-        backoff.Sleep();
-        continue;
-      }
-      if (attempt > 0) {
-        healed_.fetch_add(1, std::memory_order_relaxed);
-        DENSEST_METRIC_COUNTER("io.retries_healed").Inc();
-      }
-      if (fp == FailpointAction::kIOError) {
-        back_len_ = 0;
-        back_error_ = true;
-        return;
-      }
-      back_len_ = std::fread(back_.data() + kMaxRecord, 1, kBufferBytes, file_);
-      // A short fread means EOF *or* a read error; only ferror tells them
-      // apart, and it must be checked here while the task owns the FILE.
-      // Treating an error as EOF would silently truncate the pass and yield
-      // a plausible-looking density over a partial edge set.
-      back_error_ = back_len_ < kBufferBytes && std::ferror(file_) != 0;
-      if (fp == FailpointAction::kShortRead && back_len_ > 0) {
-        // Torn read: deliver only the first half of the chunk, rounded to
-        // a record boundary so the decode loop sees valid records and the
-        // truncation is caught by the emitted_-vs-header accounting, not
-        // by feeding garbage node ids downstream. The delivered length
-        // drops below kBufferBytes, which marks the stream exhausted —
-        // the bytes past the tear are never decoded.
-        const size_t record = weighted_ ? kWeightedRecord : kUnweightedRecord;
-        back_len_ = (back_len_ / 2 / record) * record;
-      }
+    // The failpoint models the device: evaluated before the real fread, a
+    // transient (kUnavailable) fault is retried with backoff until the
+    // policy's budget runs out, so an armed "times=K" spec heals mid-loop
+    // exactly like a flaky-then-recovered disk.
+    const FailpointAction fp =
+        EvalFailpointWithRetry("edge_stream.read", retry_policy_,
+                               back_retry_stats_);
+    back_unavailable_ = fp == FailpointAction::kUnavailable;
+    back_error_ = fp == FailpointAction::kIOError;
+    if (back_unavailable_ || back_error_) {
+      back_len_ = 0;
       return;
+    }
+    back_len_ = std::fread(back_.data() + kMaxRecord, 1, kBufferBytes, file_);
+    // A short fread means EOF *or* a read error; only ferror tells them
+    // apart, and it must be checked here while the task owns the FILE.
+    // Treating an error as EOF would silently truncate the pass and yield
+    // a plausible-looking density over a partial edge set.
+    back_error_ = back_len_ < kBufferBytes && std::ferror(file_) != 0;
+    if (fp == FailpointAction::kShortRead && back_len_ > 0) {
+      // Torn read: deliver only the first half of the chunk, rounded to
+      // a record boundary so the decode loop sees valid records and the
+      // truncation is caught by the emitted_-vs-header accounting, not
+      // by feeding garbage node ids downstream. The delivered length
+      // drops below kBufferBytes, which marks the stream exhausted —
+      // the bytes past the tear are never decoded.
+      const size_t record = weighted_ ? kWeightedRecord : kUnweightedRecord;
+      back_len_ = (back_len_ / 2 / record) * record;
     }
   });
 }
@@ -167,6 +144,8 @@ void BinaryFileEdgeStream::JoinPrefetch() {
   if (prefetch_.valid()) {
     prefetch_.get();
     bytes_read_ += back_len_;
+    retry_stats_.Accumulate(back_retry_stats_);
+    back_retry_stats_ = {};
     back_ready_ = true;
   }
 }

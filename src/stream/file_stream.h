@@ -5,7 +5,6 @@
 #ifndef DENSEST_STREAM_FILE_STREAM_H_
 #define DENSEST_STREAM_FILE_STREAM_H_
 
-#include <atomic>
 #include <cstdio>
 #include <future>
 #include <memory>
@@ -68,8 +67,7 @@ class BinaryFileEdgeStream : public EdgeStream {
   EdgeId SizeHint() const override { return size_hint_; }
 
   /// Total bytes read since Open (across all passes, including read-ahead
-  /// discarded by an early Reset) — used by PassStats to report streaming
-  /// IO volume.
+  /// discarded by an early Reset): the stream's IO volume.
   uint64_t bytes_read() const { return bytes_read_; }
 
   /// Retry knobs for transient (kUnavailable) faults in the prefetch task.
@@ -81,28 +79,19 @@ class BinaryFileEdgeStream : public EdgeStream {
     retry_policy_ = policy;
   }
 
-  /// Outcomes of the prefetch retry loop. Unlike back_len_, these may be
-  /// read while a prefetch is in flight (Reset() issues one before
-  /// returning, and pass-boundary stats syncs read immediately after), so
-  /// the counters are relaxed atomics: each is an independent monotonic
-  /// tally with no ordering relationship to the buffered data, and a read
-  /// that misses an in-flight increment just attributes it to the next
-  /// sync. SpillFile uses the same contract.
-  IoRetryStats io_retry_stats() const override {
-    IoRetryStats stats;
-    stats.retries = retries_.load(std::memory_order_relaxed);
-    stats.healed = healed_.load(std::memory_order_relaxed);
-    stats.exhausted = retry_exhausted_.load(std::memory_order_relaxed);
-    return stats;
-  }
+  /// Outcomes of the prefetch task's retry loop. The task tallies into its
+  /// own count, folded in here when the task is joined (like its bytes into
+  /// bytes_read()), so a prefetch still in flight — Reset() issues one
+  /// before returning — shows its retries after the next join.
+  IoRetryStats io_retry_stats() const override { return retry_stats_; }
 
  private:
   BinaryFileEdgeStream() = default;
   /// Starts the background fread of the next chunk into back_.
   void IssuePrefetch();
-  /// Joins an outstanding prefetch (if any) and accounts its bytes,
-  /// without consuming the chunk — safe to call at any point the task
-  /// must not be running (writing retry_policy_, destruction).
+  /// Joins an outstanding prefetch (if any) and accounts its bytes and
+  /// retries, without consuming the chunk — safe to call at any point the
+  /// task must not be running (writing retry_policy_, destruction).
   void JoinPrefetch();
   /// Joins like JoinPrefetch, then delivers the buffered chunk exactly
   /// once: returns how many bytes it read (0 when none was pending, at
@@ -139,13 +128,11 @@ class BinaryFileEdgeStream : public EdgeStream {
   // transient fault; surfaces as a sticky kUnavailable (distinct from the
   // permanent kIOError of back_error_). Read only after WaitPrefetch.
   bool back_unavailable_ = false;
+  // The prefetch task's retry tallies, folded into retry_stats_ on join.
+  IoRetryStats back_retry_stats_;
   bool exhausted_ = false;
   RetryPolicy retry_policy_;
-  // Retry tallies, incremented by the prefetch task and read concurrently
-  // by io_retry_stats(); see that accessor for the ordering contract.
-  std::atomic<uint64_t> retries_{0};
-  std::atomic<uint64_t> healed_{0};
-  std::atomic<uint64_t> retry_exhausted_{0};
+  IoRetryStats retry_stats_;
   std::unique_ptr<ThreadPool> reader_;  // one background read thread
   std::future<void> prefetch_;
 };

@@ -6,12 +6,7 @@ namespace densest {
 
 std::string PassStats::ToString() const {
   std::ostringstream os;
-  os << "passes=" << passes << " edges_scanned=" << edges_scanned
-     << " peak_state_words=" << peak_state_words;
-  if (io_retries > 0 || io_retries_healed > 0) {
-    os << " io_retries=" << io_retries
-       << " io_retries_healed=" << io_retries_healed;
-  }
+  os << "passes=" << passes << " edges_scanned=" << edges_scanned;
   return os.str();
 }
 

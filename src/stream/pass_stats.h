@@ -1,5 +1,5 @@
 // Copyright 2026 The densest Authors.
-// Accounting for the streaming model: passes, edges scanned, bytes, memory.
+// Accounting for the streaming model: passes and edges scanned.
 
 #ifndef DENSEST_STREAM_PASS_STATS_H_
 #define DENSEST_STREAM_PASS_STATS_H_
@@ -16,18 +16,6 @@ namespace densest {
 struct PassStats {
   uint64_t passes = 0;
   uint64_t edges_scanned = 0;
-  /// Peak words of between-pass state the algorithm reported via
-  /// ReportStateWords (the semi-streaming O(n) budget).
-  uint64_t peak_state_words = 0;
-  /// Transient IO faults retried / healed by the stream's retry loop (see
-  /// common/retry.h): a run that limped through transient faults is
-  /// observably different from a clean one even when both succeed.
-  uint64_t io_retries = 0;
-  uint64_t io_retries_healed = 0;
-
-  void ReportStateWords(uint64_t words) {
-    if (words > peak_state_words) peak_state_words = words;
-  }
 
   std::string ToString() const;
 };
@@ -43,13 +31,10 @@ class CountingEdgeStream : public EdgeStream {
   void Reset() override {
     ++stats_->passes;
     inner_->Reset();
-    SyncRetryStats();
   }
   std::span<const Edge> NextView(Edge* scratch, size_t cap) override {
     std::span<const Edge> view = inner_->NextView(scratch, cap);
     stats_->edges_scanned += view.size();
-    // End of pass: fold in the inner stream's retries.
-    if (view.empty()) SyncRetryStats();
     return view;
   }
   Status status() const override { return inner_->status(); }
@@ -63,15 +48,6 @@ class CountingEdgeStream : public EdgeStream {
   EdgeId SizeHint() const override { return inner_->SizeHint(); }
 
  private:
-  // The inner stream's retry counters are cumulative since construction;
-  // copying them (not adding) at pass boundaries keeps PassStats exact no
-  // matter how many passes or syncs happen.
-  void SyncRetryStats() {
-    const IoRetryStats r = inner_->io_retry_stats();
-    stats_->io_retries = r.retries;
-    stats_->io_retries_healed = r.healed;
-  }
-
   EdgeStream* inner_;
   PassStats* stats_;
 };

@@ -379,6 +379,52 @@ TEST_F(CliCommandTest, UnknownFlagRejected) {
   EXPECT_NE(status.message().find("epsilonn"), std::string::npos);
 }
 
+TEST_F(CliCommandTest, FlagsOffTheirPathAreRejected) {
+  // Each of these flags is valid for its command, but not on the path the
+  // other flags pick; a flag that changes nothing must fail, not be
+  // silently ignored.
+  struct Case {
+    std::string command;
+    std::vector<std::string> flags;
+    std::string ignored;
+  };
+  const std::vector<Case> cases = {
+      {"mapreduce", {"--c=4"}, "c"},
+      {"directed", {"--c=1", "--delta=4"}, "delta"},
+      {"directed", {"--trace"}, "trace"},
+      {"undirected", {"--min-size=5", "--compact-below=10"}, "compact-below"},
+      {"undirected", {"--sketch-buckets=64", "--compact-below=10"},
+       "compact-below"},
+      {"undirected", {"--sketch-tables=3"}, "sketch-tables"},
+      {"undirected", {"--min-size=5", "--sketch-buckets=64"},
+       "sketch-buckets"},
+  };
+  for (const Case& c : cases) {
+    std::string label = c.command;
+    for (const std::string& flag : c.flags) label += " " + flag;
+    Status status;
+    Run(c.command, c.flags, &status);
+    EXPECT_EQ(status.code(), Status::Code::kInvalidArgument) << label;
+    EXPECT_EQ(status.message(), "unknown flag(s): --" + c.ignored) << label;
+  }
+  // The same flags on their own paths still run.
+  const std::vector<std::pair<std::string, std::vector<std::string>>> valid =
+      {{"mapreduce", {"--directed", "--c=4"}},
+       {"directed", {"--delta=4"}},
+       {"directed", {"--c=1", "--trace"}},
+       {"undirected", {"--compact-below=10", "--trace"}},
+       {"undirected", {"--sketch-buckets=64", "--sketch-tables=3"}},
+       {"undirected", {"--min-size=0", "--sketch-buckets=64"}},
+       {"undirected", {"--min-size=5", "--trace"}}};
+  for (const auto& [command, flags] : valid) {
+    std::string label = command;
+    for (const std::string& flag : flags) label += " " + flag;
+    Status status;
+    Run(command, flags, &status);
+    EXPECT_TRUE(status.ok()) << label << ": " << status.ToString();
+  }
+}
+
 TEST_F(CliCommandTest, UnknownCommandRejected) {
   Status status;
   Run("frobnicate", {}, &status);

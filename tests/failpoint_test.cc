@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "io/spill_file.h"
 #include "mapreduce/graph_jobs.h"
 #include "mapreduce/job.h"
+#include "obs/metrics.h"
 #include "stream/file_stream.h"
 #include "stream/pass_stats.h"
 #include "stream/update_stream.h"
@@ -154,7 +157,7 @@ TEST_F(EdgeStreamFaultTest, PermanentIOErrorIsStickyAndNonRetryable) {
   EXPECT_EQ((*stream)->status().code(), Status::Code::kIOError);
 }
 
-TEST_F(EdgeStreamFaultTest, TransientFaultHealsAndCountsIntoPassStats) {
+TEST_F(EdgeStreamFaultTest, TransientFaultHealsAndCountsThroughCountingStream) {
   ASSERT_TRUE(Failpoints::Instance()
                   .Set("edge_stream.read", "times=2,kind=unavailable")
                   .ok());
@@ -170,8 +173,9 @@ TEST_F(EdgeStreamFaultTest, TransientFaultHealsAndCountsIntoPassStats) {
   EXPECT_EQ(retry.retries, 2u);
   EXPECT_GE(retry.healed, 1u);
   EXPECT_EQ(retry.exhausted, 0u);
-  EXPECT_EQ(pass.io_retries, 2u);
-  EXPECT_GE(pass.io_retries_healed, 1u);
+  const IoRetryStats counted_retry = counted.io_retry_stats();
+  EXPECT_EQ(counted_retry.retries, 2u);
+  EXPECT_GE(counted_retry.healed, 1u);
 }
 
 TEST_F(EdgeStreamFaultTest, ExhaustedRetryBudgetSurfacesAsUnavailable) {
@@ -392,6 +396,159 @@ TEST_F(FailpointTest, TransientSpillFaultHealsAndCountsIntoJobStats) {
     EXPECT_EQ((*faulty)[i].value, (*clean)[i].value);
   }
   EXPECT_EQ(clean_stats.io_retries, 0u);
+}
+
+// ------------------------------------------- one retry contract per seam --
+
+/// The io.retries* registry counters, less `before` (an earlier reading).
+IoRetryStats RegistryRetryCounts(const IoRetryStats& before = {}) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
+  IoRetryStats counts;
+  counts.retries = registry.GetCounter("io.retries").Value() - before.retries;
+  counts.healed =
+      registry.GetCounter("io.retries_healed").Value() - before.healed;
+  counts.exhausted =
+      registry.GetCounter("io.retries_exhausted").Value() - before.exhausted;
+  return counts;
+}
+
+/// One operation through a seam: the status it ended with and the retry
+/// stats of the object that owns the seam.
+struct SeamOutcome {
+  Status status;
+  IoRetryStats stats;
+};
+
+/// A seam and one operation through it, with the seam's failpoint armed
+/// by `spec` and its retries under `policy`.
+struct Seam {
+  const char* name;
+  std::function<SeamOutcome(const std::string& spec,
+                            const RetryPolicy& policy)>
+      run;
+};
+
+void ExpectRetryStats(const IoRetryStats& got, uint64_t retries,
+                      uint64_t healed, uint64_t exhausted,
+                      const std::string& label) {
+  EXPECT_EQ(got.retries, retries) << label;
+  EXPECT_EQ(got.healed, healed) << label;
+  EXPECT_EQ(got.exhausted, exhausted) << label;
+}
+
+TEST_F(FailpointTest, EverySeamKeepsOneRetryContract) {
+  // 2.4 MB of records: the edge file spans three 1 MiB read buffers.
+  EdgeList edges(50000);
+  for (uint32_t i = 0; i < 300000; ++i) {
+    edges.Add(i % 50000, (i * 7919u + 13) % 50000);
+  }
+  const std::string edge_path = TempPath("retry_edges.bin");
+  ASSERT_TRUE(WriteBinaryEdgeFile(edge_path, edges, /*weighted=*/false).ok());
+  std::vector<EdgeUpdate> updates;
+  updates.reserve(1000);
+  for (uint32_t i = 0; i < 1000; ++i) {
+    updates.push_back(InsertUpdate(i % 97, (i + 1) % 97, i + 1));
+  }
+  const std::string update_path = TempPath("retry_updates.bin");
+  ASSERT_TRUE(WriteBinaryUpdateFile(update_path, 97, updates).ok());
+  std::vector<uint64_t> spilled(1000);
+  std::iota(spilled.begin(), spilled.end(), 0);
+  const size_t spill_bytes = spilled.size() * sizeof(uint64_t);
+  auto arm = [](const std::string& name, const std::string& spec) {
+    EXPECT_TRUE(Failpoints::Instance().Set(name, spec).ok()) << name;
+  };
+
+  const std::vector<Seam> seams = {
+      {"edge_stream.read",
+       [&](const std::string& spec, const RetryPolicy& policy) {
+         // Armed before Open with after=1: the prefetch Open issues is
+         // evaluation 1, so the faults land on the second chunk's
+         // prefetch in the middle of the pass, and its retries reach the
+         // stream's count when the next refill joins it.
+         arm("edge_stream.read", "after=1," + spec);
+         auto stream = BinaryFileEdgeStream::Open(edge_path);
+         if (!stream.ok()) return SeamOutcome{stream.status(), {}};
+         (*stream)->set_retry_policy(policy);
+         Edge e;
+         uint64_t n = 0;
+         while ((*stream)->Next(&e)) ++n;
+         Status status = (*stream)->status();
+         if (status.ok() && n != edges.num_edges()) {
+           status = Status::Internal("pass ended after " + std::to_string(n));
+         }
+         return SeamOutcome{status, (*stream)->io_retry_stats()};
+       }},
+      {"update_stream.read",
+       [&](const std::string& spec, const RetryPolicy& policy) {
+         auto stream = BinaryFileUpdateStream::Open(update_path);
+         if (!stream.ok()) return SeamOutcome{stream.status(), {}};
+         (*stream)->set_retry_policy(policy);
+         arm("update_stream.read", spec);
+         EdgeUpdate u;
+         uint64_t n = 0;
+         while ((*stream)->Next(&u)) ++n;
+         Status status = (*stream)->status();
+         if (status.ok() && n != updates.size()) {
+           status = Status::Internal("replay ended after " + std::to_string(n));
+         }
+         return SeamOutcome{status, (*stream)->io_retry_stats()};
+       }},
+      {"spill.append",
+       [&](const std::string& spec, const RetryPolicy& policy) {
+         auto spill = SpillFile::Create("");
+         if (!spill.ok()) return SeamOutcome{spill.status(), {}};
+         (*spill)->set_retry_policy(policy);
+         arm("spill.append", spec);
+         const Status status = (*spill)->Append(spilled.data(), spill_bytes);
+         return SeamOutcome{status, (*spill)->io_retry_stats()};
+       }},
+      {"spill.read_at",
+       [&](const std::string& spec, const RetryPolicy& policy) {
+         auto spill = SpillFile::Create("");
+         if (!spill.ok()) return SeamOutcome{spill.status(), {}};
+         (*spill)->set_retry_policy(policy);
+         Status status = (*spill)->Append(spilled.data(), spill_bytes);
+         if (status.ok()) status = (*spill)->Flush();
+         if (!status.ok()) return SeamOutcome{status, {}};
+         arm("spill.read_at", spec);
+         std::vector<uint64_t> back(spilled.size());
+         StatusOr<size_t> got = (*spill)->ReadAt(0, back.data(), spill_bytes);
+         status = got.status();
+         if (status.ok() && back != spilled) {
+           status = Status::Internal("read back different bytes");
+         }
+         return SeamOutcome{status, (*spill)->io_retry_stats()};
+       }},
+  };
+
+  for (const Seam& seam : seams) {
+    const std::string name = seam.name;
+    RetryPolicy policy;
+    policy.base_delay_ms = 0.01;  // keep the test fast
+
+    // Two transient faults, then the device heals: the operation succeeds
+    // after two retries.
+    Failpoints::Instance().ClearAll();
+    IoRetryStats before = RegistryRetryCounts();
+    const SeamOutcome healed = seam.run("times=2,kind=unavailable", policy);
+    EXPECT_TRUE(healed.status.ok()) << name << ": " << healed.status.ToString();
+    ExpectRetryStats(healed.stats, 2, 1, 0, name + " healed");
+    ExpectRetryStats(RegistryRetryCounts(before), 2, 1, 0,
+                     name + " healed, registry");
+
+    // A fault that never clears spends the budget of three attempts.
+    Failpoints::Instance().ClearAll();
+    policy.max_attempts = 3;
+    before = RegistryRetryCounts();
+    const SeamOutcome spent = seam.run("kind=unavailable", policy);
+    EXPECT_EQ(spent.status.code(), Status::Code::kUnavailable)
+        << name << ": " << spent.status.ToString();
+    ExpectRetryStats(spent.stats, 2, 0, 1, name + " exhausted");
+    ExpectRetryStats(RegistryRetryCounts(before), 2, 0, 1,
+                     name + " exhausted, registry");
+  }
+  std::remove(edge_path.c_str());
+  std::remove(update_path.c_str());
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "mapreduce/job.h"
 #include "mapreduce/mr_densest.h"
 #include "mapreduce/stream_source.h"
+#include "obs/metrics.h"
 #include "stream/file_stream.h"
 #include "stream/generated_stream.h"
 #include "stream/memory_stream.h"
@@ -510,6 +511,67 @@ TEST(SpillShuffleTest, ManyRunsWithDuplicateKeysMergeIdentically) {
     EXPECT_EQ(spilled[i].first, in_memory[i].first) << "group " << i;
     EXPECT_EQ(spilled[i].second, in_memory[i].second) << "group " << i;
   }
+}
+
+// ---- The pass that ends a run runs no removal job. ----
+
+uint64_t MrJobsRun() {
+  return obs::MetricsRegistry::Get().GetCounter("mr.jobs").Value();
+}
+
+TEST(MrRemovalJobTest, OnePassRunScansTwiceAndRunsTwoJobs) {
+  // At eps = 1 this graph peels every node on pass 1, so nothing reads the
+  // removal jobs' survivors: the density and degree jobs are the whole run.
+  const std::string path = ::testing::TempDir() + "/mr_one_pass.bin";
+  EdgeList el = ErdosRenyiGnm(2000, 40000, 7);
+  ASSERT_TRUE(WriteBinaryEdgeFile(path, el, /*weighted=*/false).ok());
+  auto stream = BinaryFileEdgeStream::Open(path);
+  ASSERT_TRUE(stream.ok());
+  MapReduceEnv env;
+  MrDensestOptions opt;
+  opt.epsilon = 1.0;
+  const uint64_t jobs_before = MrJobsRun();
+  auto mr = RunMrDensestUndirected(env, **stream, opt);
+  ASSERT_TRUE(mr.ok()) << mr.status().ToString();
+  ASSERT_EQ(mr->result.passes, 1u);
+  EXPECT_EQ(mr->input_scans, 2u);
+  EXPECT_EQ(MrJobsRun() - jobs_before, 2u);
+  std::remove(path.c_str());
+}
+
+TEST(MrRemovalJobTest, MultiPassRunSkipsOnlyTheLastPassRemoval) {
+  // Every pass of these runs reads edges and peels nodes (asserted on the
+  // trace), so each pass but the last runs its removal jobs: 4 jobs per
+  // undirected pass and 3 per directed pass, less the last pass's 2 and 1.
+  MapReduceEnv env;
+  EdgeList el = ErdosRenyiGnm(100, 600, 42);
+  MrDensestOptions opt;
+  opt.epsilon = 0.5;
+  uint64_t jobs_before = MrJobsRun();
+  auto mr = RunMrDensestUndirected(env, el, opt);
+  ASSERT_TRUE(mr.ok()) << mr.status().ToString();
+  const uint64_t passes = mr->result.passes;
+  ASSERT_GT(passes, 1u);
+  for (const PassSnapshot& s : mr->result.trace) {
+    ASSERT_GT(s.edges, 0u) << "pass " << s.pass;
+    ASSERT_GT(s.removed, 0u) << "pass " << s.pass;
+  }
+  EXPECT_EQ(MrJobsRun() - jobs_before, 4 * passes - 2);
+
+  EdgeList arcs = ErdosRenyiDirectedGnm(200, 3000, 51);
+  MrDirectedOptions directed_opt;
+  directed_opt.c = 1.0;
+  directed_opt.epsilon = 0.5;
+  jobs_before = MrJobsRun();
+  auto directed = RunMrDensestDirected(env, arcs, directed_opt);
+  ASSERT_TRUE(directed.ok()) << directed.status().ToString();
+  const uint64_t directed_passes = directed->result.passes;
+  ASSERT_GT(directed_passes, 1u);
+  for (const DirectedPassSnapshot& s : directed->result.trace) {
+    ASSERT_GT(s.weight, 0.0) << "pass " << s.pass;
+    ASSERT_GT(s.removed, 0u) << "pass " << s.pass;
+  }
+  EXPECT_EQ(MrJobsRun() - jobs_before, 3 * directed_passes - 1);
 }
 
 }  // namespace

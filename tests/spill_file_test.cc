@@ -27,61 +27,24 @@ TEST(SpillFileTest, RoundTripsSegments) {
   ASSERT_TRUE((*spill)->Flush().ok());
   EXPECT_EQ((*spill)->bytes_written(), 1500u * 8);
 
-  // Read the second run first: readers are independent cursors.
-  auto r2 = (*spill)->OpenReader(1000 * 8, 500 * 8);
-  ASSERT_TRUE(r2.ok());
+  // Read the second run first: every read is positioned.
   std::vector<uint64_t> got(500);
-  auto n = r2->Read(got.data(), got.size() * 8);
+  auto n = (*spill)->ReadAt(1000 * 8, got.data(), got.size() * 8);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 500u * 8);
   EXPECT_EQ(got, run2);
-  EXPECT_EQ(r2->remaining(), 0u);
-  // Exhausted segment reads 0, not an error.
-  auto after = r2->Read(got.data(), 8);
+  // At the end of the written bytes: 0, not an error.
+  auto after = (*spill)->ReadAt(1500 * 8, got.data(), 8);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(*after, 0u);
 
   // First run in two partial reads.
-  auto r1 = (*spill)->OpenReader(0, 1000 * 8);
-  ASSERT_TRUE(r1.ok());
   std::vector<uint64_t> head(600);
-  ASSERT_TRUE(r1->Read(head.data(), 600 * 8).ok());
+  ASSERT_TRUE((*spill)->ReadAt(0, head.data(), 600 * 8).ok());
   std::vector<uint64_t> tail(400);
-  ASSERT_TRUE(r1->Read(tail.data(), 400 * 8).ok());
+  ASSERT_TRUE((*spill)->ReadAt(600 * 8, tail.data(), 400 * 8).ok());
   head.insert(head.end(), tail.begin(), tail.end());
   EXPECT_EQ(head, run1);
-}
-
-TEST(SpillFileTest, ReaderBeyondWrittenSizeRejected) {
-  auto spill = SpillFile::Create("");
-  ASSERT_TRUE(spill.ok());
-  uint64_t x = 42;
-  ASSERT_TRUE((*spill)->Append(&x, 8).ok());
-  EXPECT_FALSE((*spill)->OpenReader(0, 16).ok());
-  EXPECT_FALSE((*spill)->OpenReader(16, 8).ok());
-}
-
-TEST(SpillFileTest, TruncatedFileSurfacesIOError) {
-  const std::string path =
-      ::testing::TempDir() + "/spill_truncation_test.tmp";
-  auto spill = SpillFile::CreateAt(path);
-  ASSERT_TRUE(spill.ok());
-  std::vector<uint64_t> data(1000);
-  std::iota(data.begin(), data.end(), 0);
-  ASSERT_TRUE((*spill)->Append(data.data(), data.size() * 8).ok());
-  ASSERT_TRUE((*spill)->Flush().ok());
-
-  // Somebody (a full disk, an over-eager cleaner) truncates the file
-  // between spill and merge-read.
-  std::filesystem::resize_file(path, 300 * 8);
-
-  auto reader = (*spill)->OpenReader(0, 1000 * 8);
-  ASSERT_TRUE(reader.ok());
-  std::vector<uint64_t> buf(1000);
-  StatusOr<size_t> n = reader->Read(buf.data(), buf.size() * 8);
-  ASSERT_FALSE(n.ok());
-  EXPECT_EQ(n.status().code(), Status::Code::kIOError);
-  EXPECT_NE(n.status().message().find("truncated"), std::string::npos);
 }
 
 TEST(SpillFileTest, ReadAtServesInterleavedSegmentsThroughOneHandle) {
