@@ -1,5 +1,6 @@
 #include "cli/args.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace densest {
@@ -29,56 +30,71 @@ StatusOr<Args> Args::Parse(const std::vector<std::string>& tokens) {
   return out;
 }
 
+const std::string* Args::Find(const std::string& name) const {
+  read_.insert(name);
+  auto it = flags_.find(name);
+  return it == flags_.end() ? nullptr : &it->second;
+}
+
+void Args::Fail(Status error) const {
+  if (error_.ok()) error_ = std::move(error);
+}
+
 std::string Args::GetString(const std::string& name,
                             const std::string& def) const {
-  used_[name] = true;
-  auto it = flags_.find(name);
-  return it == flags_.end() ? def : it->second;
+  const std::string* v = Find(name);
+  return v == nullptr ? def : *v;
 }
 
-StatusOr<double> Args::GetDouble(const std::string& name, double def) const {
-  used_[name] = true;
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
+double Args::GetDouble(const std::string& name, double def) const {
+  const std::string* v = Find(name);
+  if (v == nullptr) return def;
   char* end = nullptr;
-  double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') {
-    return Status::InvalidArgument("--" + name + " expects a number, got '" +
-                                   it->second + "'");
+  const double d = std::strtod(v->c_str(), &end);
+  if (end == v->c_str() || *end != '\0') {
+    Fail(Status::InvalidArgument("--" + name + " expects a number, got '" +
+                                 *v + "'"));
+    return def;
   }
-  return v;
+  return d;
 }
 
-StatusOr<int64_t> Args::GetInt(const std::string& name, int64_t def) const {
-  used_[name] = true;
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
+int64_t Args::GetInt64(const std::string& name, int64_t def, int64_t min,
+                       int64_t max) const {
+  const std::string* v = Find(name);
+  if (v == nullptr) return def;
   char* end = nullptr;
-  long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0') {
-    return Status::InvalidArgument("--" + name + " expects an integer, got '" +
-                                   it->second + "'");
+  errno = 0;
+  const long long n = std::strtoll(v->c_str(), &end, 10);
+  if (end == v->c_str() || *end != '\0' || errno == ERANGE || n < min ||
+      n > max) {
+    Fail(Status::InvalidArgument("--" + name + " expects an integer in [" +
+                                 std::to_string(min) + ", " +
+                                 std::to_string(max) + "], got '" + *v +
+                                 "'"));
+    return def;
   }
-  return static_cast<int64_t>(v);
+  return n;
 }
 
-StatusOr<bool> Args::GetBool(const std::string& name, bool def) const {
-  used_[name] = true;
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
-  const std::string& v = it->second;
-  if (v == "true" || v == "1") return true;
-  if (v == "false" || v == "0") return false;
-  return Status::InvalidArgument("--" + name + " expects a boolean, got '" +
-                                 v + "'");
+bool Args::GetBool(const std::string& name, bool def) const {
+  const std::string* v = Find(name);
+  if (v == nullptr) return def;
+  if (*v == "true" || *v == "1") return true;
+  if (*v == "false" || *v == "0") return false;
+  Fail(Status::InvalidArgument("--" + name + " expects a boolean, got '" + *v +
+                               "'"));
+  return def;
 }
 
-std::vector<std::string> Args::UnusedFlags() const {
-  std::vector<std::string> unused;
+Status Args::Check() const {
+  if (!error_.ok()) return error_;
+  std::string unread;
   for (const auto& [name, value] : flags_) {
-    if (!used_.count(name)) unused.push_back(name);
+    if (!read_.count(name)) unread += " --" + name;
   }
-  return unused;
+  if (unread.empty()) return Status::OK();
+  return Status::InvalidArgument("unknown flag(s):" + unread);
 }
 
 }  // namespace densest

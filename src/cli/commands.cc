@@ -7,6 +7,7 @@
 #include <memory>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "common/failpoint.h"
 #include "common/random.h"
@@ -52,6 +53,13 @@ std::string StatsSummaryLine() {
       obs::MetricsRegistry::Get().Collect());
 }
 
+StatusOr<std::string> RequireGraphArg(const Args& args) {
+  if (args.positional().empty()) {
+    return Status::InvalidArgument("expected a graph file argument");
+  }
+  return args.positional()[0];
+}
+
 /// Loads edges from a text ("u v [w]") or binary (.bin) edge file.
 StatusOr<EdgeList> LoadEdges(const std::string& path) {
   if (!EndsWith(path, ".bin")) return ReadEdgeListText(path);
@@ -60,11 +68,67 @@ StatusOr<EdgeList> LoadEdges(const std::string& path) {
   return ReadAllEdges(**stream);
 }
 
-StatusOr<std::string> RequireGraphArg(const Args& args) {
-  if (args.positional().empty()) {
-    return Status::InvalidArgument("expected a graph file argument");
+/// Loads a graph file as an undirected CSR graph; duplicate edges merge
+/// into one edge carrying their summed weight.
+StatusOr<UndirectedGraph> LoadUndirectedGraph(const std::string& path) {
+  StatusOr<EdgeList> edges = LoadEdges(path);
+  if (!edges.ok()) return edges.status();
+  GraphBuilder builder;
+  builder.ReserveNodes(edges->num_nodes());
+  for (const Edge& e : edges->edges()) builder.Add(e.u, e.v, e.w);
+  return builder.BuildUndirected();
+}
+
+/// An EdgeListStream that owns the edges it streams.
+class OwningEdgeListStream : public EdgeListStream {
+ public:
+  explicit OwningEdgeListStream(std::unique_ptr<EdgeList> edges)
+      : EdgeListStream(*edges), edges_(std::move(edges)) {}
+
+ private:
+  std::unique_ptr<EdgeList> edges_;
+};
+
+/// Opens a graph file as a stream: a .bin file is read from disk on every
+/// pass, its reads retrying transient faults under `retry`; a text file is
+/// loaded and streamed from memory.
+StatusOr<std::unique_ptr<EdgeStream>> OpenGraphStream(
+    const std::string& path, const RetryPolicy& retry) {
+  if (!EndsWith(path, ".bin")) {
+    StatusOr<EdgeList> edges = ReadEdgeListText(path);
+    if (!edges.ok()) return edges.status();
+    return std::unique_ptr<EdgeStream>(std::make_unique<OwningEdgeListStream>(
+        std::make_unique<EdgeList>(std::move(*edges))));
   }
-  return args.positional()[0];
+  StatusOr<std::unique_ptr<BinaryFileEdgeStream>> file =
+      BinaryFileEdgeStream::Open(path);
+  if (!file.ok()) return file.status();
+  (*file)->set_retry_policy(retry);
+  return std::unique_ptr<EdgeStream>(std::move(*file));
+}
+
+/// The update stream `dynamic` and `serve` replay: every edge of `edges`
+/// as an insertion, and with a positive `window` a sliding-window deleter
+/// that evicts `evict_batch` edges at a time.
+std::unique_ptr<UpdateStream> ReplayStream(EdgeStream& edges, uint64_t window,
+                                           uint64_t evict_batch) {
+  if (window == 0) return std::make_unique<InsertReplayUpdateStream>(edges);
+  return std::make_unique<SlidingWindowUpdateStream>(edges, window,
+                                                     evict_batch);
+}
+
+/// How `dynamic` and `serve` name the replay in their headline.
+std::string ReplayLabel(uint64_t window) {
+  return window > 0 ? ", sliding window " + std::to_string(window)
+                    : std::string(", insert-only");
+}
+
+/// The replay's io-retry line, printed only when a read was retried or
+/// gave up.
+void PrintIoRetries(const IoRetryStats& retry, std::ostream& out) {
+  if (retry.retries == 0 && retry.exhausted == 0) return;
+  out << "io retries: " << retry.retries << " (" << retry.healed
+      << " healed, " << retry.exhausted << " exhausted)\n";
 }
 
 Status WriteNodes(const std::string& path, const std::vector<NodeId>& nodes) {
@@ -83,17 +147,18 @@ void PrintUndirectedTrace(const UndirectedDensestResult& r,
   }
 }
 
-}  // namespace
+// Every command reads all its flags, calls args.Check() once, and only then
+// opens its input, so a flag error fails with nothing run.
 
 Status CmdStats(const Args& args, std::ostream& out) {
-  StatusOr<bool> directed = args.GetBool("directed", false);
-  if (!directed.ok()) return directed.status();
+  const bool directed = args.GetBool("directed", false);
+  if (Status s = args.Check(); !s.ok()) return s;
   StatusOr<std::string> path = RequireGraphArg(args);
   if (!path.ok()) return path.status();
   StatusOr<EdgeList> edges = LoadEdges(*path);
   if (!edges.ok()) return edges.status();
 
-  if (*directed) {
+  if (directed) {
     DirectedGraph g = DirectedGraph::FromEdgeList(*edges);
     out << FormatStats(ComputeStats(g)) << "\n";
   } else {
@@ -107,52 +172,44 @@ Status CmdStats(const Args& args, std::ostream& out) {
 }
 
 Status CmdUndirected(const Args& args, std::ostream& out) {
-  StatusOr<double> eps = args.GetDouble("eps", 0.5);
-  StatusOr<int64_t> min_size = args.GetInt("min-size", 0);
-  StatusOr<bool> trace = args.GetBool("trace", false);
-  std::string output = args.GetString("output", "");
-  for (const Status& s :
-       {eps.ok() ? Status::OK() : eps.status(),
-        min_size.ok() ? Status::OK() : min_size.status(),
-        trace.ok() ? Status::OK() : trace.status()}) {
-    if (!s.ok()) return s;
-  }
+  const double eps = args.GetDouble("eps", 0.5);
+  const NodeId min_size = args.GetInt<NodeId>("min-size", 0, 0);
+  const bool trace = args.GetBool("trace", false);
+  const std::string output = args.GetString("output", "");
+  // Each path reads only its own flags, so a flag given off its path stays
+  // unread and Check() rejects it as unknown instead of ignoring it.
+  const int sketch_buckets =
+      min_size > 0 ? 0 : args.GetInt<int>("sketch-buckets", 0, 0);
+  const int sketch_tables =
+      sketch_buckets > 0 ? args.GetInt<int>("sketch-tables", 5, 1) : 0;
+  const EdgeId compact_below =
+      min_size == 0 && sketch_buckets == 0
+          ? args.GetInt<EdgeId>("compact-below", 0, 0)
+          : 0;
+  if (Status s = args.Check(); !s.ok()) return s;
   StatusOr<std::string> path = RequireGraphArg(args);
   if (!path.ok()) return path.status();
-  StatusOr<EdgeList> edges = LoadEdges(*path);
-  if (!edges.ok()) return edges.status();
-
-  GraphBuilder builder;
-  builder.ReserveNodes(edges->num_nodes());
-  for (const Edge& e : edges->edges()) builder.Add(e.u, e.v, e.w);
-  StatusOr<UndirectedGraph> graph = builder.BuildUndirected();
+  StatusOr<UndirectedGraph> graph = LoadUndirectedGraph(*path);
   if (!graph.ok()) return graph.status();
 
-  // Each path reads only its own flags, so a flag given off its path stays
-  // unread and RunCliCommand rejects it as unknown instead of ignoring it.
   UndirectedDensestResult result;
-  StatusOr<int64_t> sketch_buckets =
-      *min_size > 0 ? int64_t{0} : args.GetInt("sketch-buckets", 0);
-  if (!sketch_buckets.ok()) return sketch_buckets.status();
-  if (*min_size > 0) {
+  if (min_size > 0) {
     Algorithm2Options opt;
-    opt.epsilon = *eps;
-    opt.min_size = static_cast<NodeId>(*min_size);
-    opt.record_trace = *trace;
+    opt.epsilon = eps;
+    opt.min_size = min_size;
+    opt.record_trace = trace;
     StatusOr<UndirectedDensestResult> r = RunAlgorithm2(*graph, opt);
     if (!r.ok()) return r.status();
     result = std::move(*r);
-    out << "algorithm 2 (min size " << *min_size << "): ";
-  } else if (*sketch_buckets > 0) {
-    StatusOr<int64_t> sketch_tables = args.GetInt("sketch-tables", 5);
-    if (!sketch_tables.ok()) return sketch_tables.status();
+    out << "algorithm 2 (min size " << min_size << "): ";
+  } else if (sketch_buckets > 0) {
     Algorithm1Options opt;
-    opt.epsilon = *eps;
-    opt.record_trace = *trace;
+    opt.epsilon = eps;
+    opt.record_trace = trace;
     UndirectedGraphStream stream(*graph);
     CountSketchOptions sk;
-    sk.buckets = static_cast<int>(*sketch_buckets);
-    sk.tables = static_cast<int>(*sketch_tables);
+    sk.buckets = sketch_buckets;
+    sk.tables = sketch_tables;
     StatusOr<SketchedResult> r =
         RunSketchedAlgorithm1(stream, sk, /*sketch_seed=*/0x5eed, opt);
     if (!r.ok()) return r.status();
@@ -160,49 +217,47 @@ Status CmdUndirected(const Args& args, std::ostream& out) {
         << "): ";
     result = std::move(r->result);
   } else {
-    StatusOr<int64_t> compact = args.GetInt("compact-below", 0);
-    if (!compact.ok()) return compact.status();
     Algorithm1Options opt;
-    opt.epsilon = *eps;
-    opt.record_trace = *trace;
-    opt.compact_below_edges = static_cast<EdgeId>(*compact);
+    opt.epsilon = eps;
+    opt.record_trace = trace;
+    opt.compact_below_edges = compact_below;
     StatusOr<UndirectedDensestResult> r = RunAlgorithm1(*graph, opt);
     if (!r.ok()) return r.status();
     result = std::move(*r);
     out << "algorithm 1: ";
   }
   out << Summarize(result) << "\n";
-  if (*trace) PrintUndirectedTrace(result, out);
+  if (trace) PrintUndirectedTrace(result, out);
   if (!output.empty()) return WriteNodes(output, result.nodes);
   return Status::OK();
 }
 
 Status CmdDirected(const Args& args, std::ostream& out) {
-  StatusOr<double> eps = args.GetDouble("eps", 0.5);
-  if (!eps.ok()) return eps.status();
+  const double eps = args.GetDouble("eps", 0.5);
+  // An explicit --c runs Algorithm 3, which rejects a c that is not finite
+  // and > 0; without one the ratio is searched. Each path reads only its
+  // own flags (--trace with --c, --delta without), so Check() rejects an
+  // off-path one as unknown.
+  const bool single_c = args.Has("c");
+  const double c = single_c ? args.GetDouble("c", 0.0) : 0.0;
+  const bool trace = single_c && args.GetBool("trace", false);
+  const double delta = single_c ? 0.0 : args.GetDouble("delta", 2.0);
+  if (Status s = args.Check(); !s.ok()) return s;
   StatusOr<std::string> path = RequireGraphArg(args);
   if (!path.ok()) return path.status();
   StatusOr<EdgeList> edges = LoadEdges(*path);
   if (!edges.ok()) return edges.status();
   DirectedGraph graph = DirectedGraph::FromEdgeList(*edges);
 
-  // An explicit --c runs Algorithm 3, which rejects a c that is not finite
-  // and > 0; without one the ratio is searched. Each path reads only its
-  // own flags (--trace with --c, --delta without), so RunCliCommand
-  // rejects an off-path one as unknown.
-  if (args.Has("c")) {
-    StatusOr<double> c = args.GetDouble("c", 0.0);
-    StatusOr<bool> trace = args.GetBool("trace", false);
-    if (!c.ok()) return c.status();
-    if (!trace.ok()) return trace.status();
+  if (single_c) {
     Algorithm3Options opt;
-    opt.c = *c;
-    opt.epsilon = *eps;
-    opt.record_trace = *trace;
+    opt.c = c;
+    opt.epsilon = eps;
+    opt.record_trace = trace;
     StatusOr<DirectedDensestResult> r = RunAlgorithm3(graph, opt);
     if (!r.ok()) return r.status();
-    out << "algorithm 3 (c=" << *c << "): " << Summarize(*r) << "\n";
-    if (*trace) {
+    out << "algorithm 3 (c=" << c << "): " << Summarize(*r) << "\n";
+    if (trace) {
       out << "pass  |S|  |T|  |E(S,T)|  rho  peel\n";
       for (const DirectedPassSnapshot& s : r->trace) {
         out << s.pass << "  " << s.s_size << "  " << s.t_size << "  "
@@ -213,84 +268,50 @@ Status CmdDirected(const Args& args, std::ostream& out) {
     return Status::OK();
   }
 
-  StatusOr<double> delta = args.GetDouble("delta", 2.0);
-  if (!delta.ok()) return delta.status();
   CSearchOptions opt;
-  opt.delta = *delta;
-  opt.epsilon = *eps;
+  opt.delta = delta;
+  opt.epsilon = eps;
   StatusOr<CSearchResult> r = RunCSearch(graph, opt);
   if (!r.ok()) return r.status();
-  out << "c-search over " << r->sweep.size() << " ratios (delta=" << *delta
+  out << "c-search over " << r->sweep.size() << " ratios (delta=" << delta
       << "): best " << Summarize(r->best) << "\n";
   return Status::OK();
 }
 
 Status CmdMapReduce(const Args& args, std::ostream& out) {
-  StatusOr<double> eps = args.GetDouble("eps", 1.0);
-  StatusOr<bool> directed = args.GetBool("directed", false);
-  StatusOr<int64_t> spill = args.GetInt("spill-budget", 0);
-  StatusOr<int64_t> mappers = args.GetInt("mappers", 2000);
-  StatusOr<int64_t> reducers = args.GetInt("reducers", 2000);
-  StatusOr<bool> trace = args.GetBool("trace", false);
-  for (const Status& s :
-       {eps.ok() ? Status::OK() : eps.status(),
-        directed.ok() ? Status::OK() : directed.status(),
-        spill.ok() ? Status::OK() : spill.status(),
-        mappers.ok() ? Status::OK() : mappers.status(),
-        reducers.ok() ? Status::OK() : reducers.status(),
-        trace.ok() ? Status::OK() : trace.status()}) {
-    if (!s.ok()) return s;
-  }
-  if (*spill < 0) {
-    return Status::InvalidArgument("--spill-budget must be >= 0");
-  }
-  if (*mappers <= 0 || *reducers <= 0) {
-    return Status::InvalidArgument("--mappers/--reducers must be > 0");
-  }
+  const double eps = args.GetDouble("eps", 1.0);
+  const bool directed = args.GetBool("directed", false);
+  const uint64_t spill = args.GetInt<uint64_t>("spill-budget", 0, 0);
+  CostModel model;
+  model.num_mappers = args.GetInt<int>("mappers", 2000, 1);
+  model.num_reducers = args.GetInt<int>("reducers", 2000, 1);
+  const bool trace = args.GetBool("trace", false);
+  // --c is read only with --directed, so an undirected run rejects it as
+  // unknown.
+  const double c = directed ? args.GetDouble("c", 1.0) : 0.0;
+  if (Status s = args.Check(); !s.ok()) return s;
   StatusOr<std::string> path = RequireGraphArg(args);
   if (!path.ok()) return path.status();
-
   // A .bin input streams straight from disk — the MR jobs scan it through
-  // the stream substrate without ever materializing the edge set; text
-  // inputs are loaded and streamed from memory.
-  std::unique_ptr<BinaryFileEdgeStream> file_stream;
-  EdgeList edges;
-  std::unique_ptr<EdgeListStream> memory_stream;
-  EdgeStream* stream = nullptr;
-  if (EndsWith(*path, ".bin")) {
-    auto opened = BinaryFileEdgeStream::Open(*path);
-    if (!opened.ok()) return opened.status();
-    file_stream = std::move(*opened);
-    stream = file_stream.get();
-  } else {
-    StatusOr<EdgeList> loaded = ReadEdgeListText(*path);
-    if (!loaded.ok()) return loaded.status();
-    edges = std::move(*loaded);
-    memory_stream = std::make_unique<EdgeListStream>(edges);
-    stream = memory_stream.get();
-  }
-
-  CostModel model;
-  model.num_mappers = static_cast<int>(*mappers);
-  model.num_reducers = static_cast<int>(*reducers);
+  // the stream substrate without ever materializing the edge set.
+  StatusOr<std::unique_ptr<EdgeStream>> stream =
+      OpenGraphStream(*path, RetryPolicy{});
+  if (!stream.ok()) return stream.status();
   MapReduceEnv env(model);
 
-  if (*directed) {
-    // --c is read only here, so an undirected run rejects it as unknown.
-    StatusOr<double> c = args.GetDouble("c", 1.0);
-    if (!c.ok()) return c.status();
+  if (directed) {
     MrDirectedOptions opt;
-    opt.c = *c;
-    opt.epsilon = *eps;
-    opt.record_trace = *trace;
-    opt.spill_budget_bytes = static_cast<uint64_t>(*spill);
-    StatusOr<MrDirectedResult> r = RunMrDensestDirected(env, *stream, opt);
+    opt.c = c;
+    opt.epsilon = eps;
+    opt.record_trace = trace;
+    opt.spill_budget_bytes = spill;
+    StatusOr<MrDirectedResult> r = RunMrDensestDirected(env, **stream, opt);
     if (!r.ok()) return r.status();
-    out << "mapreduce algorithm 3 (c=" << *c << "): " << Summarize(r->result)
+    out << "mapreduce algorithm 3 (c=" << c << "): " << Summarize(r->result)
         << "\n";
     out << "input scans: " << r->input_scans
         << "  cluster totals: " << r->totals.ToString() << "\n";
-    if (*trace) {
+    if (trace) {
       out << "pass  |S|  |T|  |E(S,T)|  rho  sim_sec\n";
       for (size_t i = 0; i < r->result.trace.size(); ++i) {
         const DirectedPassSnapshot& s = r->result.trace[i];
@@ -303,15 +324,15 @@ Status CmdMapReduce(const Args& args, std::ostream& out) {
   }
 
   MrDensestOptions opt;
-  opt.epsilon = *eps;
-  opt.record_trace = *trace;
-  opt.spill_budget_bytes = static_cast<uint64_t>(*spill);
-  StatusOr<MrDensestResult> r = RunMrDensestUndirected(env, *stream, opt);
+  opt.epsilon = eps;
+  opt.record_trace = trace;
+  opt.spill_budget_bytes = spill;
+  StatusOr<MrDensestResult> r = RunMrDensestUndirected(env, **stream, opt);
   if (!r.ok()) return r.status();
   out << "mapreduce algorithm 1: " << Summarize(r->result) << "\n";
   out << "input scans: " << r->input_scans
       << "  cluster totals: " << r->totals.ToString() << "\n";
-  if (*trace) {
+  if (trace) {
     out << "pass  nodes  edges  rho  sim_sec\n";
     for (size_t i = 0; i < r->result.trace.size(); ++i) {
       const PassSnapshot& s = r->result.trace[i];
@@ -323,99 +344,48 @@ Status CmdMapReduce(const Args& args, std::ostream& out) {
 }
 
 Status CmdDynamic(const Args& args, std::ostream& out) {
-  StatusOr<double> eps = args.GetDouble("eps", 0.75);
-  StatusOr<int64_t> window = args.GetInt("window", 0);
-  StatusOr<double> rate = args.GetDouble("rate", 0.0);
-  StatusOr<int64_t> query_every = args.GetInt("query-every", 1024);
-  StatusOr<int64_t> checkpoint_every = args.GetInt("checkpoint-every", 0);
-  std::string checkpoints = args.GetString("checkpoints", "exact");
-  StatusOr<int64_t> radius = args.GetInt("radius", 2);
-  std::string fallback = args.GetString("fallback", "recompute");
-  std::string snapshot_path = args.GetString("snapshot", "");
-  StatusOr<int64_t> snapshot_every = args.GetInt("snapshot-every", 0);
-  StatusOr<bool> resume = args.GetBool("resume", false);
-  StatusOr<int64_t> evict_batch = args.GetInt("evict-batch", 1);
-  StatusOr<int64_t> trim_hysteresis = args.GetInt("trim-hysteresis", 64);
-  StatusOr<int64_t> retry_attempts = args.GetInt("retry-attempts", 4);
-  StatusOr<double> retry_base_ms = args.GetDouble("retry-base-ms", 0.1);
-  StatusOr<double> deadline_ms = args.GetDouble("deadline-ms", 0.0);
-  StatusOr<int64_t> rearm_updates = args.GetInt("rearm-updates", 4096);
-  StatusOr<bool> check_invariants = args.GetBool("check-invariants", false);
-  StatusOr<int64_t> stats_every = args.GetInt("stats-every", 0);
-  for (const Status& s :
-       {eps.ok() ? Status::OK() : eps.status(),
-        window.ok() ? Status::OK() : window.status(),
-        rate.ok() ? Status::OK() : rate.status(),
-        query_every.ok() ? Status::OK() : query_every.status(),
-        checkpoint_every.ok() ? Status::OK() : checkpoint_every.status(),
-        radius.ok() ? Status::OK() : radius.status(),
-        snapshot_every.ok() ? Status::OK() : snapshot_every.status(),
-        resume.ok() ? Status::OK() : resume.status(),
-        evict_batch.ok() ? Status::OK() : evict_batch.status(),
-        trim_hysteresis.ok() ? Status::OK() : trim_hysteresis.status(),
-        retry_attempts.ok() ? Status::OK() : retry_attempts.status(),
-        retry_base_ms.ok() ? Status::OK() : retry_base_ms.status(),
-        deadline_ms.ok() ? Status::OK() : deadline_ms.status(),
-        rearm_updates.ok() ? Status::OK() : rearm_updates.status(),
-        check_invariants.ok() ? Status::OK() : check_invariants.status(),
-        stats_every.ok() ? Status::OK() : stats_every.status()}) {
-    if (!s.ok()) return s;
+  const uint64_t window = args.GetInt<uint64_t>("window", 0, 0);
+  const uint64_t evict_batch = args.GetInt<uint64_t>("evict-batch", 1, 1);
+  const std::string checkpoints = args.GetString("checkpoints", "exact");
+  const std::string fallback = args.GetString("fallback", "recompute");
+  const bool resume = args.GetBool("resume", false);
+  RetryPolicy retry;
+  retry.max_attempts = args.GetInt<int>("retry-attempts", 4, 1);
+  retry.base_delay_ms = args.GetDouble("retry-base-ms", 0.1);
+  DynamicDensestOptions opt;
+  opt.epsilon = args.GetDouble("eps", 0.75);
+  opt.window_radius = args.GetInt<uint32_t>("radius", 2, 0);
+  opt.trim_hysteresis = args.GetInt<uint32_t>("trim-hysteresis", 64, 1);
+  opt.recompute_deadline_ms = args.GetDouble("deadline-ms", 0.0);
+  opt.recompute_rearm_updates =
+      args.GetInt<uint32_t>("rearm-updates", 4096, 1);
+  ReplayOptions replay_opt;
+  replay_opt.target_updates_per_sec = args.GetDouble("rate", 0.0);
+  replay_opt.query_every = args.GetInt<uint64_t>("query-every", 1024, 0);
+  replay_opt.checkpoint_every =
+      args.GetInt<uint64_t>("checkpoint-every", 0, 0);
+  replay_opt.snapshot_every = args.GetInt<uint64_t>("snapshot-every", 0, 0);
+  replay_opt.snapshot_path = args.GetString("snapshot", "");
+  replay_opt.check_invariants = args.GetBool("check-invariants", false);
+  replay_opt.stats_every = args.GetInt<uint64_t>("stats-every", 0, 0);
+  if (Status s = args.Check(); !s.ok()) return s;
+  // The double floors; !(x >= 0) also rejects NaN.
+  if (!(opt.recompute_deadline_ms >= 0)) {
+    return Status::InvalidArgument("--deadline-ms must be >= 0");
   }
-  if (*deadline_ms < 0 || *rearm_updates < 1) {
-    return Status::InvalidArgument(
-        "--deadline-ms must be >= 0 and --rearm-updates >= 1");
+  if (!(retry.base_delay_ms >= 0)) {
+    return Status::InvalidArgument("--retry-base-ms must be >= 0");
   }
-  if (*check_invariants && *checkpoint_every == 0) {
+  if (replay_opt.check_invariants && replay_opt.checkpoint_every == 0) {
     return Status::InvalidArgument(
         "--check-invariants needs --checkpoint-every=N");
   }
-  if (*window < 0 || *radius < 0 || *query_every < 0 ||
-      *checkpoint_every < 0 || *snapshot_every < 0 || *stats_every < 0) {
-    return Status::InvalidArgument("flag values must be >= 0");
-  }
-  if (*evict_batch < 1 || *trim_hysteresis < 1 || *retry_attempts < 1 ||
-      *retry_base_ms < 0) {
-    return Status::InvalidArgument(
-        "--evict-batch/--trim-hysteresis/--retry-attempts must be >= 1");
-  }
-  if (*snapshot_every > 0 && snapshot_path.empty()) {
+  if (replay_opt.snapshot_every > 0 && replay_opt.snapshot_path.empty()) {
     return Status::InvalidArgument("--snapshot-every needs --snapshot=PATH");
   }
-  if (*resume && snapshot_path.empty()) {
+  if (resume && replay_opt.snapshot_path.empty()) {
     return Status::InvalidArgument("--resume needs --snapshot=PATH");
   }
-  StatusOr<std::string> path = RequireGraphArg(args);
-  if (!path.ok()) return path.status();
-
-  // A .bin input replays straight from disk; text inputs are loaded and
-  // replayed from memory.
-  std::unique_ptr<BinaryFileEdgeStream> file_stream;
-  EdgeList edges;
-  std::unique_ptr<EdgeListStream> memory_stream;
-  EdgeStream* stream = nullptr;
-  if (EndsWith(*path, ".bin")) {
-    auto opened = BinaryFileEdgeStream::Open(*path);
-    if (!opened.ok()) return opened.status();
-    file_stream = std::move(*opened);
-    RetryPolicy retry;
-    retry.max_attempts = static_cast<int>(*retry_attempts);
-    retry.base_delay_ms = *retry_base_ms;
-    file_stream->set_retry_policy(retry);
-    stream = file_stream.get();
-  } else {
-    StatusOr<EdgeList> loaded = ReadEdgeListText(*path);
-    if (!loaded.ok()) return loaded.status();
-    edges = std::move(*loaded);
-    memory_stream = std::make_unique<EdgeListStream>(edges);
-    stream = memory_stream.get();
-  }
-
-  DynamicDensestOptions opt;
-  opt.epsilon = *eps;
-  opt.window_radius = static_cast<uint32_t>(*radius);
-  opt.trim_hysteresis = static_cast<uint32_t>(*trim_hysteresis);
-  opt.recompute_deadline_ms = *deadline_ms;
-  opt.recompute_rearm_updates = static_cast<uint32_t>(*rearm_updates);
   if (fallback == "recompute") {
     opt.fallback = DynamicFallback::kRecompute;
   } else if (fallback == "rebuild") {
@@ -425,19 +395,6 @@ Status CmdDynamic(const Args& args, std::ostream& out) {
   } else {
     return Status::InvalidArgument("unknown --fallback: " + fallback);
   }
-  ReplayOptions replay_opt;
-  replay_opt.target_updates_per_sec = *rate;
-  replay_opt.query_every = static_cast<uint64_t>(*query_every);
-  replay_opt.checkpoint_every = static_cast<uint64_t>(*checkpoint_every);
-  replay_opt.snapshot_every = static_cast<uint64_t>(*snapshot_every);
-  replay_opt.snapshot_path = snapshot_path;
-  replay_opt.check_invariants = *check_invariants;
-  replay_opt.stats_every = static_cast<uint64_t>(*stats_every);
-  if (*stats_every > 0) {
-    replay_opt.stats_hook = [&out](uint64_t count) {
-      out << "[stats @" << count << "] " << StatsSummaryLine() << "\n";
-    };
-  }
   if (checkpoints == "exact") {
     replay_opt.checkpoint_mode = CheckpointMode::kExactFlow;
   } else if (checkpoints == "batch") {
@@ -445,17 +402,27 @@ Status CmdDynamic(const Args& args, std::ostream& out) {
   } else {
     return Status::InvalidArgument("unknown --checkpoints: " + checkpoints);
   }
+  if (replay_opt.stats_every > 0) {
+    replay_opt.stats_hook = [&out](uint64_t count) {
+      out << "[stats @" << count << "] " << StatsSummaryLine() << "\n";
+    };
+  }
+  StatusOr<std::string> path = RequireGraphArg(args);
+  if (!path.ok()) return path.status();
+  StatusOr<std::unique_ptr<EdgeStream>> stream = OpenGraphStream(*path, retry);
+  if (!stream.ok()) return stream.status();
 
   // --resume: restore the engine and stream position from the snapshot. A
   // missing/torn/corrupted snapshot degrades to a full replay from scratch
   // — logged, never silently served — so restart is always safe.
   std::unique_ptr<DynamicDensest> engine;
-  if (*resume) {
-    StatusOr<RestoredEngine> restored = ReadSnapshot(snapshot_path, opt);
+  if (resume) {
+    StatusOr<RestoredEngine> restored =
+        ReadSnapshot(replay_opt.snapshot_path, opt);
     if (restored.ok()) {
       engine = std::move(restored->engine);
       replay_opt.skip_updates = restored->cursor;
-      out << "resumed from " << snapshot_path << " at update "
+      out << "resumed from " << replay_opt.snapshot_path << " at update "
           << restored->cursor << "\n";
     } else {
       out << "snapshot unusable (" << restored.status().ToString()
@@ -464,27 +431,17 @@ Status CmdDynamic(const Args& args, std::ostream& out) {
   }
   if (engine == nullptr) {
     StatusOr<std::unique_ptr<DynamicDensest>> created =
-        DynamicDensest::Create(stream->num_nodes(), opt);
+        DynamicDensest::Create((*stream)->num_nodes(), opt);
     if (!created.ok()) return created.status();
     engine = std::move(*created);
   }
 
-  InsertReplayUpdateStream inserts(*stream);
-  std::unique_ptr<SlidingWindowUpdateStream> windowed;
-  UpdateStream* updates = &inserts;
-  if (*window > 0) {
-    windowed = std::make_unique<SlidingWindowUpdateStream>(
-        *stream, static_cast<uint64_t>(*window),
-        static_cast<uint64_t>(*evict_batch));
-    updates = windowed.get();
-  }
-
+  const std::unique_ptr<UpdateStream> updates =
+      ReplayStream(**stream, window, evict_batch);
   StatusOr<ReplayReport> report = ReplayUpdates(*updates, *engine, replay_opt);
   if (!report.ok()) return report.status();
 
-  out << "dynamic densest (eps=" << *eps
-      << (*window > 0 ? ", sliding window " + std::to_string(*window)
-                      : std::string(", insert-only"))
+  out << "dynamic densest (eps=" << opt.epsilon << ReplayLabel(window)
       << "): rho=" << report->final_density;
   if (report->final_certified) {
     out << " certified rho* < " << report->final_upper_bound << " (band "
@@ -510,7 +467,7 @@ Status CmdDynamic(const Args& args, std::ostream& out) {
   if (report->engine_stats.recomputes_cancelled > 0 ||
       report->engine_stats.stale_answers_served > 0) {
     out << "overload: " << report->engine_stats.recomputes_cancelled
-        << " recomputes cancelled by the " << *deadline_ms
+        << " recomputes cancelled by the " << opt.recompute_deadline_ms
         << "ms deadline, " << report->engine_stats.stale_answers_served
         << " queries served the widened stale band\n";
   }
@@ -523,11 +480,7 @@ Status CmdDynamic(const Args& args, std::ostream& out) {
     }
     out << "\n";
   }
-  if (const IoRetryStats retry = updates->io_retry_stats();
-      retry.retries > 0 || retry.exhausted > 0) {
-    out << "io retries: " << retry.retries << " (" << retry.healed
-        << " healed, " << retry.exhausted << " exhausted)\n";
-  }
+  PrintIoRetries(updates->io_retry_stats(), out);
   if (!report->checkpoints.empty()) {
     out << "checkpoints: " << report->checkpoints.size()
         << "  band=" << (report->band_ok ? "OK" : "VIOLATED")
@@ -538,8 +491,6 @@ Status CmdDynamic(const Args& args, std::ostream& out) {
   }
   return Status::OK();
 }
-
-namespace {
 
 /// Parses "--query-mix=D,M,S[,T]": non-negative weights (density,
 /// membership, snapshot, and optionally stats) summing to something
@@ -565,80 +516,40 @@ StatusOr<std::array<uint64_t, 4>> ParseQueryMix(const std::string& mix) {
   return w;
 }
 
-}  // namespace
-
 Status CmdServe(const Args& args, std::ostream& out) {
-  StatusOr<double> eps = args.GetDouble("eps", 0.75);
-  StatusOr<int64_t> window = args.GetInt("window", 0);
-  StatusOr<double> rate = args.GetDouble("rate", 0.0);
-  StatusOr<int64_t> publish_every = args.GetInt("publish-every", 1024);
-  StatusOr<double> qps = args.GetDouble("qps", 2000.0);
-  std::string mix_flag = args.GetString("query-mix", "80,15,5");
-  StatusOr<int64_t> batch = args.GetInt("batch", 8);
-  StatusOr<double> deadline_ms = args.GetDouble("deadline-ms", 0.0);
-  StatusOr<int64_t> seed = args.GetInt("seed", 1);
-  StatusOr<int64_t> evict_batch = args.GetInt("evict-batch", 1);
-  StatusOr<int64_t> stats_every = args.GetInt("stats-every", 0);
-  for (const Status& s :
-       {eps.ok() ? Status::OK() : eps.status(),
-        window.ok() ? Status::OK() : window.status(),
-        rate.ok() ? Status::OK() : rate.status(),
-        publish_every.ok() ? Status::OK() : publish_every.status(),
-        qps.ok() ? Status::OK() : qps.status(),
-        batch.ok() ? Status::OK() : batch.status(),
-        deadline_ms.ok() ? Status::OK() : deadline_ms.status(),
-        seed.ok() ? Status::OK() : seed.status(),
-        evict_batch.ok() ? Status::OK() : evict_batch.status(),
-        stats_every.ok() ? Status::OK() : stats_every.status()}) {
-    if (!s.ok()) return s;
-  }
-  if (*batch < 1) {
-    return Status::InvalidArgument("--batch must be >= 1");
-  }
-  if (*window < 0 || *publish_every < 0 || *qps < 0 || *deadline_ms < 0 ||
-      *evict_batch < 1 || *stats_every < 0) {
-    return Status::InvalidArgument("flag values out of range");
+  const double eps = args.GetDouble("eps", 0.75);
+  const uint64_t window = args.GetInt<uint64_t>("window", 0, 0);
+  const uint64_t evict_batch = args.GetInt<uint64_t>("evict-batch", 1, 1);
+  const double qps = args.GetDouble("qps", 2000.0);
+  const std::string mix_flag = args.GetString("query-mix", "80,15,5");
+  const size_t batch = args.GetInt<size_t>("batch", 8, 1);
+  const double deadline_ms = args.GetDouble("deadline-ms", 0.0);
+  const uint64_t seed = args.GetInt<uint64_t>("seed", 1, 0);
+  ReplayOptions replay_opt;
+  replay_opt.target_updates_per_sec = args.GetDouble("rate", 0.0);
+  replay_opt.publish_every = args.GetInt<uint64_t>("publish-every", 1024, 0);
+  replay_opt.stats_every = args.GetInt<uint64_t>("stats-every", 0, 0);
+  if (Status s = args.Check(); !s.ok()) return s;
+  if (!(qps >= 0)) return Status::InvalidArgument("--qps must be >= 0");
+  if (!(deadline_ms >= 0)) {
+    return Status::InvalidArgument("--deadline-ms must be >= 0");
   }
   StatusOr<std::array<uint64_t, 4>> mix = ParseQueryMix(mix_flag);
   if (!mix.ok()) return mix.status();
   StatusOr<std::string> path = RequireGraphArg(args);
   if (!path.ok()) return path.status();
-
-  // Same input handling as `dynamic`: a .bin input replays straight from
-  // disk, text inputs from memory.
-  std::unique_ptr<BinaryFileEdgeStream> file_stream;
-  EdgeList edges;
-  std::unique_ptr<EdgeListStream> memory_stream;
-  EdgeStream* stream = nullptr;
-  if (EndsWith(*path, ".bin")) {
-    auto opened = BinaryFileEdgeStream::Open(*path);
-    if (!opened.ok()) return opened.status();
-    file_stream = std::move(*opened);
-    stream = file_stream.get();
-  } else {
-    StatusOr<EdgeList> loaded = ReadEdgeListText(*path);
-    if (!loaded.ok()) return loaded.status();
-    edges = std::move(*loaded);
-    memory_stream = std::make_unique<EdgeListStream>(edges);
-    stream = memory_stream.get();
-  }
-  const NodeId num_nodes = stream->num_nodes();
+  StatusOr<std::unique_ptr<EdgeStream>> stream =
+      OpenGraphStream(*path, RetryPolicy{});
+  if (!stream.ok()) return stream.status();
+  const NodeId num_nodes = (*stream)->num_nodes();
 
   DynamicDensestOptions opt;
-  opt.epsilon = *eps;
+  opt.epsilon = eps;
   StatusOr<std::unique_ptr<DynamicDensest>> engine =
       DynamicDensest::Create(num_nodes, opt);
   if (!engine.ok()) return engine.status();
-
-  InsertReplayUpdateStream inserts(*stream);
-  std::unique_ptr<SlidingWindowUpdateStream> windowed;
-  UpdateStream* updates = &inserts;
-  if (*window > 0) {
-    windowed = std::make_unique<SlidingWindowUpdateStream>(
-        *stream, static_cast<uint64_t>(*window),
-        static_cast<uint64_t>(*evict_batch));
-    updates = windowed.get();
-  }
+  const std::unique_ptr<UpdateStream> updates =
+      ReplayStream(**stream, window, evict_batch);
 
   // The serving tier: the replay thread is the plane's single writer; the
   // closed-loop client below answers its own batches off the plane without
@@ -647,14 +558,10 @@ Status CmdServe(const Args& args, std::ostream& out) {
   QueryService service(plane, {});
 
   CancelToken writer_cancel;
-  ReplayOptions replay_opt;
-  replay_opt.target_updates_per_sec = *rate;
   replay_opt.query_every = 0;  // queries come through the service instead
   replay_opt.publish = &plane;
-  replay_opt.publish_every = static_cast<uint64_t>(*publish_every);
   replay_opt.cancel = &writer_cancel;
-  replay_opt.stats_every = static_cast<uint64_t>(*stats_every);
-  if (*stats_every > 0) {
+  if (replay_opt.stats_every > 0) {
     // Runs on the writer thread; `out` has no other writer until join.
     replay_opt.stats_hook = [&out](uint64_t count) {
       out << "[stats @" << count << "] " << StatsSummaryLine() << "\n";
@@ -671,10 +578,10 @@ Status CmdServe(const Args& args, std::ostream& out) {
   // Closed-loop client: submit seeded query batches at --qps until the
   // writer drains the stream. Sheds and expiries are normal serving
   // outcomes and are tallied, not fatal.
-  Rng rng(Mix64(static_cast<uint64_t>(*seed)));
+  Rng rng(Mix64(seed));
   const std::array<uint64_t, 4>& w = *mix;
   const uint64_t mix_total = w[0] + w[1] + w[2] + w[3];
-  std::vector<ServeQuery> queries(static_cast<size_t>(*batch));
+  std::vector<ServeQuery> queries(batch);
   std::vector<ServeResult> results;
   uint64_t batches_ok = 0, batches_shed = 0, batches_expired = 0;
   uint64_t queries_submitted = 0;
@@ -696,8 +603,8 @@ Status CmdServe(const Args& args, std::ostream& out) {
       }
     }
     Status s;
-    if (*deadline_ms > 0) {
-      CancelToken deadline = CancelToken::WithDeadlineAfterMs(*deadline_ms);
+    if (deadline_ms > 0) {
+      CancelToken deadline = CancelToken::WithDeadlineAfterMs(deadline_ms);
       s = service.QueryBatch(queries, &results, &deadline);
     } else {
       s = service.QueryBatch(queries, &results);
@@ -715,10 +622,9 @@ Status CmdServe(const Args& args, std::ostream& out) {
       writer_cancel.Cancel();
       break;
     }
-    if (*qps > 0) {
-      const double ahead =
-          static_cast<double>(queries_submitted) / *qps -
-          client_wall.ElapsedSeconds();
+    if (qps > 0) {
+      const double ahead = static_cast<double>(queries_submitted) / qps -
+                           client_wall.ElapsedSeconds();
       if (ahead > 0) {
         std::this_thread::sleep_for(std::chrono::duration<double>(ahead));
       }
@@ -730,9 +636,7 @@ Status CmdServe(const Args& args, std::ostream& out) {
   if (!report.ok()) return report.status();
 
   const Answer final_answer = plane.ReadAnswer();
-  out << "serve (eps=" << *eps
-      << (*window > 0 ? ", sliding window " + std::to_string(*window)
-                      : std::string(", insert-only"))
+  out << "serve (eps=" << eps << ReplayLabel(window)
       << "): rho=" << final_answer.density;
   if (final_answer.certified) {
     out << " certified rho* < " << final_answer.upper_bound;
@@ -750,81 +654,36 @@ Status CmdServe(const Args& args, std::ostream& out) {
   out << "service: " << sstats.queries_served << " queries served  p50="
       << sstats.latency_p50_us << "us  p99=" << sstats.latency_p99_us
       << "us  mean=" << sstats.latency_mean_us << "us\n";
-  // Writer-side IO-retry summary, read back from the metrics registry the
-  // retry loops feed (`dynamic` prints the same story from its report;
-  // before the registry the serve path simply dropped it).
-  const uint64_t io_retries = DENSEST_METRIC_COUNTER("io.retries").Value();
-  const uint64_t io_exhausted =
-      DENSEST_METRIC_COUNTER("io.retries_exhausted").Value();
-  if (io_retries > 0 || io_exhausted > 0) {
-    out << "io retries: " << io_retries << " ("
-        << DENSEST_METRIC_COUNTER("io.retries_healed").Value() << " healed, "
-        << io_exhausted << " exhausted)\n";
-  }
+  PrintIoRetries(updates->io_retry_stats(), out);
   return Status::OK();
 }
 
 Status CmdChaos(const Args& args, std::ostream& out) {
-  StatusOr<bool> smoke = args.GetBool("smoke", false);
-  StatusOr<bool> verbose = args.GetBool("verbose", false);
-  StatusOr<int64_t> schedules = args.GetInt("schedules", 20);
-  StatusOr<int64_t> seed = args.GetInt("seed", 1);
-  StatusOr<int64_t> nodes = args.GetInt("nodes", 70);
-  StatusOr<int64_t> edges = args.GetInt("edges", 1200);
-  StatusOr<int64_t> window = args.GetInt("window", 150);
-  StatusOr<double> eps = args.GetDouble("eps", 0.6);
-  StatusOr<int64_t> checkpoint_every = args.GetInt("checkpoint-every", 300);
-  StatusOr<int64_t> snapshot_every = args.GetInt("snapshot-every", 100);
-  StatusOr<int64_t> max_faults = args.GetInt("max-faults", 6);
-  StatusOr<int64_t> batch_size = args.GetInt("batch-size", 64);
-  StatusOr<int64_t> readers = args.GetInt("readers", 2);
-  std::string scratch = args.GetString("scratch", "");
-  StatusOr<int64_t> stats_every = args.GetInt("stats-every", 0);
-  for (const Status& s :
-       {smoke.ok() ? Status::OK() : smoke.status(),
-        verbose.ok() ? Status::OK() : verbose.status(),
-        schedules.ok() ? Status::OK() : schedules.status(),
-        seed.ok() ? Status::OK() : seed.status(),
-        nodes.ok() ? Status::OK() : nodes.status(),
-        edges.ok() ? Status::OK() : edges.status(),
-        window.ok() ? Status::OK() : window.status(),
-        eps.ok() ? Status::OK() : eps.status(),
-        checkpoint_every.ok() ? Status::OK() : checkpoint_every.status(),
-        snapshot_every.ok() ? Status::OK() : snapshot_every.status(),
-        max_faults.ok() ? Status::OK() : max_faults.status(),
-        batch_size.ok() ? Status::OK() : batch_size.status(),
-        readers.ok() ? Status::OK() : readers.status(),
-        stats_every.ok() ? Status::OK() : stats_every.status()}) {
-    if (!s.ok()) return s;
-  }
-  if (*schedules < 1 || *nodes < 2 || *edges < 1 || *window < 1 ||
-      *checkpoint_every < 1 || *snapshot_every < 1 || *max_faults < 0 ||
-      *batch_size < 1 || *readers < 0 || *stats_every < 0) {
-    return Status::InvalidArgument("chaos: flag value out of range");
-  }
-
+  const bool smoke = args.GetBool("smoke", false);
+  const bool verbose = args.GetBool("verbose", false);
   ChaosOptions opt;
-  opt.schedules = static_cast<uint32_t>(*schedules);
-  opt.seed = static_cast<uint64_t>(*seed);
-  opt.nodes = static_cast<NodeId>(*nodes);
-  opt.edges = static_cast<EdgeId>(*edges);
-  opt.window = static_cast<uint64_t>(*window);
-  opt.epsilon = *eps;
-  opt.checkpoint_every = static_cast<uint64_t>(*checkpoint_every);
-  opt.snapshot_every = static_cast<uint64_t>(*snapshot_every);
-  opt.max_faults = static_cast<uint32_t>(*max_faults);
-  opt.batch_size = static_cast<size_t>(*batch_size);
-  opt.reader_threads = static_cast<uint32_t>(*readers);
-  opt.scratch_dir = scratch;
-  if (*verbose) opt.log = &out;
-  opt.stats_every = static_cast<uint64_t>(*stats_every);
-  if (*stats_every > 0) {
+  opt.schedules = args.GetInt<uint32_t>("schedules", 20, 1);
+  opt.seed = args.GetInt<uint64_t>("seed", 1, 0);
+  opt.nodes = args.GetInt<NodeId>("nodes", 70, 2);
+  opt.edges = args.GetInt<EdgeId>("edges", 1200, 1);
+  opt.window = args.GetInt<uint64_t>("window", 150, 1);
+  opt.epsilon = args.GetDouble("eps", 0.6);
+  opt.checkpoint_every = args.GetInt<uint64_t>("checkpoint-every", 300, 1);
+  opt.snapshot_every = args.GetInt<uint64_t>("snapshot-every", 100, 1);
+  opt.max_faults = args.GetInt<uint32_t>("max-faults", 6, 0);
+  opt.batch_size = args.GetInt<size_t>("batch-size", 64, 1);
+  opt.reader_threads = args.GetInt<uint32_t>("readers", 2, 0);
+  opt.scratch_dir = args.GetString("scratch", "");
+  opt.stats_every = args.GetInt<uint64_t>("stats-every", 0, 0);
+  if (Status s = args.Check(); !s.ok()) return s;
+  if (verbose) opt.log = &out;
+  if (opt.stats_every > 0) {
     opt.stats_hook = [&out](uint32_t done) {
       out << "[stats after " << done << " schedules] " << StatsSummaryLine()
           << "\n";
     };
   }
-  if (*smoke) {
+  if (smoke) {
     // The CI gate: a fixed seed so every run checks the identical fault
     // schedules, and never fewer than the contract's 20.
     opt.seed = 20120817;
@@ -852,14 +711,10 @@ Status CmdChaos(const Args& args, std::ostream& out) {
 }
 
 Status CmdExact(const Args& args, std::ostream& out) {
+  if (Status s = args.Check(); !s.ok()) return s;
   StatusOr<std::string> path = RequireGraphArg(args);
   if (!path.ok()) return path.status();
-  StatusOr<EdgeList> edges = LoadEdges(*path);
-  if (!edges.ok()) return edges.status();
-  GraphBuilder builder;
-  builder.ReserveNodes(edges->num_nodes());
-  for (const Edge& e : edges->edges()) builder.Add(e.u, e.v, e.w);
-  StatusOr<UndirectedGraph> graph = builder.BuildUndirected();
+  StatusOr<UndirectedGraph> graph = LoadUndirectedGraph(*path);
   if (!graph.ok()) return graph.status();
 
   StatusOr<ExactDensestResult> r = ExactDensestSubgraph(*graph);
@@ -870,29 +725,16 @@ Status CmdExact(const Args& args, std::ostream& out) {
 }
 
 Status CmdEnumerate(const Args& args, std::ostream& out) {
-  StatusOr<double> eps = args.GetDouble("eps", 0.5);
-  StatusOr<int64_t> count = args.GetInt("count", 10);
-  StatusOr<double> min_density = args.GetDouble("min-density", 1.0);
-  for (const Status& s :
-       {eps.ok() ? Status::OK() : eps.status(),
-        count.ok() ? Status::OK() : count.status(),
-        min_density.ok() ? Status::OK() : min_density.status()}) {
-    if (!s.ok()) return s;
-  }
+  EnumerateOptions opt;
+  opt.epsilon = args.GetDouble("eps", 0.5);
+  opt.max_subgraphs = args.GetInt<size_t>("count", 10, 0);
+  opt.min_density = args.GetDouble("min-density", 1.0);
+  if (Status s = args.Check(); !s.ok()) return s;
   StatusOr<std::string> path = RequireGraphArg(args);
   if (!path.ok()) return path.status();
-  StatusOr<EdgeList> edges = LoadEdges(*path);
-  if (!edges.ok()) return edges.status();
-  GraphBuilder builder;
-  builder.ReserveNodes(edges->num_nodes());
-  for (const Edge& e : edges->edges()) builder.Add(e.u, e.v, e.w);
-  StatusOr<UndirectedGraph> graph = builder.BuildUndirected();
+  StatusOr<UndirectedGraph> graph = LoadUndirectedGraph(*path);
   if (!graph.ok()) return graph.status();
 
-  EnumerateOptions opt;
-  opt.epsilon = *eps;
-  opt.max_subgraphs = static_cast<size_t>(*count);
-  opt.min_density = *min_density;
   StatusOr<std::vector<UndirectedDensestResult>> subs =
       EnumerateDenseSubgraphs(*graph, opt);
   if (!subs.ok()) return subs.status();
@@ -904,67 +746,63 @@ Status CmdEnumerate(const Args& args, std::ostream& out) {
 }
 
 Status CmdGenerate(const Args& args, std::ostream& out) {
-  StatusOr<int64_t> seed = args.GetInt("seed", 1);
-  std::string format = args.GetString("format", "txt");
-  StatusOr<int64_t> nodes = args.GetInt("nodes", 10000);
-  StatusOr<int64_t> edge_count = args.GetInt("edges", 50000);
-  StatusOr<double> exponent = args.GetDouble("exponent", 2.3);
-  for (const Status& s :
-       {seed.ok() ? Status::OK() : seed.status(),
-        nodes.ok() ? Status::OK() : nodes.status(),
-        edge_count.ok() ? Status::OK() : edge_count.status(),
-        exponent.ok() ? Status::OK() : exponent.status()}) {
-    if (!s.ok()) return s;
+  const uint64_t seed = args.GetInt<uint64_t>("seed", 1, 0);
+  const std::string format = args.GetString("format", "txt");
+  const NodeId nodes = args.GetInt<NodeId>("nodes", 10000, 1);
+  const EdgeId edge_count = args.GetInt<EdgeId>("edges", 50000, 0);
+  const double exponent = args.GetDouble("exponent", 2.3);
+  if (Status s = args.Check(); !s.ok()) return s;
+  if (format != "txt" && format != "bin") {
+    return Status::InvalidArgument("unknown format: " + format);
   }
   if (args.positional().size() < 2) {
     return Status::InvalidArgument("usage: generate <dataset> <path>");
   }
   const std::string& name = args.positional()[0];
   const std::string& path = args.positional()[1];
-  uint64_t s = static_cast<uint64_t>(*seed);
 
   EdgeList edges;
   if (name == "flickr-sim") {
-    edges = MakeFlickrSim(s);
+    edges = MakeFlickrSim(seed);
   } else if (name == "im-sim") {
-    edges = MakeImSim(s);
+    edges = MakeImSim(seed);
   } else if (name == "livejournal-sim") {
-    edges = MakeLiveJournalSim(s);
+    edges = MakeLiveJournalSim(seed);
   } else if (name == "twitter-sim") {
-    edges = MakeTwitterSim(s);
+    edges = MakeTwitterSim(seed);
   } else if (name == "er") {
-    edges = ErdosRenyiGnm(static_cast<NodeId>(*nodes),
-                          static_cast<EdgeId>(*edge_count), s);
+    edges = ErdosRenyiGnm(nodes, edge_count, seed);
   } else if (name == "chung-lu") {
     ChungLuOptions cl;
-    cl.num_nodes = static_cast<NodeId>(*nodes);
-    cl.num_edges = static_cast<EdgeId>(*edge_count);
-    cl.exponent = *exponent;
-    edges = ChungLu(cl, s);
+    cl.num_nodes = nodes;
+    cl.num_edges = edge_count;
+    cl.exponent = exponent;
+    edges = ChungLu(cl, seed);
   } else {
     return Status::InvalidArgument("unknown dataset: " + name);
   }
 
-  Status write_status;
-  if (format == "bin") {
-    write_status = WriteBinaryEdgeFile(path, edges, /*weighted=*/false);
-  } else if (format == "txt") {
-    write_status = WriteEdgeListText(path, edges);
-  } else {
-    return Status::InvalidArgument("unknown format: " + format);
-  }
-  if (!write_status.ok()) return write_status;
+  const Status written =
+      format == "bin" ? WriteBinaryEdgeFile(path, edges, /*weighted=*/false)
+                      : WriteEdgeListText(path, edges);
+  if (!written.ok()) return written;
   out << "wrote " << name << ": |V|=" << edges.num_nodes()
       << " |E|=" << edges.num_edges() << " to " << path << " (" << format
       << ")\n";
   return Status::OK();
 }
 
+}  // namespace
+
 std::string CliUsage() {
   return
       "densest_cli — densest subgraph in streaming and MapReduce (VLDB'12)\n"
       "\n"
       "usage: densest_cli <command> [args] [--flags]\n"
+      "\n"
+      "Every flag is checked before the command runs: a malformed or\n"
+      "out-of-range value, or a flag the command would not read, fails\n"
+      "with nothing run.\n"
       "\n"
       "commands:\n"
       "  stats <graph> [--directed]\n"
@@ -1058,6 +896,20 @@ std::string CliUsage() {
 
 Status RunCliCommand(const std::string& command, const Args& args,
                      std::ostream& out) {
+  using Command = Status (*)(const Args&, std::ostream&);
+  const std::pair<const char*, Command> kCommands[] = {
+      {"stats", CmdStats},         {"undirected", CmdUndirected},
+      {"directed", CmdDirected},   {"mapreduce", CmdMapReduce},
+      {"dynamic", CmdDynamic},     {"serve", CmdServe},
+      {"chaos", CmdChaos},         {"exact", CmdExact},
+      {"enumerate", CmdEnumerate}, {"generate", CmdGenerate}};
+  Command run = nullptr;
+  for (const auto& [name, cmd] : kCommands) {
+    if (command == name) run = cmd;
+  }
+  if (run == nullptr) {
+    return Status::InvalidArgument("unknown command: " + command);
+  }
   // Global fault-injection flag, valid for every command:
   // --failpoint="name:spec[;name:spec]" (see common/failpoint.h for the
   // spec grammar). Fails loudly when the build compiled failpoints out.
@@ -1081,30 +933,7 @@ Status RunCliCommand(const std::string& command, const Args& args,
     }
     obs::TraceRecorder::Get().Start();
   }
-  Status status;
-  if (command == "stats") {
-    status = CmdStats(args, out);
-  } else if (command == "undirected") {
-    status = CmdUndirected(args, out);
-  } else if (command == "directed") {
-    status = CmdDirected(args, out);
-  } else if (command == "mapreduce") {
-    status = CmdMapReduce(args, out);
-  } else if (command == "dynamic") {
-    status = CmdDynamic(args, out);
-  } else if (command == "serve") {
-    status = CmdServe(args, out);
-  } else if (command == "chaos") {
-    status = CmdChaos(args, out);
-  } else if (command == "exact") {
-    status = CmdExact(args, out);
-  } else if (command == "enumerate") {
-    status = CmdEnumerate(args, out);
-  } else if (command == "generate") {
-    status = CmdGenerate(args, out);
-  } else {
-    return Status::InvalidArgument("unknown command: " + command);
-  }
+  const Status status = run(args, out);
   // Write the artifacts even when the command failed — a chaos or serve
   // failure is exactly when the timeline and counters are wanted — but
   // never let an artifact-write error mask the command's own status.
@@ -1118,13 +947,6 @@ Status RunCliCommand(const std::string& command, const Args& args,
     Status w = obs::WriteMetricsFile(metrics_out);
     if (status.ok() && !w.ok()) return w;
     if (w.ok()) out << "metrics written to " << metrics_out << "\n";
-  }
-  if (!status.ok()) return status;
-  std::vector<std::string> unused = args.UnusedFlags();
-  if (!unused.empty()) {
-    std::string msg = "unknown flag(s):";
-    for (const std::string& f : unused) msg += " --" + f;
-    return Status::InvalidArgument(msg);
   }
   return status;
 }

@@ -167,6 +167,7 @@ void BinaryFileEdgeStream::Reset() {
     status_ = Status::IOError("seek failed: " + path_);
   }
   emitted_ = 0;
+  pass_bytes_ = 0;
   buf_pos_ = 0;
   buf_len_ = 0;
   exhausted_ = false;
@@ -218,8 +219,12 @@ bool BinaryFileEdgeStream::Refill(size_t record) {
   front_.swap(back_);
   buf_pos_ = kMaxRecord - tail;
   buf_len_ = kMaxRecord + got;
-  if (got < kBufferBytes) {
-    exhausted_ = true;  // short fread on a regular file means EOF
+  pass_bytes_ += got;
+  // A short fread on a regular file means EOF; once the pass holds every
+  // record the header promises, nothing past them is decoded, so a whole-
+  // chunk body ends the pass without a further (0-byte) read.
+  if (got < kBufferBytes || pass_bytes_ / record >= header_.num_edges) {
+    exhausted_ = true;
   } else {
     IssuePrefetch();
   }

@@ -107,6 +107,7 @@ class BinaryFileEdgeStream : public EdgeStream {
   bool weighted_ = false;
   EdgeId size_hint_ = 0;
   EdgeId emitted_ = 0;
+  uint64_t pass_bytes_ = 0;  // body bytes swapped into front_ this pass
   uint64_t bytes_read_ = 0;
   Status status_;  // sticky; see status()
   // Double buffer: decode from front_ while the prefetch task fills back_.

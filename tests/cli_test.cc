@@ -12,6 +12,7 @@
 
 #include "cli/args.h"
 #include "cli/commands.h"
+#include "common/failpoint.h"
 #include "gen/planted.h"
 #include "io/edge_list_io.h"
 #include "stream/file_stream.h"
@@ -33,36 +34,58 @@ TEST(ArgsTest, PositionalAndFlagsMixed) {
   EXPECT_EQ(args->positional()[0], "graph.txt");
   EXPECT_EQ(args->positional()[1], "out.txt");
   EXPECT_TRUE(args->Has("eps"));
-  EXPECT_TRUE(args->GetBool("trace", false).value());
+  EXPECT_TRUE(args->GetBool("trace", false));
 }
 
 TEST(ArgsTest, EqualsAndSpaceSeparatedValues) {
   auto args = Parse({"--eps=0.25", "--delta", "4", "--name", "x"});
   ASSERT_TRUE(args.ok());
-  EXPECT_EQ(args->GetDouble("eps", 0).value(), 0.25);
-  EXPECT_EQ(args->GetDouble("delta", 0).value(), 4.0);
+  EXPECT_EQ(args->GetDouble("eps", 0), 0.25);
+  EXPECT_EQ(args->GetDouble("delta", 0), 4.0);
   EXPECT_EQ(args->GetString("name", ""), "x");
 }
 
 TEST(ArgsTest, BareFlagIsTrue) {
   auto args = Parse({"--trace"});
   ASSERT_TRUE(args.ok());
-  EXPECT_TRUE(args->GetBool("trace", false).value());
-  EXPECT_FALSE(args->GetBool("absent", false).value());
+  EXPECT_TRUE(args->GetBool("trace", false));
+  EXPECT_FALSE(args->GetBool("absent", false));
 }
 
 TEST(ArgsTest, BareFlagFollowedByFlagStaysTrue) {
   auto args = Parse({"--trace", "--eps=1"});
   ASSERT_TRUE(args.ok());
-  EXPECT_TRUE(args->GetBool("trace", false).value());
+  EXPECT_TRUE(args->GetBool("trace", false));
 }
 
 TEST(ArgsTest, TypeErrors) {
-  auto args = Parse({"--eps=abc", "--count=1.5x", "--flag=maybe"});
-  ASSERT_TRUE(args.ok());
-  EXPECT_FALSE(args->GetDouble("eps", 0).ok());
-  EXPECT_FALSE(args->GetInt("count", 0).ok());
-  EXPECT_FALSE(args->GetBool("flag", false).ok());
+  // Each bad value reads as the default, and Check() names it.
+  auto eps = Parse({"--eps=abc"});
+  ASSERT_TRUE(eps.ok());
+  EXPECT_EQ(eps->GetDouble("eps", 0.5), 0.5);
+  EXPECT_EQ(eps->Check().message(), "--eps expects a number, got 'abc'");
+  auto flag = Parse({"--flag=maybe"});
+  ASSERT_TRUE(flag.ok());
+  EXPECT_FALSE(flag->GetBool("flag", false));
+  EXPECT_EQ(flag->Check().message(), "--flag expects a boolean, got 'maybe'");
+  // Not an integer, past strtoll's range (ERANGE), below the floor, and
+  // above the type's max.
+  for (const char* count : {"1.5x", "99999999999999999999", "-1", "256"}) {
+    auto args = Parse({std::string("--count=") + count});
+    ASSERT_TRUE(args.ok());
+    EXPECT_EQ(args->GetInt<uint8_t>("count", 10, 0), 10) << count;
+    const Status status = args->Check();
+    EXPECT_EQ(status.code(), Status::Code::kInvalidArgument) << count;
+    EXPECT_EQ(status.message(), std::string("--count expects an integer in "
+                                            "[0, 255], got '") +
+                                    count + "'");
+  }
+  // The first bad value is the one reported.
+  auto both = Parse({"--a=x", "--b=y"});
+  ASSERT_TRUE(both.ok());
+  both->GetDouble("b", 0);
+  both->GetDouble("a", 0);
+  EXPECT_EQ(both->Check().message(), "--b expects a number, got 'y'");
 }
 
 TEST(ArgsTest, MalformedFlagRejected) {
@@ -70,13 +93,15 @@ TEST(ArgsTest, MalformedFlagRejected) {
   EXPECT_FALSE(Parse({"--"}).ok());
 }
 
-TEST(ArgsTest, UnusedFlagsTracked) {
-  auto args = Parse({"--known=1", "--typo=2"});
+TEST(ArgsTest, UnreadFlagsFailCheck) {
+  auto args = Parse({"--known=1", "--typo=2", "--also=3"});
   ASSERT_TRUE(args.ok());
-  (void)args->GetInt("known", 0);
-  auto unused = args->UnusedFlags();
-  ASSERT_EQ(unused.size(), 1u);
-  EXPECT_EQ(unused[0], "typo");
+  EXPECT_EQ(args->GetInt<int>("known", 0, 0), 1);
+  EXPECT_TRUE(args->Has("typo"));  // Has() is not a read
+  EXPECT_EQ(args->Check().message(), "unknown flag(s): --also --typo");
+  args->GetString("also", "");
+  args->GetString("typo", "");
+  EXPECT_TRUE(args->Check().ok());
 }
 
 class CliCommandTest : public ::testing::Test {
@@ -340,6 +365,33 @@ TEST(CliDynamicTest, RunsOnBinaryInput) {
   std::remove(path.c_str());
 }
 
+TEST(CliDynamicTest, ServeCountsOnlyItsOwnIoRetries) {
+  // `serve` prints the retries of its own stream, not the process-wide
+  // io.retries counters that every earlier command in the process fed.
+  if (!Failpoints::compiled_in()) GTEST_SKIP() << "failpoints compiled out";
+  const std::string path = ::testing::TempDir() + "/cli_serve_retry.bin";
+  auto gen_args = Args::Parse({"er", path, "--nodes=200", "--edges=900",
+                               "--seed=9", "--format=bin"});
+  ASSERT_TRUE(gen_args.ok());
+  std::ostringstream gen_out;
+  ASSERT_TRUE(RunCliCommand("generate", *gen_args, gen_out).ok());
+
+  for (const std::string command : {"dynamic", "serve"}) {
+    auto args = Args::Parse(
+        {path, "--failpoint=edge_stream.read:times=2,kind=unavailable"});
+    ASSERT_TRUE(args.ok());
+    std::ostringstream out;
+    const Status status = RunCliCommand(command, *args, out);
+    ASSERT_TRUE(status.ok()) << command << ": " << status.ToString();
+    EXPECT_NE(out.str().find("io retries: 2 (1 healed, 0 exhausted)"),
+              std::string::npos)
+        << command << "\n"
+        << out.str();
+  }
+  Failpoints::Instance().ClearAll();
+  std::remove(path.c_str());
+}
+
 TEST_F(CliCommandTest, NonFiniteEpsilonAndDeltaRejected) {
   // NaN slips through a bare `< 0` test: each of these used to run to its
   // pass cap (or over an empty c-grid) and report an answer.
@@ -374,9 +426,10 @@ TEST_F(CliCommandTest, NonFiniteEpsilonAndDeltaRejected) {
 
 TEST_F(CliCommandTest, UnknownFlagRejected) {
   Status status;
-  Run("undirected", {"--epsilonn=1"}, &status);
+  const std::string out = Run("undirected", {"--epsilonn=1"}, &status);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("epsilonn"), std::string::npos);
+  EXPECT_EQ(out, "");  // rejected before the run, not after it
 }
 
 TEST_F(CliCommandTest, FlagsOffTheirPathAreRejected) {
@@ -403,9 +456,10 @@ TEST_F(CliCommandTest, FlagsOffTheirPathAreRejected) {
     std::string label = c.command;
     for (const std::string& flag : c.flags) label += " " + flag;
     Status status;
-    Run(c.command, c.flags, &status);
+    const std::string out = Run(c.command, c.flags, &status);
     EXPECT_EQ(status.code(), Status::Code::kInvalidArgument) << label;
     EXPECT_EQ(status.message(), "unknown flag(s): --" + c.ignored) << label;
+    EXPECT_EQ(out, "") << label;  // nothing ran
   }
   // The same flags on their own paths still run.
   const std::vector<std::pair<std::string, std::vector<std::string>>> valid =
@@ -422,6 +476,44 @@ TEST_F(CliCommandTest, FlagsOffTheirPathAreRejected) {
     Status status;
     Run(command, flags, &status);
     EXPECT_TRUE(status.ok()) << label << ": " << status.ToString();
+  }
+}
+
+TEST_F(CliCommandTest, OutOfRangeIntegerFlagsFailBeforeAnyWork) {
+  // Each value used to wrap through a cast: --nodes=-5 wrote a graph of
+  // 4294967291 nodes, --edges=-1 never returned, --count=-1 lifted the cap
+  // and --mappers=4294967296 ran one mapper.
+  const std::string gen_path = ::testing::TempDir() + "/cli_gen_range.txt";
+  struct Case {
+    std::string command;
+    std::vector<std::string> tokens;
+    std::string flag;
+  };
+  const std::vector<Case> cases = {
+      {"generate", {"er", gen_path, "--nodes=-5", "--edges=10"}, "nodes"},
+      {"generate", {"er", gen_path, "--nodes=100", "--edges=-1"}, "edges"},
+      {"enumerate", {path_, "--count=-1"}, "count"},
+      {"undirected", {path_, "--min-size=-5"}, "min-size"},
+      {"undirected", {path_, "--sketch-buckets=-4"}, "sketch-buckets"},
+      {"undirected", {path_, "--compact-below=-1"}, "compact-below"},
+      {"mapreduce", {path_, "--mappers=4294967296"}, "mappers"},
+      {"undirected", {path_, "--sketch-buckets=99999999999"},
+       "sketch-buckets"},
+      {"chaos", {"--seed=-1"}, "seed"},
+  };
+  for (const Case& c : cases) {
+    std::string label = c.command;
+    for (const std::string& token : c.tokens) label += " " + token;
+    auto args = Args::Parse(c.tokens);
+    ASSERT_TRUE(args.ok()) << label;
+    std::ostringstream out;
+    const Status status = RunCliCommand(c.command, *args, out);
+    EXPECT_EQ(status.code(), Status::Code::kInvalidArgument) << label;
+    EXPECT_EQ(status.message().rfind("--" + c.flag + " expects an integer", 0),
+              0u)
+        << label << ": " << status.ToString();
+    EXPECT_EQ(out.str(), "") << label;
+    EXPECT_FALSE(std::filesystem::exists(gen_path)) << label;
   }
 }
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "core/algorithm1.h"
 #include "core/algorithm3.h"
 #include "graph/graph_builder.h"
@@ -391,6 +392,50 @@ TEST_F(BinaryFileStreamTest, PassesSpanningIoBuffersMatchTheEdgeList) {
                      label + " after a mid-buffer Reset");
       EXPECT_TRUE((*stream)->status().ok()) << label;
     }
+  }
+}
+
+TEST_F(BinaryFileStreamTest, PassEndsWithoutReadingPastTheBody) {
+  // A body of whole 1 MiB read buffers ends each pass on a full chunk; the
+  // stream must not then issue one more read that can only return 0 bytes.
+  // Counted as evaluations of the read failpoint, armed so it never fires:
+  // one for Open's read-ahead, then one per chunk per pass.
+  if (!Failpoints::compiled_in()) GTEST_SKIP() << "failpoints compiled out";
+  struct Case {
+    uint32_t records;
+    uint64_t reads;
+  };
+  for (const Case& c : {Case{131072, 4}, Case{262144, 7}, Case{131071, 4}}) {
+    EdgeList el(1000);
+    for (uint32_t i = 0; i < c.records; ++i) {
+      el.Add(i % 1000, (i * 7919u + 13) % 1000);
+    }
+    path_ = ::testing::TempDir() + "/edges_whole_chunks.bin";
+    ASSERT_TRUE(WriteBinaryEdgeFile(path_, el, /*weighted=*/false).ok());
+    const uint64_t body = uint64_t{c.records} * 8;
+    ASSERT_TRUE(Failpoints::Instance()
+                    .Set("edge_stream.read", "after=1000000000")
+                    .ok());
+    const uint64_t before =
+        Failpoints::Instance().evaluations("edge_stream.read");
+    {
+      auto stream = BinaryFileEdgeStream::Open(path_);
+      ASSERT_TRUE(stream.ok());
+      for (int pass = 0; pass < 3; ++pass) {
+        (*stream)->Reset();
+        ExpectSameBits(DrainViews(**stream, 16384), el,
+                       "pass " + std::to_string(pass));
+      }
+      // Open's read-ahead (discarded by the first Reset) plus three bodies.
+      EXPECT_EQ((*stream)->bytes_read(),
+                std::min<uint64_t>(body, 1 << 20) + 3 * body)
+          << c.records;
+      EXPECT_TRUE((*stream)->status().ok()) << c.records;
+    }
+    EXPECT_EQ(Failpoints::Instance().evaluations("edge_stream.read") - before,
+              c.reads)
+        << c.records << " records";
+    Failpoints::Instance().ClearAll();
   }
 }
 
