@@ -117,6 +117,12 @@ std::unique_ptr<UpdateStream> ReplayStream(EdgeStream& edges, uint64_t window,
                                                      evict_batch);
 }
 
+/// --evict-batch of `dynamic` and `serve`: read only with a positive
+/// `window`, the only replay that evicts.
+uint64_t EvictBatchFlag(const Args& args, uint64_t window) {
+  return window > 0 ? args.GetInt<uint64_t>("evict-batch", 1, 1) : 1;
+}
+
 /// How `dynamic` and `serve` name the replay in their headline.
 std::string ReplayLabel(uint64_t window) {
   return window > 0 ? ", sliding window " + std::to_string(window)
@@ -345,13 +351,16 @@ Status CmdMapReduce(const Args& args, std::ostream& out) {
 
 Status CmdDynamic(const Args& args, std::ostream& out) {
   const uint64_t window = args.GetInt<uint64_t>("window", 0, 0);
-  const uint64_t evict_batch = args.GetInt<uint64_t>("evict-batch", 1, 1);
+  const uint64_t evict_batch = EvictBatchFlag(args, window);
   const std::string checkpoints = args.GetString("checkpoints", "exact");
   const std::string fallback = args.GetString("fallback", "recompute");
   const bool resume = args.GetBool("resume", false);
+  // Only a .bin input is read from disk, with reads to retry.
   RetryPolicy retry;
-  retry.max_attempts = args.GetInt<int>("retry-attempts", 4, 1);
-  retry.base_delay_ms = args.GetDouble("retry-base-ms", 0.1);
+  if (!args.positional().empty() && EndsWith(args.positional()[0], ".bin")) {
+    retry.max_attempts = args.GetInt<int>("retry-attempts", 4, 1);
+    retry.base_delay_ms = args.GetDouble("retry-base-ms", 0.1);
+  }
   DynamicDensestOptions opt;
   opt.epsilon = args.GetDouble("eps", 0.75);
   opt.window_radius = args.GetInt<uint32_t>("radius", 2, 0);
@@ -519,7 +528,7 @@ StatusOr<std::array<uint64_t, 4>> ParseQueryMix(const std::string& mix) {
 Status CmdServe(const Args& args, std::ostream& out) {
   const double eps = args.GetDouble("eps", 0.75);
   const uint64_t window = args.GetInt<uint64_t>("window", 0, 0);
-  const uint64_t evict_batch = args.GetInt<uint64_t>("evict-batch", 1, 1);
+  const uint64_t evict_batch = EvictBatchFlag(args, window);
   const double qps = args.GetDouble("qps", 2000.0);
   const std::string mix_flag = args.GetString("query-mix", "80,15,5");
   const size_t batch = args.GetInt<size_t>("batch", 8, 1);
@@ -746,20 +755,33 @@ Status CmdEnumerate(const Args& args, std::ostream& out) {
 }
 
 Status CmdGenerate(const Args& args, std::ostream& out) {
-  const uint64_t seed = args.GetInt<uint64_t>("seed", 1, 0);
-  const std::string format = args.GetString("format", "txt");
-  const NodeId nodes = args.GetInt<NodeId>("nodes", 10000, 1);
-  const EdgeId edge_count = args.GetInt<EdgeId>("edges", 50000, 0);
-  const double exponent = args.GetDouble("exponent", 2.3);
-  if (Status s = args.Check(); !s.ok()) return s;
-  if (format != "txt" && format != "bin") {
-    return Status::InvalidArgument("unknown format: " + format);
-  }
   if (args.positional().size() < 2) {
     return Status::InvalidArgument("usage: generate <dataset> <path>");
   }
   const std::string& name = args.positional()[0];
   const std::string& path = args.positional()[1];
+  const uint64_t seed = args.GetInt<uint64_t>("seed", 1, 0);
+  const std::string format = args.GetString("format", "txt");
+  // Only the two random models take a size, and only Chung-Lu an exponent.
+  const bool sized = name == "er" || name == "chung-lu";
+  const NodeId nodes = sized ? args.GetInt<NodeId>("nodes", 10000, 1) : 0;
+  const EdgeId edge_count =
+      sized ? args.GetInt<EdgeId>("edges", 50000, 0) : 0;
+  const double exponent =
+      name == "chung-lu" ? args.GetDouble("exponent", 2.3) : 0.0;
+  if (Status s = args.Check(); !s.ok()) return s;
+  if (format != "txt" && format != "bin") {
+    return Status::InvalidArgument("unknown format: " + format);
+  }
+  if (name == "er") {
+    const EdgeId pairs = EdgeId{nodes} * (nodes - 1) / 2;
+    if (edge_count > pairs) {
+      return Status::InvalidArgument(
+          "--edges=" + std::to_string(edge_count) + " exceeds the " +
+          std::to_string(pairs) + " node pairs of --nodes=" +
+          std::to_string(nodes));
+    }
+  }
 
   EdgeList edges;
   if (name == "flickr-sim") {
@@ -818,15 +840,14 @@ std::string CliUsage() {
       "      [--mappers=2000 --reducers=2000] [--trace]\n"
       "      simulated-cluster MapReduce drivers; .bin graphs stream\n"
       "      out-of-core, shuffles spill to disk under --spill-budget\n"
-      "  dynamic <graph> [--eps=0.75] [--window=W] [--rate=R]\n"
-      "      [--query-every=1024] [--checkpoint-every=N]\n"
+      "  dynamic <graph> [--eps=0.75] [--window=W [--evict-batch=1]]\n"
+      "      [--rate=R] [--query-every=1024] [--checkpoint-every=N]\n"
       "      [--checkpoints=exact|batch] [--radius=2]\n"
       "      [--fallback=recompute|rebuild|never]\n"
       "      [--snapshot=F --snapshot-every=N] [--resume]\n"
-      "      [--evict-batch=1] [--trim-hysteresis=64]\n"
-      "      [--retry-attempts=4 --retry-base-ms=0.1]\n"
+      "      [--trim-hysteresis=64] [--stats-every=N]\n"
+      "      [--retry-attempts=4 --retry-base-ms=0.1] (.bin graphs)\n"
       "      [--deadline-ms=0 --rearm-updates=4096] [--check-invariants]\n"
-      "      [--stats-every=N]\n"
       "      incremental maintenance service: replays the graph as a\n"
       "      timestamped insert stream (--window adds a sliding-window\n"
       "      deleter, --evict-batch amortizes its deletions) and reports\n"
@@ -840,11 +861,10 @@ std::string CliUsage() {
       "      recompute (doubled budget, after --rearm-updates more\n"
       "      updates) completes. --check-invariants audits the level\n"
       "      structures at every checkpoint\n"
-      "  serve <graph> [--eps=0.75] [--window=W] [--rate=R]\n"
-      "      [--publish-every=1024] [--qps=2000]\n"
+      "  serve <graph> [--eps=0.75] [--window=W [--evict-batch=1]]\n"
+      "      [--rate=R] [--publish-every=1024] [--qps=2000]\n"
       "      [--query-mix=80,15,5[,T]] [--batch=8]\n"
-      "      [--deadline-ms=0] [--seed=1] [--evict-batch=1]\n"
-      "      [--stats-every=N]\n"
+      "      [--deadline-ms=0] [--seed=1] [--stats-every=N]\n"
       "      multi-tenant serving: one writer thread replays the graph's\n"
       "      update stream and publishes each settled answer into an\n"
       "      epoch-based snapshot-isolated plane, while one client thread\n"
@@ -873,7 +893,10 @@ std::string CliUsage() {
       "      node-disjoint dense subgraphs\n"
       "  generate <dataset> <path> [--seed=1] [--format=txt|bin]\n"
       "      datasets: flickr-sim im-sim livejournal-sim twitter-sim\n"
-      "                er chung-lu [--nodes --edges --exponent]\n"
+      "                er [--nodes=10000 --edges=50000]\n"
+      "                (--edges at most nodes*(nodes-1)/2)\n"
+      "                chung-lu [--nodes=10000 --edges=50000\n"
+      "                          --exponent=2.3]\n"
       "\n"
       "graphs: text edge lists (\"u v [w]\" lines, # comments) or .bin files\n"
       "        written by `generate --format=bin`.\n"

@@ -324,8 +324,11 @@ void RowPull::Undirected(const CsrView& view, size_t shard,
                          const NodeSet& alive, std::vector<double>& degrees) {
   const UndirectedGraph& g = *view.undirected;
   const auto keep = [&alive](NodeId v) { return alive.Contains(v); };
-  std::vector<Edge>* survivors =
-      survivors_.empty() ? nullptr : &survivors_[shard];
+  const bool collect = !survivors_.empty();
+  std::vector<Edge> survivors;
+  if (collect) survivors.swap(survivors_[shard]);
+  double weight = 0.0;
+  EdgeId count = 0;
   for (NodeId u = view.shards[shard].begin; u < view.shards[shard].end; ++u) {
     if (!alive.Contains(u)) {
       degrees[u] = 0.0;
@@ -333,15 +336,18 @@ void RowPull::Undirected(const CsrView& view, size_t shard,
     }
     const std::span<const NodeId> nbrs = g.Neighbors(u);
     const std::span<const Weight> ws = g.NeighborWeights(u);
-    degrees[u] = PullRow(nbrs, ws, u, keep, count_[shard]);
-    weight_[shard] += degrees[u];
-    if (survivors == nullptr) continue;
+    degrees[u] = PullRow(nbrs, ws, u, keep, count);
+    weight += degrees[u];
+    if (!collect) continue;
     for (size_t i = 0; i < nbrs.size(); ++i) {
       if (nbrs[i] >= u && alive.Contains(nbrs[i])) {
-        survivors->push_back({u, nbrs[i], ws.empty() ? 1.0 : ws[i]});
+        survivors.push_back({u, nbrs[i], ws.empty() ? 1.0 : ws[i]});
       }
     }
   }
+  weight_[shard] = weight;
+  count_[shard] = count;
+  if (collect) survivors_[shard].swap(survivors);
 }
 
 void RowPull::Directed(const CsrView& view, size_t shard, const NodeSet& s,

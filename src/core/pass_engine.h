@@ -112,8 +112,10 @@ struct CsrView {
 /// \brief The row-pull kernel plus the per-shard state of one pulled pass.
 ///
 /// Each shard writes its own rows of the degree arrays (every row of the
-/// shard: alive rows their degree, dead rows 0) and its own totals entry,
-/// so distinct shards of a pass may be pulled concurrently. Finish* sums
+/// shard: alive rows their degree, dead rows 0), so distinct shards of a
+/// pass may be pulled concurrently. A shard sums its totals and stages its
+/// survivors in locals and stores its totals and survivor entries once, at
+/// its end: neighbouring shards' entries share cache lines. Finish* sums
 /// the totals in shard order. Every run holds its own.
 class RowPull {
  public:
@@ -342,7 +344,10 @@ class PassEngine {
   // rounds — and the round's ParallelFor completion barrier is the only
   // publication point: caller writes (BeginPass zeroing, batch_ fill)
   // happen-before the tasks, task writes happen-before FinishPass reads
-  // them. No engine state may be touched while a round is in flight.
+  // them. No engine state may be touched while a round is in flight. A
+  // task keeps its per-item sums in locals and stores to memory it shares
+  // a cache line with other tasks (per-shard or per-run totals, vector
+  // headers) only at its end.
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads_ == 1
   std::vector<Edge> batch_;           // kRoundShards * kShardEdges capacity
 

@@ -1,5 +1,6 @@
 #include "gen/erdos_renyi.h"
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_set>
 
@@ -16,6 +17,7 @@ inline uint64_t PairKey(NodeId u, NodeId v) {
 EdgeList ErdosRenyiGnm(NodeId n, EdgeId m, uint64_t seed) {
   EdgeList out(n);
   if (n < 2) return out;
+  m = std::min(m, EdgeId{n} * (n - 1) / 2);
   Rng rng(seed);
   std::unordered_set<uint64_t> seen;
   seen.reserve(m * 2);
@@ -58,6 +60,7 @@ EdgeList ErdosRenyiGnp(NodeId n, double p, uint64_t seed) {
 EdgeList ErdosRenyiDirectedGnm(NodeId n, EdgeId m, uint64_t seed) {
   EdgeList out(n);
   if (n < 2) return out;
+  m = std::min(m, EdgeId{n} * (n - 1));
   Rng rng(seed);
   std::unordered_set<uint64_t> seen;
   seen.reserve(m * 2);

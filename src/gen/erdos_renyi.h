@@ -10,8 +10,8 @@
 namespace densest {
 
 /// Samples a simple undirected G(n, m) graph: m distinct edges chosen
-/// uniformly among the n(n-1)/2 possible. Requires m <= n(n-1)/2.
-/// Deterministic given the seed.
+/// uniformly among the n(n-1)/2 possible. An m above n(n-1)/2 is capped
+/// there, giving the complete graph. Deterministic given the seed.
 EdgeList ErdosRenyiGnm(NodeId n, EdgeId m, uint64_t seed);
 
 /// Samples undirected G(n, p): each of the n(n-1)/2 edges present
@@ -19,7 +19,8 @@ EdgeList ErdosRenyiGnm(NodeId n, EdgeId m, uint64_t seed);
 /// proportional to the number of edges generated, not n^2.
 EdgeList ErdosRenyiGnp(NodeId n, double p, uint64_t seed);
 
-/// Directed variant of G(n, m): m distinct arcs (u != v) chosen uniformly.
+/// Directed variant of G(n, m): m distinct arcs (u != v) chosen uniformly
+/// among the n(n-1) possible; an m above n(n-1) is capped there.
 EdgeList ErdosRenyiDirectedGnm(NodeId n, EdgeId m, uint64_t seed);
 
 }  // namespace densest

@@ -185,38 +185,44 @@ inline constexpr std::nullptr_t NoCombiner = nullptr;
 
 namespace mr_internal {
 
-/// Maps one input chunk and (optionally) combines its output in place.
+/// Maps one input chunk and (optionally) combines its output into `out`,
+/// reusing its buffer. The task emits into a local vector and stores `out`
+/// once, at its end: the chunks' vector headers sit side by side, and
+/// concurrent map tasks writing them per record would share their lines.
 /// Returns the raw (pre-combine) emit count.
 template <typename K2, typename V2, typename K1, typename V1, typename MapFn,
           typename CombineFn>
 uint64_t MapCombineChunk(const std::vector<KV<K1, V1>>& input,
                          std::vector<KV<K2, V2>>& out, MapFn& map_fn,
                          CombineFn& combine_fn, double fanout_hint) {
-  out.clear();
-  Emitter<K2, V2> emitter(&out);
+  std::vector<KV<K2, V2>> emitted;
+  emitted.swap(out);
+  emitted.clear();
+  Emitter<K2, V2> emitter(&emitted);
   emitter.Reserve(
       static_cast<size_t>(static_cast<double>(input.size()) * fanout_hint) +
       1);
   for (const KV<K1, V1>& kv : input) {
     map_fn(kv.key, kv.value, emitter);
   }
-  const uint64_t raw = out.size();
+  const uint64_t raw = emitted.size();
   if constexpr (!std::is_same_v<std::decay_t<CombineFn>, std::nullptr_t>) {
     // Combine chunk-locally: group by key, partially reduce.
-    std::stable_sort(out.begin(), out.end(),
+    std::stable_sort(emitted.begin(), emitted.end(),
                      [](const KV<K2, V2>& a, const KV<K2, V2>& b) {
                        return a.key < b.key;
                      });
     std::vector<KV<K2, V2>> combined;
     Emitter<K2, V2> combine_emitter(&combined);
-    combine_emitter.Reserve(out.size());
+    combine_emitter.Reserve(emitted.size());
     std::vector<V2> values;
-    ForEachGroup(out, &values,
+    ForEachGroup(emitted, &values,
                  [&](const K2& key, const std::vector<V2>& vs) {
                    combine_fn(key, vs, combine_emitter);
                  });
-    out = std::move(combined);
+    emitted = std::move(combined);
   }
+  out.swap(emitted);
   return raw;
 }
 
@@ -253,7 +259,9 @@ StatusOr<std::vector<KV<K3, V3>>> RunJobOnSource(
       static_cast<double>(source.SizeHint()) * options.map_fanout_hint));
 
   // ---- Map phase: pull fixed-size chunks from the source, map+combine a
-  // round of them in parallel, merge into the shuffle in chunk order. ----
+  // round of them in parallel, merge into the shuffle in chunk order. A
+  // task writes its chunk's slots of `outputs` and `raw_counts` once, at
+  // its end (MapCombineChunk). ----
   const size_t chunk_cap = std::max<size_t>(1, options.map_chunk_records);
   const size_t chunks_per_round = std::max<size_t>(1, threads * 2);
   std::vector<std::vector<KV<K1, V1>>> inputs(chunks_per_round);
@@ -312,7 +320,9 @@ StatusOr<std::vector<KV<K3, V3>>> RunJobOnSource(
   stats.shuffle_bytes = shuffle.records() * sizeof(KV<K2, V2>);
 
   // ---- Reduce phase: merge-read each partition in key order (spilled
-  // runs + in-memory tail), group, reduce — partitions in parallel. ----
+  // runs + in-memory tail), group, reduce — partitions in parallel. A task
+  // writes its partition's slots of `reduce_out`, `group_counts` and
+  // `partition_status` once, at its end. ----
   std::vector<std::vector<KV<K3, V3>>> reduce_out(num_partitions);
   std::vector<uint64_t> group_counts(num_partitions, 0);
   std::vector<Status> partition_status(num_partitions);
@@ -327,14 +337,18 @@ StatusOr<std::vector<KV<K3, V3>>> RunJobOnSource(
         partition_status[p] = c;
         return;
       }
-      Emitter<K3, V3> emitter(&reduce_out[p]);
+      std::vector<KV<K3, V3>> out;
+      Emitter<K3, V3> emitter(&out);
       if (out_hint > 0) emitter.Reserve(out_hint);
+      uint64_t groups = 0;
       std::vector<V2> values;
       partition_status[p] = shuffle.ReducePartition(
           p, &values, [&](const K2& key, const std::vector<V2>& vs) {
             reduce_fn(key, vs, emitter);
-            ++group_counts[p];
+            ++groups;
           });
+      reduce_out[p].swap(out);
+      group_counts[p] = groups;
     });
   }
   for (const Status& s : partition_status) {

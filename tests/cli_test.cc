@@ -434,49 +434,76 @@ TEST_F(CliCommandTest, UnknownFlagRejected) {
 
 TEST_F(CliCommandTest, FlagsOffTheirPathAreRejected) {
   // Each of these flags is valid for its command, but not on the path the
-  // other flags pick; a flag that changes nothing must fail, not be
-  // silently ignored.
+  // other flags or the input pick; a flag that changes nothing must fail,
+  // not be silently ignored.
+  const std::string gen_path = ::testing::TempDir() + "/cli_gen_path.txt";
+  const std::string bin_path = ::testing::TempDir() + "/cli_graph.bin";
+  {
+    auto edges = ReadEdgeListText(path_);
+    ASSERT_TRUE(edges.ok());
+    ASSERT_TRUE(WriteBinaryEdgeFile(bin_path, *edges, false).ok());
+  }
+  std::remove(gen_path.c_str());
   struct Case {
     std::string command;
-    std::vector<std::string> flags;
+    std::vector<std::string> tokens;
     std::string ignored;
   };
   const std::vector<Case> cases = {
-      {"mapreduce", {"--c=4"}, "c"},
-      {"directed", {"--c=1", "--delta=4"}, "delta"},
-      {"directed", {"--trace"}, "trace"},
-      {"undirected", {"--min-size=5", "--compact-below=10"}, "compact-below"},
-      {"undirected", {"--sketch-buckets=64", "--compact-below=10"},
+      {"mapreduce", {path_, "--c=4"}, "c"},
+      {"directed", {path_, "--c=1", "--delta=4"}, "delta"},
+      {"directed", {path_, "--trace"}, "trace"},
+      {"undirected", {path_, "--min-size=5", "--compact-below=10"},
        "compact-below"},
-      {"undirected", {"--sketch-tables=3"}, "sketch-tables"},
-      {"undirected", {"--min-size=5", "--sketch-buckets=64"},
+      {"undirected", {path_, "--sketch-buckets=64", "--compact-below=10"},
+       "compact-below"},
+      {"undirected", {path_, "--sketch-tables=3"}, "sketch-tables"},
+      {"undirected", {path_, "--min-size=5", "--sketch-buckets=64"},
        "sketch-buckets"},
+      {"generate", {"flickr-sim", gen_path, "--nodes=5"}, "nodes"},
+      {"generate", {"er", gen_path, "--exponent=3"}, "exponent"},
+      {"dynamic", {path_, "--evict-batch=4"}, "evict-batch"},
+      {"dynamic", {path_, "--retry-attempts=2"}, "retry-attempts"},
+      {"serve", {path_, "--evict-batch=4"}, "evict-batch"},
   };
   for (const Case& c : cases) {
     std::string label = c.command;
-    for (const std::string& flag : c.flags) label += " " + flag;
-    Status status;
-    const std::string out = Run(c.command, c.flags, &status);
+    for (const std::string& token : c.tokens) label += " " + token;
+    auto args = Args::Parse(c.tokens);
+    ASSERT_TRUE(args.ok()) << label;
+    std::ostringstream out;
+    const Status status = RunCliCommand(c.command, *args, out);
     EXPECT_EQ(status.code(), Status::Code::kInvalidArgument) << label;
     EXPECT_EQ(status.message(), "unknown flag(s): --" + c.ignored) << label;
-    EXPECT_EQ(out, "") << label;  // nothing ran
+    EXPECT_EQ(out.str(), "") << label;  // nothing ran
+    EXPECT_FALSE(std::filesystem::exists(gen_path)) << label;
   }
   // The same flags on their own paths still run.
   const std::vector<std::pair<std::string, std::vector<std::string>>> valid =
-      {{"mapreduce", {"--directed", "--c=4"}},
-       {"directed", {"--delta=4"}},
-       {"directed", {"--c=1", "--trace"}},
-       {"undirected", {"--compact-below=10", "--trace"}},
-       {"undirected", {"--sketch-buckets=64", "--sketch-tables=3"}},
-       {"undirected", {"--min-size=0", "--sketch-buckets=64"}},
-       {"undirected", {"--min-size=5", "--trace"}}};
-  for (const auto& [command, flags] : valid) {
+      {{"mapreduce", {path_, "--directed", "--c=4"}},
+       {"directed", {path_, "--delta=4"}},
+       {"directed", {path_, "--c=1", "--trace"}},
+       {"undirected", {path_, "--compact-below=10", "--trace"}},
+       {"undirected", {path_, "--sketch-buckets=64", "--sketch-tables=3"}},
+       {"undirected", {path_, "--min-size=0", "--sketch-buckets=64"}},
+       {"undirected", {path_, "--min-size=5", "--trace"}},
+       {"generate", {"er", gen_path, "--nodes=50", "--edges=100"}},
+       {"generate",
+        {"chung-lu", gen_path, "--nodes=50", "--edges=100", "--exponent=3"}},
+       {"dynamic", {path_, "--window=500", "--evict-batch=4"}},
+       {"dynamic", {bin_path, "--retry-attempts=2", "--retry-base-ms=0"}},
+       {"serve", {path_, "--window=500", "--evict-batch=4"}}};
+  for (const auto& [command, tokens] : valid) {
     std::string label = command;
-    for (const std::string& flag : flags) label += " " + flag;
-    Status status;
-    Run(command, flags, &status);
+    for (const std::string& token : tokens) label += " " + token;
+    auto args = Args::Parse(tokens);
+    ASSERT_TRUE(args.ok()) << label;
+    std::ostringstream out;
+    const Status status = RunCliCommand(command, *args, out);
     EXPECT_TRUE(status.ok()) << label << ": " << status.ToString();
   }
+  std::remove(gen_path.c_str());
+  std::remove(bin_path.c_str());
 }
 
 TEST_F(CliCommandTest, OutOfRangeIntegerFlagsFailBeforeAnyWork) {
@@ -536,6 +563,26 @@ TEST(CliGenerateTest, GenerateErRoundTrips) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->num_edges(), 300u);
   std::remove(path.c_str());
+}
+
+TEST(CliGenerateTest, ErRejectsMoreEdgesThanPairs) {
+  // 10 nodes have 45 pairs: the sampler used to draw forever for a 46th.
+  const std::string gen_path = ::testing::TempDir() + "/cli_gen_pairs.txt";
+  auto args = Args::Parse({"er", gen_path, "--nodes=10", "--edges=46"});
+  ASSERT_TRUE(args.ok());
+  std::ostringstream out;
+  const Status status = RunCliCommand("generate", *args, out);
+  EXPECT_EQ(status.code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "--edges=46 exceeds the 45 node pairs of --nodes=10");
+  EXPECT_EQ(out.str(), "");
+  EXPECT_FALSE(std::filesystem::exists(gen_path));
+  // Exactly the pair count is the complete graph.
+  auto full = Args::Parse({"er", gen_path, "--nodes=10", "--edges=45"});
+  ASSERT_TRUE(full.ok());
+  ASSERT_TRUE(RunCliCommand("generate", *full, out).ok());
+  EXPECT_NE(out.str().find("|E|=45"), std::string::npos) << out.str();
+  std::remove(gen_path.c_str());
 }
 
 TEST(CliGenerateTest, GenerateBinaryFormat) {

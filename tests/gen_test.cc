@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
 
 #include "gen/chung_lu.h"
 #include "gen/datasets.h"
@@ -30,10 +31,15 @@ bool IsSimpleUndirected(const EdgeList& e) {
 }
 
 TEST(ErdosRenyiTest, GnmExactEdgeCount) {
-  EdgeList e = ErdosRenyiGnm(100, 500, 1);
-  EXPECT_EQ(e.num_edges(), 500u);
-  EXPECT_LE(e.num_nodes(), 100u);
-  EXPECT_TRUE(IsSimpleUndirected(e));
+  // (n, m, edges): an m past the n(n-1)/2 pairs gives the complete graph,
+  // not a sampler that never returns.
+  for (auto [n, m, want] : {std::tuple<NodeId, EdgeId, EdgeId>{100, 500, 500},
+                            {10, 46, 45}}) {
+    EdgeList e = ErdosRenyiGnm(n, m, 1);
+    EXPECT_EQ(e.num_edges(), want) << m;
+    EXPECT_LE(e.num_nodes(), n);
+    EXPECT_TRUE(IsSimpleUndirected(e)) << m;
+  }
 }
 
 TEST(ErdosRenyiTest, GnmDeterministic) {
@@ -62,12 +68,16 @@ TEST(ErdosRenyiTest, GnpExtremes) {
 }
 
 TEST(ErdosRenyiTest, DirectedGnmDistinctArcs) {
-  EdgeList e = ErdosRenyiDirectedGnm(50, 300, 3);
-  EXPECT_EQ(e.num_edges(), 300u);
-  std::set<std::pair<NodeId, NodeId>> seen;
-  for (const Edge& edge : e.edges()) {
-    EXPECT_NE(edge.u, edge.v);
-    EXPECT_TRUE(seen.insert({edge.u, edge.v}).second);
+  // (n, m, arcs): an m past the n(n-1) ordered pairs is capped there.
+  for (auto [n, m, want] : {std::tuple<NodeId, EdgeId, EdgeId>{50, 300, 300},
+                            {10, 91, 90}}) {
+    EdgeList e = ErdosRenyiDirectedGnm(n, m, 3);
+    EXPECT_EQ(e.num_edges(), want) << m;
+    std::set<std::pair<NodeId, NodeId>> seen;
+    for (const Edge& edge : e.edges()) {
+      EXPECT_NE(edge.u, edge.v);
+      EXPECT_TRUE(seen.insert({edge.u, edge.v}).second);
+    }
   }
 }
 

@@ -113,23 +113,51 @@ TEST(SpillShuffleTest, EveryPartitionSpillsAndOutputIsByteIdentical) {
 TEST(SpillShuffleTest, OutputOrderInvariantAcrossThreadCountsAndBudgets) {
   // Partition count and chunk boundaries are fixed constants, never
   // derived from the thread count — so the output matches record for
-  // record, in order, with no sorting, for every (threads, budget) pair.
-  EdgeList el = ErdosRenyiGnm(300, 4000, 22);
-  MrEdges edges = ToMrEdges(el.edges());
-  auto reference = RunDegreeJob(edges, 0, nullptr);
-  for (size_t threads : {1u, 3u, 8u}) {
+  // record, in order, with no sorting, and so do the job's record and byte
+  // counters, for every (threads, budget) pair. The second input spans
+  // five map chunks, so a round at 3 or 8 threads maps several at once.
+  const size_t chunk = JobOptions{}.map_chunk_records;
+  const std::vector<EdgeList> inputs = {ErdosRenyiGnm(300, 4000, 22),
+                                        ErdosRenyiGnm(20000, 150000, 23)};
+  ASSERT_GE(inputs[1].num_edges(), 4 * chunk);
+  for (const EdgeList& el : inputs) {
+    MrEdges edges = ToMrEdges(el.edges());
+    JobStats ref_stats;
+    auto reference = RunDegreeJob(edges, 0, &ref_stats);
     for (uint64_t budget : {uint64_t{1}, uint64_t{1} << 12, uint64_t{0}}) {
-      MapReduceEnv env({}, threads);
-      VectorRecordSource<NodeId, NodeId> source(edges);
-      JobOptions opts;
-      opts.spill_budget_bytes = budget;
-      auto out = MrDegreeJobCombined(env, source, opts, nullptr);
-      ASSERT_TRUE(out.ok());
-      ASSERT_EQ(out->size(), reference.size());
-      for (size_t i = 0; i < reference.size(); ++i) {
-        EXPECT_EQ((*out)[i].key, reference[i].key)
-            << "threads=" << threads << " budget=" << budget << " i=" << i;
-        EXPECT_EQ((*out)[i].value, reference[i].value);
+      JobStats one_thread;  // the spill counters depend on the budget only
+      for (size_t threads : {1u, 3u, 8u}) {
+        const std::string label = "edges=" + std::to_string(edges.size()) +
+                                  " threads=" + std::to_string(threads) +
+                                  " budget=" + std::to_string(budget);
+        MapReduceEnv env({}, threads);
+        VectorRecordSource<NodeId, NodeId> source(edges);
+        JobOptions opts;
+        opts.spill_budget_bytes = budget;
+        JobStats stats;
+        auto out = MrDegreeJobCombined(env, source, opts, &stats);
+        ASSERT_TRUE(out.ok()) << label;
+        ASSERT_EQ(out->size(), reference.size()) << label;
+        size_t same = 0;
+        while (same < reference.size() &&
+               (*out)[same].key == reference[same].key &&
+               (*out)[same].value == reference[same].value) {
+          ++same;
+        }
+        EXPECT_EQ(same, reference.size()) << label << ": first mismatch";
+        EXPECT_EQ(stats.map_output_records, ref_stats.map_output_records)
+            << label;
+        EXPECT_EQ(stats.combine_output_records,
+                  ref_stats.combine_output_records)
+            << label;
+        EXPECT_EQ(stats.reduce_input_groups, ref_stats.reduce_input_groups)
+            << label;
+        EXPECT_EQ(stats.shuffle_bytes, ref_stats.shuffle_bytes) << label;
+        if (threads == 1) one_thread = stats;
+        EXPECT_EQ(stats.spill_bytes_written, one_thread.spill_bytes_written)
+            << label;
+        EXPECT_EQ(stats.spill_runs, one_thread.spill_runs) << label;
+        EXPECT_EQ(stats.spill_runs > 0, budget > 0) << label;
       }
     }
   }

@@ -705,6 +705,8 @@ void CheckUndirectedPull(bool weighted) {
   ASSERT_TRUE(g.has_self_loops());
   ASSERT_EQ(g.is_weighted(), weighted);
   UndirectedGraphStream stream(g);
+  // Enough shards that every thread count below pulls several at once.
+  ASSERT_GE(CsrView::Of(stream).shards.size(), 4u);
   NodeSet alive = EveryThirdDead(n);
 
   std::vector<double> want(n);
@@ -963,6 +965,7 @@ TEST(RowPullTest, CollectEmitsSurvivorsInStreamOrder) {
   UndirectedGraph g =
       UndirectedGraph::FromEdgeList(PullTestEdges(n, /*weighted=*/true, 229));
   UndirectedGraphStream stream(g);
+  ASSERT_GE(CsrView::Of(stream).shards.size(), 4u);
   NodeSet alive = EveryThirdDead(n);
 
   std::vector<Edge> want;
@@ -973,7 +976,7 @@ TEST(RowPullTest, CollectEmitsSurvivorsInStreamOrder) {
   PassEngine reference(PassEngineOptions{.num_threads = 1});
   const UndirectedPassResult r0 = reference.RunUndirected(stream, alive, plain);
 
-  for (size_t threads : {1u, 4u}) {
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
     PassEngine engine(PassEngineOptions{.num_threads = threads});
     std::vector<double> degrees(n);
     std::vector<Edge> survivors;

@@ -4,6 +4,7 @@
 
 Usage:
   tools/bench_compare.py PARENT_DIR CHANGE_DIR [--claim WORKLOAD/METRIC]
+  tools/bench_compare.py PARENT_DIR CHANGE_DIR --layers
   tools/bench_compare.py --self-test
 
 Each directory holds perfbench's own result files,
@@ -31,8 +32,14 @@ reason. The gain rule: at least 10 same-seed pairs; the change wins at
 least 9/10 of them, ties counting for neither side; and the medians differ
 in the better direction by more than the parent's q3 - q1. A claim that is
 not met also makes the exit status 1.
---self-test checks the verdicts, the claim rule and the exit rule on
-synthetic result sets.
+--layers prints the pass layer instead: for each workload with traced
+result files (result-<workload>-seed<N>-trace1.json) on both sides, each
+side's median and file count of every pass.* metric in them (undirected
+and directed pass seconds at 1 and nproc threads, the step passes,
+thread_speedup). Exit status 1 when no workload has traced files on both
+sides.
+--self-test checks the verdicts, the claim rule, the exit rule and the
+layer table on synthetic result sets.
 """
 
 from __future__ import annotations
@@ -48,15 +55,18 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RESULT_NAME = re.compile(r"^result-(?P<workload>.+)-seed(?P<seed>\d+)-trace0\.json$")
+RESULT_NAME = re.compile(
+    r"^result-(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json$")
 # The gain rule's smallest number of same-seed pairs.
 CLAIM_MIN_PAIRS = 10
 
 
-def load_side(directory: str):
-    """{workload: {seed: result document}} of the untraced result files."""
+def load_side(directory: str, trace: int = 0):
+    """{workload: {seed: result document}} of the untraced (or traced)
+    result files."""
     runs: dict[str, dict[int, dict]] = {}
-    for path in sorted(glob.glob(os.path.join(directory, "result-*-trace0.json"))):
+    pattern = f"result-*-trace{trace}.json"
+    for path in sorted(glob.glob(os.path.join(directory, pattern))):
         match = RESULT_NAME.match(os.path.basename(path))
         if match is None:
             continue
@@ -213,6 +223,34 @@ def compare(spec: dict, parent_dir: str, change_dir: str, out=sys.stdout,
     return status, verdicts
 
 
+def layers(parent_dir: str, change_dir: str, out=sys.stdout):
+    """Prints the pass.* layer medians of the traced files; returns the exit
+    status (1 when no workload has traced files on both sides)."""
+    sides = (load_side(parent_dir, trace=1), load_side(change_dir, trace=1))
+    print(f"{'workload':<14} {'metric':<26} {'parent median':>13} {'n':>2}  "
+          f"{'change median':>13} {'n':>2}", file=out)
+    shown = 0
+    for workload in sorted(set(sides[0]) & set(sides[1])):
+        per_side = []
+        for runs in sides:
+            values: dict[str, list[float]] = {}
+            for doc in runs[workload].values():
+                for name in doc.get("metrics", {}):
+                    value = metric_value(doc, name)
+                    if name.startswith("pass.") and value is not None:
+                        values.setdefault(name, []).append(value)
+            per_side.append(values)
+        for name in sorted(set(per_side[0]) | set(per_side[1])):
+            cells = []
+            for values in per_side:
+                found = values.get(name, [])
+                median = fmt(statistics.median(found)) if found else "-"
+                cells.append(f"{median:>13} {len(found):>2}")
+            print(f"{workload:<14} {name:<26} {cells[0]}  {cells[1]}", file=out)
+            shown += 1
+    return 0 if shown else 1
+
+
 # -------------------------------------------------------------- self-test --
 
 def self_test() -> int:
@@ -309,9 +347,35 @@ def self_test() -> int:
         if (met, status) != (want_met, 0 if want_met else 1):
             print(f"self-test FAIL [{label}]: got met={met} exit {status}: {last}")
             bad += 1
+
+    # The layer table: medians and file counts of the traced pass.* metrics,
+    # only for workloads traced on both sides.
+    with tempfile.TemporaryDirectory() as tmp:
+        for side, speedups in (("parent", [0.8, 0.7, 0.9]), ("change", [2.8, 2.5])):
+            d = os.path.join(tmp, side)
+            os.makedirs(d)
+            for seed, speedup in enumerate(speedups, start=1):
+                doc = {"metrics": {"pass.thread_speedup": {"value": speedup},
+                                   "stream.scan_s": {"value": 1.0}}}
+                with open(os.path.join(d, f"result-w-seed{seed}-trace1.json"), "w") as f:
+                    json.dump(doc, f)
+            # Traced on one side only: not shown.
+            with open(os.path.join(d, f"result-{side}only-seed1-trace1.json"), "w") as f:
+                json.dump({"metrics": {"pass.directed_1t_s": {"value": 1.0}}}, f)
+        out = io.StringIO()
+        status = layers(os.path.join(tmp, "parent"), os.path.join(tmp, "change"), out=out)
+        rows = [line.split() for line in out.getvalue().splitlines()[1:]]
+        want = [["w", "pass.thread_speedup", "0.8", "3", "2.65", "2"]]
+        if (status, rows) != (0, want):
+            print(f"self-test FAIL [layers]: got exit {status} rows {rows}, want 0 {want}")
+            bad += 1
+        empty = io.StringIO()
+        if layers(os.path.join(tmp, "parent"), tmp, out=empty) != 1:
+            print("self-test FAIL [layers with no traced pair]: want exit 1")
+            bad += 1
     if bad:
         return 1
-    print(f"bench_compare.py self-test: {len(cases) + len(claim_cases)} cases passed")
+    print(f"bench_compare.py self-test: {len(cases) + len(claim_cases) + 2} cases passed")
     return 0
 
 
@@ -321,6 +385,8 @@ def main() -> int:
     parser.add_argument("change_dir", nargs="?")
     parser.add_argument("--claim", metavar="WORKLOAD/METRIC",
                         help="check a claimed gain on one end_to_end metric")
+    parser.add_argument("--layers", action="store_true",
+                        help="print the traced pass.* medians instead")
     parser.add_argument("--self-test", action="store_true",
                         help="check the verdicts on synthetic result sets")
     args = parser.parse_args()
@@ -328,6 +394,8 @@ def main() -> int:
         return self_test()
     if args.parent_dir is None or args.change_dir is None:
         parser.error("PARENT_DIR and CHANGE_DIR are required")
+    if args.layers:
+        return layers(args.parent_dir, args.change_dir)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     status, _ = compare(spec, args.parent_dir, args.change_dir, claim=args.claim)
