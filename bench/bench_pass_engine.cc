@@ -114,8 +114,7 @@ int main(int argc, char** argv) {
                                : 65536u;
   const int reps = argc > 3 ? std::atoi(argv[3]) : 5;
 
-  const EdgeId max_edges =
-      static_cast<EdgeId>(num_nodes) * (num_nodes - 1) / 2;
+  const EdgeId max_edges = NodePairs(num_nodes);
   if (num_edges == 0 || num_edges > max_edges || reps < 1) {
     std::fprintf(stderr,
                  "usage: bench_pass_engine [num_edges] [num_nodes] [reps]\n"

@@ -774,7 +774,7 @@ Status CmdGenerate(const Args& args, std::ostream& out) {
     return Status::InvalidArgument("unknown format: " + format);
   }
   if (name == "er") {
-    const EdgeId pairs = EdgeId{nodes} * (nodes - 1) / 2;
+    const EdgeId pairs = NodePairs(nodes);
     if (edge_count > pairs) {
       return Status::InvalidArgument(
           "--edges=" + std::to_string(edge_count) + " exceeds the " +

@@ -202,6 +202,12 @@ StatusOr<ChaosReport> RunChaos(const ChaosOptions& options) {
     return Status::InvalidArgument(
         "chaos: need nodes >= 2, edges >= 1, window >= 1");
   }
+  if (options.edges > NodePairs(options.nodes)) {
+    return Status::InvalidArgument(
+        "chaos: edges=" + std::to_string(options.edges) + " exceeds the " +
+        std::to_string(NodePairs(options.nodes)) + " node pairs of nodes=" +
+        std::to_string(options.nodes));
+  }
   if (options.checkpoint_every == 0 || options.snapshot_every == 0 ||
       options.batch_size == 0) {
     return Status::InvalidArgument(

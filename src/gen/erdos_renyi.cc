@@ -17,7 +17,7 @@ inline uint64_t PairKey(NodeId u, NodeId v) {
 EdgeList ErdosRenyiGnm(NodeId n, EdgeId m, uint64_t seed) {
   EdgeList out(n);
   if (n < 2) return out;
-  m = std::min(m, EdgeId{n} * (n - 1) / 2);
+  m = std::min(m, NodePairs(n));
   Rng rng(seed);
   std::unordered_set<uint64_t> seen;
   seen.reserve(m * 2);
@@ -60,7 +60,7 @@ EdgeList ErdosRenyiGnp(NodeId n, double p, uint64_t seed) {
 EdgeList ErdosRenyiDirectedGnm(NodeId n, EdgeId m, uint64_t seed) {
   EdgeList out(n);
   if (n < 2) return out;
-  m = std::min(m, EdgeId{n} * (n - 1));
+  m = std::min(m, 2 * NodePairs(n));
   Rng rng(seed);
   std::unordered_set<uint64_t> seen;
   seen.reserve(m * 2);

@@ -9,6 +9,10 @@
 
 namespace densest {
 
+/// The n(n-1)/2 distinct node pairs of n nodes: the complete graph's edge
+/// count, and so the most edges ErdosRenyiGnm can draw.
+inline EdgeId NodePairs(NodeId n) { return EdgeId{n} * (n - 1) / 2; }
+
 /// Samples a simple undirected G(n, m) graph: m distinct edges chosen
 /// uniformly among the n(n-1)/2 possible. An m above n(n-1)/2 is capped
 /// there, giving the complete graph. Deterministic given the seed.

@@ -108,20 +108,14 @@ void FusedSketchedRun::BeginPass(const CsrView*) {
 void FusedSketchedRun::AccumulateShard(std::span<const Edge> shard) {
   const NodeSet& alive = run_.alive();
   DegreeOracle& oracle = run_.oracle();
-  // The running totals stay in locals across the virtual oracle calls and
-  // are stored once per shard.
-  double weight = weight_;
-  EdgeId edges = edges_;
   for (const Edge& e : shard) {
     if (alive.ContainsBoth(e.u, e.v)) {
       oracle.AddIncidence(e.u, e.w);
       oracle.AddIncidence(e.v, e.w);
-      weight += e.w;
-      ++edges;
+      weight_ += e.w;
+      ++edges_;
     }
   }
-  weight_ = weight;
-  edges_ = edges;
 }
 
 void FusedSketchedRun::FinishPass() {

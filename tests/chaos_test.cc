@@ -102,6 +102,13 @@ TEST(ChaosTest, RejectsInvalidOptions) {
     EXPECT_FALSE(RunChaos(opt).ok());
   }
   {
+    // More edges than the 45 node pairs of 10 nodes.
+    ChaosOptions opt = SmallOptions();
+    opt.nodes = 10;
+    opt.edges = 46;
+    EXPECT_EQ(RunChaos(opt).status().code(), Status::Code::kInvalidArgument);
+  }
+  {
     ChaosOptions opt = SmallOptions();
     opt.window = 0;
     EXPECT_FALSE(RunChaos(opt).ok());

@@ -585,6 +585,18 @@ TEST(CliGenerateTest, ErRejectsMoreEdgesThanPairs) {
   std::remove(gen_path.c_str());
 }
 
+TEST(CliChaosTest, RejectsMoreEdgesThanPairs) {
+  // 10 nodes have 45 pairs: the workload's sampler used to draw forever for
+  // a 46th.
+  auto args = Args::Parse({"--nodes=10", "--edges=46"});
+  ASSERT_TRUE(args.ok());
+  std::ostringstream out;
+  const Status status = RunCliCommand("chaos", *args, out);
+  EXPECT_EQ(status.code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "chaos: edges=46 exceeds the 45 node pairs of nodes=10");
+}
+
 TEST(CliGenerateTest, GenerateBinaryFormat) {
   std::string path = ::testing::TempDir() + "/cli_gen.bin";
   auto args = Args::Parse({"er", path, "--nodes=50", "--edges=100",

@@ -34,10 +34,10 @@ in the better direction by more than the parent's q3 - q1. A claim that is
 not met also makes the exit status 1.
 --layers prints the pass layer instead: for each workload with traced
 result files (result-<workload>-seed<N>-trace1.json) on both sides, each
-side's median and file count of every pass.* metric in them (undirected
-and directed pass seconds at 1 and nproc threads, the step passes,
-thread_speedup). Exit status 1 when no workload has traced files on both
-sides.
+side's median [q1, q3] and file count of every pass.* metric in them
+(undirected and directed pass seconds at 1 and nproc threads, the step
+passes, thread_speedup). Exit status 1 when no workload has traced files
+on both sides.
 --self-test checks the verdicts, the claim rule, the exit rule and the
 layer table on synthetic result sets.
 """
@@ -224,11 +224,12 @@ def compare(spec: dict, parent_dir: str, change_dir: str, out=sys.stdout,
 
 
 def layers(parent_dir: str, change_dir: str, out=sys.stdout):
-    """Prints the pass.* layer medians of the traced files; returns the exit
-    status (1 when no workload has traced files on both sides)."""
+    """Prints the pass.* layer medians and quartiles of the traced files;
+    returns the exit status (1 when no workload has traced files on both
+    sides)."""
     sides = (load_side(parent_dir, trace=1), load_side(change_dir, trace=1))
-    print(f"{'workload':<14} {'metric':<26} {'parent median':>13} {'n':>2}  "
-          f"{'change median':>13} {'n':>2}", file=out)
+    print(f"{'workload':<14} {'metric':<26} {'parent median [q1, q3]':<32} {'n':>2}  "
+          f"{'change median [q1, q3]':<32} {'n':>2}", file=out)
     shown = 0
     for workload in sorted(set(sides[0]) & set(sides[1])):
         per_side = []
@@ -244,8 +245,11 @@ def layers(parent_dir: str, change_dir: str, out=sys.stdout):
             cells = []
             for values in per_side:
                 found = values.get(name, [])
-                median = fmt(statistics.median(found)) if found else "-"
-                cells.append(f"{median:>13} {len(found):>2}")
+                cell = "-"
+                if found:
+                    med, q1, q3 = spread(found)
+                    cell = f"{fmt(med)} [{fmt(q1)}, {fmt(q3)}]"
+                cells.append(f"{cell:<32} {len(found):>2}")
             print(f"{workload:<14} {name:<26} {cells[0]}  {cells[1]}", file=out)
             shown += 1
     return 0 if shown else 1
@@ -348,8 +352,8 @@ def self_test() -> int:
             print(f"self-test FAIL [{label}]: got met={met} exit {status}: {last}")
             bad += 1
 
-    # The layer table: medians and file counts of the traced pass.* metrics,
-    # only for workloads traced on both sides.
+    # The layer table: medians, quartiles and file counts of the traced pass.*
+    # metrics, only for workloads traced on both sides.
     with tempfile.TemporaryDirectory() as tmp:
         for side, speedups in (("parent", [0.8, 0.7, 0.9]), ("change", [2.8, 2.5])):
             d = os.path.join(tmp, side)
@@ -365,7 +369,8 @@ def self_test() -> int:
         out = io.StringIO()
         status = layers(os.path.join(tmp, "parent"), os.path.join(tmp, "change"), out=out)
         rows = [line.split() for line in out.getvalue().splitlines()[1:]]
-        want = [["w", "pass.thread_speedup", "0.8", "3", "2.65", "2"]]
+        want = [["w", "pass.thread_speedup", "0.8", "[0.7,", "0.9]", "3",
+                 "2.65", "[2.425,", "2.875]", "2"]]
         if (status, rows) != (0, want):
             print(f"self-test FAIL [layers]: got exit {status} rows {rows}, want 0 {want}")
             bad += 1
