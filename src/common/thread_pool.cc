@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace densest {
 
@@ -67,14 +68,25 @@ void ThreadPool::ParallelFor(size_t count,
     fn(0);
     return;
   }
+  // The caller and `helpers` workers claim indices from one counter until
+  // it runs past count: one queued task per helper, not per index, and
+  // the region never runs more threads than the pool has.
+  std::atomic<size_t> next{0};
+  const auto claim = [&next, count, &fn] {
+    for (size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      fn(i);
+    }
+  };
+  const size_t helpers = std::min(count, threads_.size()) - 1;
   {
     MutexLock lock(mu_);
-    outstanding_ += count;
-    for (size_t i = 0; i < count; ++i) {
-      queue_.push([&fn, i] { fn(i); });
-    }
+    outstanding_ += helpers;
+    for (size_t h = 0; h < helpers; ++h) queue_.push(claim);
   }
-  work_cv_.NotifyAll();
+  for (size_t h = 0; h < helpers; ++h) work_cv_.NotifyOne();
+  claim();
+  // `next` and `fn` live on this frame: return only once every helper has
+  // finished (and, as ever, no Submitted task is outstanding).
   MutexLock lock(mu_);
   while (outstanding_ != 0) done_cv_.Wait(mu_);
 }

@@ -5,8 +5,16 @@
 //
 // Concurrency contract (machine-checked by Clang -Wthread-safety via the
 // annotations below): `mu_` guards the queue, the outstanding-task count
-// and the shutdown flag. Workers block on `work_cv_` for new tasks;
-// ParallelFor blocks on `done_cv_` until outstanding_ drains to zero.
+// and the shutdown flag. Workers block on `work_cv_` for new tasks. A
+// ParallelFor region counts its caller as one of its threads: the caller
+// queues one task per helper worker, at most min(count, num_threads()) - 1
+// of them, then claims indices from the region's atomic counter alongside
+// them, and blocks on `done_cv_` until outstanding_ drains to zero. So a
+// region runs on at most num_threads() threads, caller included, and costs
+// a few lock round trips however many indices it has. A ParallelFor body
+// must not call ParallelFor on the same pool: the inner region waits for
+// every outstanding task, including the outer region's helper that may be
+// running it.
 // Shutdown protocol: the destructor sets shutdown_ under the lock, wakes
 // every worker, and joins; workers finish draining the queue first, so
 // every task Submitted before destruction still runs.
@@ -36,8 +44,12 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Runs fn(i) for i in [0, count) across the pool; returns when all
-  /// calls completed. fn must be safe to call concurrently for distinct i.
+  /// Runs fn(i) for i in [0, count) on the caller and at most
+  /// min(count, num_threads()) - 1 workers, each claiming the next
+  /// unclaimed index; returns when all calls completed and the pool has no
+  /// outstanding task (Submitted ones included). fn must be safe to call
+  /// concurrently for distinct i, and must not call ParallelFor on this
+  /// pool.
   void ParallelFor(size_t count, const std::function<void(size_t)>& fn)
       DENSEST_EXCLUDES(mu_);
 

@@ -64,7 +64,7 @@ CharikarResult CharikarPeel(const UndirectedGraph& g) {
   std::vector<NodeId> removal_order;
   removal_order.reserve(n);
   std::vector<double> density_after_step;
-  density_after_step.reserve(n + 1);
+  density_after_step.reserve(size_t{n} + 1);
   density_after_step.push_back(
       n == 0 ? 0.0
              : static_cast<double>(cur_edges) / static_cast<double>(n));
@@ -146,7 +146,7 @@ CharikarResult CharikarPeelWeighted(const UndirectedGraph& g) {
   std::vector<NodeId> removal_order;
   removal_order.reserve(n);
   std::vector<double> density_after_step;
-  density_after_step.reserve(n + 1);
+  density_after_step.reserve(size_t{n} + 1);
   density_after_step.push_back(n == 0 ? 0.0
                                       : cur_weight / static_cast<double>(n));
 

@@ -19,30 +19,34 @@ namespace densest {
 
 namespace {
 
-/// Splits [0, n) into row ranges of roughly `entries_per_shard` adjacency
-/// entries each (rows are never split). Depends only on the graph shape,
-/// so shard boundaries are identical for every thread count.
-template <typename DegreeFn>
-std::vector<RowShard> ShardRows(NodeId n, const DegreeFn& degree,
-                                size_t entries_per_shard) {
+constexpr size_t kRowShardEntries = 2 * PassEngine::kShardEdges;
+
+/// Splits [0, n) into row ranges of at least kRowShardEntries adjacency
+/// entries each, the last possibly fewer (rows are never split), where
+/// prefix(j) counts the entries of rows [0, j). Each cut is a binary
+/// search over that nondecreasing prefix, O(shards * log n) in all.
+/// Depends only on the graph shape, so shard boundaries are identical for
+/// every thread count.
+template <typename PrefixFn>
+std::vector<RowShard> ShardRows(NodeId n, const PrefixFn& prefix) {
   std::vector<RowShard> shards;
-  RowShard cur;
-  size_t entries = 0;
-  for (NodeId u = 0; u < n; ++u) {
-    entries += degree(u);
-    if (entries >= entries_per_shard) {
-      cur.end = u + 1;
-      shards.push_back(cur);
-      cur.begin = u + 1;
-      entries = 0;
+  for (NodeId begin = 0; begin < n;) {
+    // The first row end j > begin whose shard [begin, j) is full.
+    const EdgeId full = prefix(begin) + kRowShardEntries;
+    NodeId lo = begin + 1, hi = n;
+    while (lo < hi) {
+      const NodeId mid = lo + (hi - lo) / 2;
+      if (prefix(mid) < full) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
     }
+    shards.push_back({begin, lo});
+    begin = lo;
   }
-  cur.end = n;
-  if (cur.end > cur.begin) shards.push_back(cur);
   return shards;
 }
-
-constexpr size_t kRowShardEntries = 2 * PassEngine::kShardEdges;
 
 /// Sum of w(row, v) over the entries v of one row with keep(v), in row
 /// order; adds the number of such entries to `count`. A self-loop entry
@@ -66,6 +70,13 @@ double PullRow(std::span<const NodeId> nbrs, std::span<const Weight> ws,
   }
   count += kept;
   return sum;
+}
+
+/// Zeroes deg[u] for every member u of `set`: the rows a record pass adds
+/// into. Every other row keeps its stale value.
+void ZeroLiveRows(const NodeSet& set, std::vector<double>& deg) {
+  ForEachMember(set, 0, set.universe_size(),
+                [d = deg.data()](NodeId u) { d[u] = 0.0; });
 }
 
 /// Peel logic of a bare one-pass drive (RunUndirected): one pass over a
@@ -125,6 +136,9 @@ class DirectedPass {
 template <typename Logic>
 class UndirectedRun final : public PassEngine::FusedRun {
   static constexpr bool kCompacts = std::is_same_v<Logic, Algorithm1Run>;
+  // A bare pass (RunUndirected) writes into the caller's array, which
+  // arrives zero-filled.
+  static constexpr bool kBare = std::is_same_v<Logic, UndirectedPass>;
 
  public:
   /// A peeling run over n nodes; owns its degree array.
@@ -154,7 +168,7 @@ class UndirectedRun final : public PassEngine::FusedRun {
     if (pulled_) {
       pull_.Begin(view->shards.size(), collect_ != nullptr);
     } else {
-      std::fill(deg_->begin(), deg_->end(), 0.0);
+      if constexpr (!kBare) ZeroLiveRows(logic_.alive(), *deg_);
       totals_ = {};
     }
   }
@@ -206,7 +220,7 @@ class UndirectedRun final : public PassEngine::FusedRun {
       if (logic_.mode() == Algorithm1Run::PassMode::kCollectPass) {
         return &logic_.buffer();
       }
-    } else if constexpr (std::is_same_v<Logic, UndirectedPass>) {
+    } else if constexpr (kBare) {
       return logic_.survivors();
     }
     return nullptr;
@@ -226,6 +240,10 @@ class UndirectedRun final : public PassEngine::FusedRun {
 /// a size-ratio run leaves the array it does not peel on unwritten.
 template <typename Logic>
 class DirectedRun final : public PassEngine::FusedRun {
+  // A bare pass (RunDirected) writes into the caller's arrays, which
+  // arrive zero-filled.
+  static constexpr bool kBare = std::is_same_v<Logic, DirectedPass>;
+
  public:
   /// A peeling run over n nodes; owns its degree arrays.
   DirectedRun(NodeId n, const Algorithm3Options& options)
@@ -247,8 +265,11 @@ class DirectedRun final : public PassEngine::FusedRun {
     if (pulled_) {
       pull_.Begin(view->shards.size());
     } else {
-      if (sides_.out) std::fill(out_->begin(), out_->end(), 0.0);
-      if (sides_.in) std::fill(in_->begin(), in_->end(), 0.0);
+      // Records add into the out-rows of S and the in-rows of T.
+      if constexpr (!kBare) {
+        if (sides_.out) ZeroLiveRows(logic_.s(), *out_);
+        if (sides_.in) ZeroLiveRows(logic_.t(), *in_);
+      }
       totals_ = {};
     }
   }
@@ -299,16 +320,16 @@ CsrView CsrView::Of(const EdgeStream& stream) {
   if ((view.undirected = stream.UndirectedCsrView()) != nullptr) {
     const UndirectedGraph& g = *view.undirected;
     view.edges = g.num_edges();
-    view.shards = ShardRows(
-        g.num_nodes(), [&g](NodeId u) { return g.Degree(u); },
-        kRowShardEntries);
+    view.shards = ShardRows(g.num_nodes(), [offsets = g.offsets()](NodeId j) {
+      return offsets[j];
+    });
   } else if ((view.directed = stream.DirectedCsrView()) != nullptr) {
     const DirectedGraph& g = *view.directed;
     view.edges = g.num_edges();
-    view.shards = ShardRows(
-        g.num_nodes(),
-        [&g](NodeId u) { return g.OutDegree(u) + g.InDegree(u); },
-        kRowShardEntries);
+    view.shards = ShardRows(g.num_nodes(), [out = g.out_offsets(),
+                                            in = g.in_offsets()](NodeId j) {
+      return out[j] + in[j];
+    });
   }
   return view;
 }
@@ -329,22 +350,19 @@ void RowPull::Undirected(const CsrView& view, size_t shard,
   if (collect) survivors.swap(survivors_[shard]);
   double weight = 0.0;
   EdgeId count = 0;
-  for (NodeId u = view.shards[shard].begin; u < view.shards[shard].end; ++u) {
-    if (!alive.Contains(u)) {
-      degrees[u] = 0.0;
-      continue;
-    }
+  const RowShard rows = view.shards[shard];
+  ForEachMember(alive, rows.begin, rows.end, [&](NodeId u) {
     const std::span<const NodeId> nbrs = g.Neighbors(u);
     const std::span<const Weight> ws = g.NeighborWeights(u);
     degrees[u] = PullRow(nbrs, ws, u, keep, count);
     weight += degrees[u];
-    if (!collect) continue;
+    if (!collect) return;
     for (size_t i = 0; i < nbrs.size(); ++i) {
       if (nbrs[i] >= u && alive.Contains(nbrs[i])) {
         survivors.push_back({u, nbrs[i], ws.empty() ? 1.0 : ws[i]});
       }
     }
-  }
+  });
   weight_[shard] = weight;
   count_[shard] = count;
   if (collect) survivors_[shard].swap(survivors);
@@ -364,21 +382,20 @@ void RowPull::Directed(const CsrView& view, size_t shard, const NodeSet& s,
   // side's rows sum the shard's totals; the out-rows do when pulled.
   double out_weight = 0.0, in_weight = 0.0;
   EdgeId out_count = 0, in_count = 0;
-  for (NodeId u = view.shards[shard].begin; u < view.shards[shard].end; ++u) {
-    if (sides.out) {
-      out_to_t[u] = s.Contains(u) ? PullRow(g.OutNeighbors(u),
-                                            g.OutNeighborWeights(u), kNoSelf,
-                                            in_t, out_count)
-                                  : 0.0;
+  const RowShard rows = view.shards[shard];
+  if (sides.out) {
+    ForEachMember(s, rows.begin, rows.end, [&](NodeId u) {
+      out_to_t[u] = PullRow(g.OutNeighbors(u), g.OutNeighborWeights(u),
+                            kNoSelf, in_t, out_count);
       out_weight += out_to_t[u];
-    }
-    if (sides.in) {
-      in_from_s[u] = t.Contains(u) ? PullRow(g.InNeighbors(u),
-                                             g.InNeighborWeights(u), kNoSelf,
-                                             in_s, in_count)
-                                   : 0.0;
+    });
+  }
+  if (sides.in) {
+    ForEachMember(t, rows.begin, rows.end, [&](NodeId u) {
+      in_from_s[u] = PullRow(g.InNeighbors(u), g.InNeighborWeights(u),
+                             kNoSelf, in_s, in_count);
       in_weight += in_from_s[u];
-    }
+    });
   }
   weight_[shard] = sides.out ? out_weight : in_weight;
   count_[shard] = sides.out ? out_count : in_count;
@@ -623,6 +640,8 @@ UndirectedPassResult PassEngine::RunUndirected(EdgeStream& stream,
                                                const CancelToken* cancel,
                                                std::vector<Edge>* survivors) {
   DENSEST_TRACE_SPAN("core.pass_undirected");
+  // A pass writes alive rows only; the caller is promised every row.
+  std::fill(degrees.begin(), degrees.end(), 0.0);
   UndirectedRun<UndirectedPass> run(alive, degrees, survivors);
   FusedRun* runs[] = {&run};
   // A failed pass leaves zero stats; the caller checks the stream status
@@ -638,6 +657,8 @@ DirectedPassResult PassEngine::RunDirected(EdgeStream& stream,
                                            std::vector<double>& in_from_s,
                                            const CancelToken* cancel) {
   DENSEST_TRACE_SPAN("core.pass_directed");
+  std::fill(out_to_t.begin(), out_to_t.end(), 0.0);
+  std::fill(in_from_s.begin(), in_from_s.end(), 0.0);
   DirectedRun<DirectedPass> run(s_set, t_set, out_to_t, in_from_s);
   FusedRun* runs[] = {&run};
   (void)Drive(stream, runs, cancel);

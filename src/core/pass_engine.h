@@ -18,7 +18,10 @@
 //                   row (directed: out_to_t over the out-rows of S,
 //                   in_from_s over the in-rows of T, pulling only the
 //                   side the run's next peel step reads). Tasks write
-//                   disjoint rows.
+//                   disjoint rows, and only live ones: a shard walks the
+//                   members of S (or T) in its row range a word at a time
+//                   (ForEachMember), so a dead row costs nothing and keeps
+//                   a stale value that no peel step reads.
 //   record rounds — every other stream is read kShardEdges edges at a
 //                   time through EdgeStream::NextView; a round is up to
 //                   kRoundShards such shards. Each active run is one task
@@ -98,7 +101,8 @@ struct RowShard {
 
 /// \brief A stream's CSR view cut into row shards of roughly 2 *
 /// PassEngine::kShardEdges adjacency entries each (rows are never split).
-/// Shard boundaries depend only on the graph.
+/// Shard boundaries depend only on the graph; Of cuts them by binary
+/// search over the CSR offsets, O(shards * log n) per call.
 struct CsrView {
   const UndirectedGraph* undirected = nullptr;  // at most one of the two
   const DirectedGraph* directed = nullptr;      // graphs is set
@@ -111,26 +115,29 @@ struct CsrView {
 
 /// \brief The row-pull kernel plus the per-shard state of one pulled pass.
 ///
-/// Each shard writes its own rows of the degree arrays (every row of the
-/// shard: alive rows their degree, dead rows 0), so distinct shards of a
-/// pass may be pulled concurrently. A shard sums its totals and stages its
-/// survivors in locals and stores its totals and survivor entries once, at
-/// its end: neighbouring shards' entries share cache lines. Finish* sums
-/// the totals in shard order. Every run holds its own.
+/// Each shard writes its own live rows of the degree arrays (the alive
+/// rows of S; directed, the out-rows of S and the in-rows of T) and leaves
+/// every dead row as it was, so distinct shards of a pass may be pulled
+/// concurrently, and a pass over a shrunken S costs its live rows only. A
+/// shard sums its totals and stages its survivors in locals and stores its
+/// totals and survivor entries once, at its end: neighbouring shards'
+/// entries share cache lines. Finish* sums the totals in shard order.
+/// Every run holds its own.
 class RowPull {
  public:
   /// Starts a pass over `shards` shards. With `collect`, Undirected also
   /// stages the surviving edges of each shard for FinishUndirected.
   void Begin(size_t shards, bool collect = false);
 
-  /// deg_S(u) for every row u of shard `shard` of `view.undirected`. A
-  /// self-loop occupies one adjacency entry and counts twice, as in
-  /// a record stream.
+  /// deg_S(u) for every row u in S of shard `shard` of `view.undirected`;
+  /// rows not in S are left untouched. A self-loop occupies one adjacency
+  /// entry and counts twice, as in a record stream.
   void Undirected(const CsrView& view, size_t shard, const NodeSet& alive,
                   std::vector<double>& degrees);
   /// out_to_t[u] for u in S (when `sides.out`) and in_from_s[u] for u in
-  /// T (when `sides.in`), for every row u of shard `shard` of
-  /// `view.directed`; the array of a side not pulled is left untouched.
+  /// T (when `sides.in`), for the rows u of shard `shard` of
+  /// `view.directed`; every other row, and the array of a side not pulled,
+  /// is left untouched.
   /// The shard's |E(S,T)| count and weight are summed over the out-rows
   /// when they are pulled, else over the in-rows.
   void Directed(const CsrView& view, size_t shard, const NodeSet& s,
@@ -153,10 +160,12 @@ class RowPull {
 
 /// \brief Knobs for a PassEngine.
 struct PassEngineOptions {
-  /// Worker threads for the row shards of a CSR pass and the runs of a
-  /// fused sweep; a record pass of one run never reaches the pool. 0 =
-  /// hardware concurrency; 1 = fully sequential (no pool is created). Any
-  /// value yields bit-identical results; it only changes wall-clock time.
+  /// Threads for the row shards of a CSR pass and the runs of a fused
+  /// sweep, the calling thread counted as one: a round runs on the caller
+  /// plus at most num_threads - 1 pool workers. A record pass of one run
+  /// never reaches the pool. 0 = hardware concurrency; 1 = fully
+  /// sequential (no pool is created). Any value yields bit-identical
+  /// results; it only changes wall-clock time.
   size_t num_threads = 0;
 };
 
@@ -196,10 +205,13 @@ class PassEngine {
     virtual bool CanPull(const CsrView&) const { return false; }
     /// Starts a pass. `view` is the CSR view the pass pulls, or null when
     /// the pass arrives as record shards through AccumulateShard, in which
-    /// case the run zeroes its degree arrays and totals. A run fills only
-    /// the degree arrays its next peel step reads: an array it does not
-    /// read is left unwritten by the pass (a directed run under the
-    /// size-ratio rule fills one of its two).
+    /// case the run zeroes its totals and the live rows of its degree
+    /// arrays (records add into live rows only). Either way a pass writes
+    /// live rows only, and a dead row keeps a stale value that the run's
+    /// peel step must not read. A run fills only the degree arrays its
+    /// next peel step reads: an array it does not read is left unwritten
+    /// by the pass (a directed run under the size-ratio rule fills one of
+    /// its two).
     virtual void BeginPass(const CsrView* view) = 0;
     /// Pulls row shard `shard` of the view given to BeginPass. Distinct
     /// shards of a pass arrive concurrently; they write disjoint rows.
@@ -266,7 +278,8 @@ class PassEngine {
       EdgeStream& stream, const std::vector<Algorithm2Options>& runs);
 
   /// One pass: streams all edges once and accumulates deg_S for alive
-  /// nodes. `degrees` must have size num_nodes and is overwritten. With
+  /// nodes. `degrees` must have size num_nodes and is overwritten, dead
+  /// rows with 0. With
   /// `survivors`, also appends every edge with both endpoints alive in
   /// stream order — the ingestion step of the paper's §6.3 compaction.
   ///
@@ -281,7 +294,7 @@ class PassEngine {
 
   /// One pass: streams all arcs once; accumulates out_to_t[u] over u in S
   /// and in_from_s[v] over v in T. Both vectors must have size num_nodes
-  /// and are overwritten.
+  /// and are overwritten, rows outside S (resp. T) with 0.
   DirectedPassResult RunDirected(EdgeStream& stream, const NodeSet& s,
                                  const NodeSet& t,
                                  std::vector<double>& out_to_t,
@@ -340,9 +353,9 @@ class PassEngine {
   size_t num_threads_ = 1;
   // Concurrency contract (no mutex by design): every task of a round
   // writes state no other task of that round touches — one run's arrays
-  // and totals in record rounds, one shard's rows of every run in pulled
-  // rounds — and the round's ParallelFor completion barrier is the only
-  // publication point: caller writes (BeginPass zeroing, batch_ fill)
+  // and totals in record rounds, one shard's live rows of every run in
+  // pulled rounds — and the round's ParallelFor completion barrier is the
+  // only publication point: caller writes (BeginPass zeroing, batch_ fill)
   // happen-before the tasks, task writes happen-before FinishPass reads
   // them. No engine state may be touched while a round is in flight. A
   // task keeps its per-item sums in locals and stores to memory it shares

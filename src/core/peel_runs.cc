@@ -7,6 +7,17 @@ namespace densest {
 
 namespace {
 
+/// The largest degrees[u] <= threshold over the members u of `set` (0 if
+/// none).
+double MaxDegreeAtMost(const NodeSet& set, const std::vector<double>& degrees,
+                       double threshold) {
+  double best = 0;
+  ForEachMember(set, 0, set.universe_size(), [&](NodeId u) {
+    if (degrees[u] <= threshold) best = std::max(best, degrees[u]);
+  });
+  return best;
+}
+
 /// Decides which side to peel under the naive max-degree rule (§4.3):
 /// returns true to peel S. Compares the max indegree among B(T) against the
 /// max outdegree among A(S), scaled by c.
@@ -14,19 +25,11 @@ bool PeelSByMaxDegreeRule(const NodeSet& s, const NodeSet& t,
                           const std::vector<double>& out_to_t,
                           const std::vector<double>& in_from_s,
                           double weight, double epsilon, double c) {
-  const double s_threshold = (1.0 + epsilon) * weight / s.size();
-  const double t_threshold = (1.0 + epsilon) * weight / t.size();
-  const NodeId n = s.universe_size();
-  double max_out_in_a = 0;  // E(i*, T) over i in A(S)
-  double max_in_in_b = 0;   // E(S, j*) over j in B(T)
-  for (NodeId u = 0; u < n; ++u) {
-    if (s.Contains(u) && out_to_t[u] <= s_threshold) {
-      max_out_in_a = std::max(max_out_in_a, out_to_t[u]);
-    }
-    if (t.Contains(u) && in_from_s[u] <= t_threshold) {
-      max_in_in_b = std::max(max_in_in_b, in_from_s[u]);
-    }
-  }
+  // E(i*, T) over i in A(S), and E(S, j*) over j in B(T).
+  const double max_out_in_a =
+      MaxDegreeAtMost(s, out_to_t, (1.0 + epsilon) * weight / s.size());
+  const double max_in_in_b =
+      MaxDegreeAtMost(t, in_from_s, (1.0 + epsilon) * weight / t.size());
   if (max_out_in_a == 0) return true;   // removing A(S) is free
   if (max_in_in_b == 0) return false;   // removing B(T) is free
   return max_in_in_b / max_out_in_a >= c;
@@ -60,12 +63,12 @@ void Algorithm1Run::ApplyPass(const UndirectedPassResult& stats,
   const double factor = 2.0 * (1.0 + options_.epsilon);
   const double threshold = factor * rho;
   NodeId removed = 0;
-  for (NodeId u = 0; u < n_; ++u) {
-    if (alive_.Contains(u) && degrees[u] <= threshold) {
+  ForEachMember(alive_, 0, n_, [&](NodeId u) {
+    if (degrees[u] <= threshold) {
       alive_.Remove(u);
       ++removed;
     }
-  }
+  });
 
   // Arm compaction for the next pass once the survivor count is small.
   // (The surviving edge count after removal is at most stats.edges.)
@@ -123,11 +126,9 @@ void Algorithm2Run::ApplyPass(const UndirectedPassResult& stats,
   const double factor = 2.0 * (1.0 + options_.epsilon);
   const double threshold = factor * rho;
   candidates_.clear();
-  for (NodeId u = 0; u < n_; ++u) {
-    if (alive_.Contains(u) && degrees[u] <= threshold) {
-      candidates_.push_back(u);
-    }
-  }
+  ForEachMember(alive_, 0, n_, [&](NodeId u) {
+    if (degrees[u] <= threshold) candidates_.push_back(u);
+  });
 
   // Algorithm 2 line 4: remove only |A(S)| = eps/(1+eps) |S| of them —
   // the lowest-degree ones — so some intermediate set lands near size k.
@@ -220,26 +221,17 @@ void Algorithm3Run::ApplyPass(const DirectedPassResult& stats,
                                   options_.epsilon, options_.c);
   }
 
+  NodeSet& side = peel_s ? s_ : t_;
+  const std::vector<double>& degrees = peel_s ? out_to_t : in_from_s;
+  const double threshold = (1.0 + options_.epsilon) * stats.weight /
+                           static_cast<double>(side.size());
   NodeId removed = 0;
-  if (peel_s) {
-    const double threshold = (1.0 + options_.epsilon) * stats.weight /
-                             static_cast<double>(s_.size());
-    for (NodeId u = 0; u < n_; ++u) {
-      if (s_.Contains(u) && out_to_t[u] <= threshold) {
-        s_.Remove(u);
-        ++removed;
-      }
+  ForEachMember(side, 0, n_, [&](NodeId u) {
+    if (degrees[u] <= threshold) {
+      side.Remove(u);
+      ++removed;
     }
-  } else {
-    const double threshold = (1.0 + options_.epsilon) * stats.weight /
-                             static_cast<double>(t_.size());
-    for (NodeId u = 0; u < n_; ++u) {
-      if (t_.Contains(u) && in_from_s[u] <= threshold) {
-        t_.Remove(u);
-        ++removed;
-      }
-    }
-  }
+  });
 
   if (options_.record_trace) {
     DirectedPassSnapshot snap;

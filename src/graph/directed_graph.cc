@@ -15,8 +15,10 @@ DirectedGraph DirectedGraph::FromEdgeList(const EdgeList& arcs) {
     }
   }
 
-  std::vector<EdgeId> out_counts(g.num_nodes_ + 1, 0);
-  std::vector<EdgeId> in_counts(g.num_nodes_ + 1, 0);
+  // Sized in size_t: num_nodes_ + 1 would wrap to 0 in NodeId at the
+  // widest id.
+  std::vector<EdgeId> out_counts(size_t{g.num_nodes_} + 1, 0);
+  std::vector<EdgeId> in_counts(size_t{g.num_nodes_} + 1, 0);
   for (const Edge& e : arcs.edges()) {
     ++out_counts[e.u + 1];
     ++in_counts[e.v + 1];

@@ -64,6 +64,12 @@ class DirectedGraph {
             static_cast<size_t>(in_offsets_[v + 1] - in_offsets_[v])};
   }
 
+  /// The CSR offsets of the out-rows and of the in-rows: row u's arcs are
+  /// [offsets[u], offsets[u + 1]). num_nodes() + 1 values each (none for a
+  /// default-constructed graph).
+  std::span<const EdgeId> out_offsets() const { return out_offsets_; }
+  std::span<const EdgeId> in_offsets() const { return in_offsets_; }
+
   /// Re-materializes the arc list.
   EdgeList ToEdgeList() const;
 

@@ -1,6 +1,5 @@
 #include "graph/subgraph.h"
 
-#include <bit>
 #include <cmath>
 
 namespace densest {
@@ -8,13 +7,7 @@ namespace densest {
 std::vector<NodeId> NodeSet::ToVector() const {
   std::vector<NodeId> out;
   out.reserve(count_);
-  for (size_t w = 0; w < words_.size(); ++w) {
-    uint64_t word = words_[w];
-    while (word != 0) {
-      out.push_back(static_cast<NodeId>(w * 64 + std::countr_zero(word)));
-      word &= word - 1;  // clear the lowest set bit
-    }
-  }
+  ForEachMember(*this, 0, n_, [&out](NodeId u) { out.push_back(u); });
   return out;
 }
 

@@ -4,6 +4,8 @@
 #ifndef DENSEST_GRAPH_SUBGRAPH_H_
 #define DENSEST_GRAPH_SUBGRAPH_H_
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -81,6 +83,30 @@ class NodeSet {
   std::vector<uint64_t> words_;
   NodeId count_ = 0;
 };
+
+/// Calls fn(u) for every member u of `set` in [begin, end), in increasing
+/// order, a word at a time: a word with no member costs one load and no
+/// call, so a walk costs O((end - begin) / 64 + members). fn may Remove the
+/// member it is handed (a word is read before any of its members is
+/// visited), but no other member of the set. Requires end <=
+/// set.universe_size().
+template <typename Fn>
+void ForEachMember(const NodeSet& set, NodeId begin, NodeId end, Fn&& fn) {
+  if (begin >= end) return;
+  const uint64_t* words = set.words().data();
+  const size_t last = (size_t{end} - 1) >> 6;
+  const uint64_t last_mask = ~uint64_t{0} >> (63 - ((end - 1) & 63));
+  size_t w = begin >> 6;
+  uint64_t word = words[w] & (~uint64_t{0} << (begin & 63));
+  for (;;) {
+    if (w == last) word &= last_mask;
+    for (; word != 0; word &= word - 1) {
+      fn(static_cast<NodeId>(w * 64 + std::countr_zero(word)));
+    }
+    if (w == last) return;
+    word = words[++w];
+  }
+}
 
 /// \brief Extracts the subgraph of `g` induced by `nodes`, relabeling nodes
 /// to [0, |nodes|). `mapping` (optional out-param) receives the original id

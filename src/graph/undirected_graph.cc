@@ -19,7 +19,9 @@ UndirectedGraph UndirectedGraph::FromEdgeList(const EdgeList& edges) {
   }
 
   // Counting pass: a self-loop occupies one adjacency slot, a normal edge two.
-  std::vector<EdgeId> counts(g.num_nodes_ + 1, 0);
+  // Sized in size_t: num_nodes_ + 1 would wrap to 0 in NodeId at the
+  // widest id.
+  std::vector<EdgeId> counts(size_t{g.num_nodes_} + 1, 0);
   EdgeId slots = 0;
   for (const Edge& e : edges.edges()) {
     ++counts[e.u + 1];

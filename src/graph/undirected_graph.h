@@ -57,6 +57,11 @@ class UndirectedGraph {
             static_cast<size_t>(offsets_[u + 1] - offsets_[u])};
   }
 
+  /// The CSR row offsets: row u's entries are [offsets()[u],
+  /// offsets()[u + 1]), so offsets()[j] counts the entries of rows [0, j).
+  /// num_nodes() + 1 values (none for a default-constructed graph).
+  std::span<const EdgeId> offsets() const { return offsets_; }
+
   /// Density of the whole graph: total_weight / num_nodes (0 if empty).
   double Density() const {
     return num_nodes_ == 0 ? 0.0

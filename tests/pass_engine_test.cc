@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
@@ -874,6 +875,147 @@ void CheckOneSidedDirectedPull(bool weighted) {
     // In-row sums are bit-identical across thread counts, not NEAR.
     if (threads == 1) in_weight1 = in.totals.weight;
     EXPECT_EQ(in.totals.weight, in_weight1) << label;
+  }
+}
+
+/// Pulls every shard of `view` on `threads` threads into an array that
+/// starts at `sentinel`.
+std::vector<double> PullUndirectedShards(const CsrView& view,
+                                         const NodeSet& alive, double sentinel,
+                                         size_t threads,
+                                         UndirectedPassResult* totals) {
+  std::vector<double> degrees(alive.universe_size(), sentinel);
+  RowPull pull;
+  pull.Begin(view.shards.size());
+  const std::function<void(size_t)> shard = [&](size_t i) {
+    pull.Undirected(view, i, alive, degrees);
+  };
+  if (threads == 1) {
+    for (size_t i = 0; i < view.shards.size(); ++i) shard(i);
+  } else {
+    ThreadPool pool(threads);
+    pool.ParallelFor(view.shards.size(), shard);
+  }
+  *totals = pull.FinishUndirected(nullptr);
+  return degrees;
+}
+
+/// A pull writes live rows only: each dead row keeps the value it held
+/// before the pass, and each live row gets exactly what a record pass over
+/// the same edges sums (unit weights, so row order and stream order agree
+/// to the bit), at every thread count.
+TEST(RowPullTest, DeadRowsKeepTheirValueAndLiveRowsMatchRecords) {
+  constexpr double kSentinel = -7.0;
+  const NodeId n = 3000;
+  const EdgeList undirected_edges = PullTestEdges(n, /*weighted=*/false, 257);
+  UndirectedGraph g = UndirectedGraph::FromEdgeList(undirected_edges);
+  UndirectedGraphStream pulled(g);
+  const CsrView view = CsrView::Of(pulled);
+  ASSERT_GE(view.shards.size(), 4u);
+  EdgeListStream records(undirected_edges);
+  const NodeSet alive = EveryThirdDead(n);
+  PassEngine one(PassEngineOptions{.num_threads = 1});
+  std::vector<double> want(n);
+  const UndirectedPassResult ref = one.RunUndirected(records, alive, want);
+
+  DirectedGraph dg = DirectedGraph::FromEdgeList(
+      ErdosRenyiDirectedGnm(n, 5 * PassEngine::kShardEdges, 263));
+  DirectedGraphStream dpulled(dg);
+  const CsrView dview = CsrView::Of(dpulled);
+  ASSERT_GE(dview.shards.size(), 4u);
+  const EdgeList arcs = dg.ToEdgeList();
+  EdgeListStream drecords(arcs);
+  NodeSet t(n, /*full=*/true);
+  for (NodeId u = 1; u < n; u += 5) t.Remove(u);
+  std::vector<double> want_out(n), want_in(n);
+  const DirectedPassResult dref =
+      one.RunDirected(drecords, alive, t, want_out, want_in);
+
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    UndirectedPassResult totals;
+    const std::vector<double> got =
+        PullUndirectedShards(view, alive, kSentinel, threads, &totals);
+    EXPECT_EQ(totals.edges, ref.edges) << label;
+    EXPECT_EQ(totals.weight, ref.weight) << label;
+    // Directed: the -1.0 the helper pre-fills marks an unwritten row.
+    const DirectedPullBits both =
+        PullDirectedShards(dview, alive, t, {}, threads);
+    EXPECT_EQ(both.totals.arcs, dref.arcs) << label;
+    EXPECT_EQ(both.totals.weight, dref.weight) << label;
+    for (NodeId u = 0; u < n; ++u) {
+      EXPECT_EQ(got[u], alive.Contains(u) ? want[u] : kSentinel)
+          << label << " row " << u;
+      EXPECT_EQ(both.out_to_t[u], alive.Contains(u) ? want_out[u] : -1.0)
+          << label << " out-row " << u;
+      EXPECT_EQ(both.in_from_s[u], t.Contains(u) ? want_in[u] : -1.0)
+          << label << " in-row " << u;
+    }
+  }
+}
+
+/// Today's shard cut, one row at a time: the reference CsrView::Of's
+/// binary search must reproduce.
+std::vector<std::pair<NodeId, NodeId>> ShardsByScan(
+    NodeId n, const std::function<EdgeId(NodeId)>& entries) {
+  constexpr EdgeId kEntries = 2 * PassEngine::kShardEdges;
+  std::vector<std::pair<NodeId, NodeId>> shards;
+  NodeId begin = 0;
+  EdgeId sum = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    sum += entries(u);
+    if (sum >= kEntries) {
+      shards.emplace_back(begin, u + 1);
+      begin = u + 1;
+      sum = 0;
+    }
+  }
+  if (n > begin) shards.emplace_back(begin, n);
+  return shards;
+}
+
+std::vector<std::pair<NodeId, NodeId>> ShardsOf(const EdgeStream& stream) {
+  std::vector<std::pair<NodeId, NodeId>> out;
+  for (const RowShard& shard : CsrView::Of(stream).shards) {
+    out.emplace_back(shard.begin, shard.end);
+  }
+  return out;
+}
+
+/// Isolated rows (a leading run, gaps, a long tail), a row longer than
+/// three shards, rows that end a shard exactly, and graphs with no edges
+/// or no nodes.
+TEST(CsrViewTest, ShardsMatchTheRowByRowScan) {
+  const NodeId n = 9000;
+  EdgeList el(n);
+  Rng rng(269);
+  for (EdgeId i = 0; i < 3 * PassEngine::kShardEdges; ++i) {
+    // Rows 500..4999 only: [0, 500) and [5000, n) stay isolated.
+    el.Add(static_cast<NodeId>(500 + rng.UniformU64(4500)),
+           static_cast<NodeId>(500 + rng.UniformU64(4500)));
+  }
+  for (EdgeId i = 0; i < 7 * PassEngine::kShardEdges; ++i) {
+    el.Add(2500, static_cast<NodeId>(2501 + i % 10));  // one huge row
+  }
+  for (EdgeId i = 0; i < 2 * PassEngine::kShardEdges; ++i) {
+    el.Add(6000, 6000);  // a self-loop row of exactly one shard
+  }
+  const std::vector<EdgeList> graphs = {el, EdgeList(n), EdgeList(0)};
+  for (const EdgeList& edges : graphs) {
+    const std::string label = std::to_string(edges.num_edges()) + " edges";
+    UndirectedGraph g = UndirectedGraph::FromEdgeList(edges);
+    const auto want = ShardsByScan(
+        g.num_nodes(), [&g](NodeId u) { return EdgeId{g.Degree(u)}; });
+    EXPECT_EQ(ShardsOf(UndirectedGraphStream(g)), want) << label;
+    if (edges.num_edges() > 0) {
+      EXPECT_GE(want.size(), 8u) << label;
+    }
+
+    DirectedGraph dg = DirectedGraph::FromEdgeList(edges);
+    const auto dwant = ShardsByScan(dg.num_nodes(), [&dg](NodeId u) {
+      return EdgeId{dg.OutDegree(u)} + dg.InDegree(u);
+    });
+    EXPECT_EQ(ShardsOf(DirectedGraphStream(dg)), dwant) << label;
   }
 }
 

@@ -1,14 +1,17 @@
 // Unit tests for the per-pass peeling state — the alive-set degree and
-// out/in accumulators a PassEngine pass fills — and weighted directed
-// peeling.
+// out/in accumulators a PassEngine pass fills, and the peel steps that
+// read only their live rows — and weighted directed peeling.
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "core/algorithm3.h"
 #include "core/pass_engine.h"
+#include "core/peel_runs.h"
+#include "gen/planted.h"
 #include "graph/graph_builder.h"
 #include "stream/memory_stream.h"
 
@@ -71,6 +74,144 @@ TEST(PeelStateTest, RepeatedPassesAreIdempotent) {
     EXPECT_EQ(r1.edges, r2.edges) << threads;
     EXPECT_DOUBLE_EQ(r1.weight, r2.weight) << threads;
     EXPECT_DOUBLE_EQ(degrees[1], 2.0) << threads;  // not double-counted
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A peel step reads live rows only: a pulled pass leaves each dead row's
+// value from an earlier pass in place. These feed each run's ApplyPass
+// degree arrays whose dead rows hold 0.0 (what a zeroing pass left), -1.0
+// (below every threshold) or 1e300 (above every threshold), which must not
+// change a single decision, and each pass's trace must count exactly the
+// nodes that left the set. A peel step that walks dead rows peels or
+// counts the low ones and skips the high ones.
+
+constexpr double kDeadRowValues[] = {0.0, -1.0, 1e300};
+
+/// One undirected pass over `edges` for `alive`, dead rows set to `dead`.
+UndirectedPassResult PassWithDeadRows(const EdgeList& edges,
+                                      const NodeSet& alive, double dead,
+                                      std::vector<double>& degrees) {
+  degrees.assign(alive.universe_size(), dead);
+  for (NodeId u : alive.ToVector()) degrees[u] = 0.0;
+  UndirectedPassResult stats;
+  for (const Edge& e : edges.edges()) {
+    if (alive.ContainsBoth(e.u, e.v)) {
+      degrees[e.u] += e.w;
+      degrees[e.v] += e.w;
+      stats.weight += e.w;
+      ++stats.edges;
+    }
+  }
+  return stats;
+}
+
+/// A run's sets after each pass, its trace's removed counts, and how many
+/// nodes each pass took out of the sets.
+struct PeelRecord {
+  std::vector<std::vector<NodeId>> sets;
+  std::vector<NodeId> removed;
+  std::vector<NodeId> shrunk;
+};
+
+template <typename Run, typename Options>
+PeelRecord PeelUndirected(const EdgeList& edges, const Options& options,
+                          double dead) {
+  Run run(edges.num_nodes(), options);
+  PeelRecord record;
+  std::vector<double> degrees;
+  while (!run.done()) {
+    const NodeId before = run.alive().size();
+    const UndirectedPassResult stats =
+        PassWithDeadRows(edges, run.alive(), dead, degrees);
+    run.ApplyPass(stats, degrees);
+    record.sets.push_back(run.alive().ToVector());
+    record.shrunk.push_back(before - run.alive().size());
+  }
+  for (const PassSnapshot& snap : run.TakeResult().trace) {
+    record.removed.push_back(snap.removed);
+  }
+  return record;
+}
+
+template <typename Run, typename Options>
+void ExpectPeelIgnoresDeadRows(const EdgeList& edges, const Options& options) {
+  const PeelRecord want = PeelUndirected<Run>(edges, options, 0.0);
+  ASSERT_GE(want.sets.size(), 3u);  // later passes have dead rows
+  for (double dead : kDeadRowValues) {
+    const PeelRecord got = PeelUndirected<Run>(edges, options, dead);
+    EXPECT_EQ(got.sets, want.sets) << "dead rows " << dead;
+    EXPECT_EQ(got.removed, got.shrunk) << "dead rows " << dead;
+  }
+}
+
+EdgeList PlantedUndirected() {
+  return PlantDenseBlocks(400, 1500, {{.size = 30, .internal_p = 0.6}}, 17)
+      .edges;
+}
+
+TEST(DeadRowTest, Algorithm1PeelReadsLiveRowsOnly) {
+  Algorithm1Options options;
+  options.epsilon = 0.2;
+  ExpectPeelIgnoresDeadRows<Algorithm1Run>(PlantedUndirected(), options);
+}
+
+TEST(DeadRowTest, Algorithm2PeelReadsLiveRowsOnly) {
+  Algorithm2Options options;
+  options.epsilon = 0.2;
+  options.min_size = 20;
+  ExpectPeelIgnoresDeadRows<Algorithm2Run>(PlantedUndirected(), options);
+}
+
+/// Algorithm 3 under `rule`. Both arrays are filled for live rows whatever
+/// sides() names; a pass's sets are its S then its T.
+PeelRecord PeelDirected(const EdgeList& arcs, DirectedRemovalRule rule,
+                        double dead) {
+  Algorithm3Options options;
+  options.c = 0.5;
+  options.epsilon = 0.2;
+  options.rule = rule;
+  Algorithm3Run run(arcs.num_nodes(), options);
+  PeelRecord record;
+  const NodeId n = arcs.num_nodes();
+  std::vector<double> out_to_t, in_from_s;
+  while (!run.done()) {
+    const NodeId before = run.s().size() + run.t().size();
+    out_to_t.assign(n, dead);
+    in_from_s.assign(n, dead);
+    for (NodeId u : run.s().ToVector()) out_to_t[u] = 0.0;
+    for (NodeId u : run.t().ToVector()) in_from_s[u] = 0.0;
+    DirectedPassResult stats;
+    for (const Edge& e : arcs.edges()) {
+      if (run.s().Contains(e.u) && run.t().Contains(e.v)) {
+        out_to_t[e.u] += e.w;
+        in_from_s[e.v] += e.w;
+        stats.weight += e.w;
+        ++stats.arcs;
+      }
+    }
+    run.ApplyPass(stats, out_to_t, in_from_s);
+    record.sets.push_back(run.s().ToVector());
+    record.sets.push_back(run.t().ToVector());
+    record.shrunk.push_back(before - run.s().size() - run.t().size());
+  }
+  for (const DirectedPassSnapshot& snap : run.TakeResult().trace) {
+    record.removed.push_back(snap.removed);
+  }
+  return record;
+}
+
+TEST(DeadRowTest, Algorithm3PeelReadsLiveRowsOnly) {
+  const EdgeList arcs = PlantDirectedBlock(400, 2000, 15, 40, 0.6, 19).arcs;
+  for (DirectedRemovalRule rule :
+       {DirectedRemovalRule::kSizeRatio, DirectedRemovalRule::kMaxDegree}) {
+    const PeelRecord want = PeelDirected(arcs, rule, 0.0);
+    ASSERT_GE(want.sets.size(), 6u);  // three passes or more
+    for (double dead : kDeadRowValues) {
+      const PeelRecord got = PeelDirected(arcs, rule, dead);
+      EXPECT_EQ(got.sets, want.sets) << "dead rows " << dead;
+      EXPECT_EQ(got.removed, got.shrunk) << "dead rows " << dead;
+    }
   }
 }
 

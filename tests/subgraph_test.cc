@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "graph/graph_builder.h"
 
 namespace densest {
@@ -71,6 +74,64 @@ TEST(NodeSetTest, ToVectorCrossesWordBoundaries) {
   NodeSet s = NodeSet::FromVector(300, {5, 63, 64, 127, 128, 255, 299});
   EXPECT_EQ(s.ToVector(),
             (std::vector<NodeId>{5, 63, 64, 127, 128, 255, 299}));
+}
+
+/// The members of [begin, end) by the per-node test the walk replaces.
+std::vector<NodeId> MembersByContains(const NodeSet& s, NodeId begin,
+                                      NodeId end) {
+  std::vector<NodeId> out;
+  for (NodeId u = begin; u < end; ++u) {
+    if (s.Contains(u)) out.push_back(u);
+  }
+  return out;
+}
+
+std::vector<NodeId> MembersByWalk(const NodeSet& s, NodeId begin, NodeId end) {
+  std::vector<NodeId> out;
+  ForEachMember(s, begin, end, [&out](NodeId u) { out.push_back(u); });
+  return out;
+}
+
+TEST(ForEachMemberTest, VisitsExactlyTheMembersOfTheRangeInOrder) {
+  // n % 64 != 0, and words that are empty, full and mixed.
+  const NodeId n = 300;
+  NodeSet mixed(n);
+  for (NodeId u : {0u, 1u, 62u, 63u, 64u, 100u, 191u, 256u, 298u, 299u}) {
+    mixed.Insert(u);
+  }
+  for (NodeId u = 128; u < 192; ++u) mixed.Insert(u);  // one full word
+  const NodeSet sets[] = {NodeSet(n), NodeSet(n, /*full=*/true), mixed};
+  // Aligned and unaligned ends, begin == end, ranges inside one word, and
+  // ranges ending at the universe's partial last word.
+  const std::pair<NodeId, NodeId> ranges[] = {
+      {0, n},    {0, 0},     {5, 5},     {64, 64},   {300, 300},
+      {0, 64},   {64, 128},  {1, 63},    {62, 64},   {63, 65},
+      {3, 60},   {100, 101}, {101, 256}, {129, 191}, {0, 299},
+      {256, n},  {257, 299}, {299, n},   {65, 257}};
+  for (const NodeSet& s : sets) {
+    for (const auto& [begin, end] : ranges) {
+      EXPECT_EQ(MembersByWalk(s, begin, end), MembersByContains(s, begin, end))
+          << "size=" << s.size() << " [" << begin << ", " << end << ")";
+    }
+  }
+}
+
+TEST(ForEachMemberTest, CallbackMayRemoveTheMemberItIsHanded) {
+  const NodeId n = 200;
+  NodeSet s(n, /*full=*/true);
+  std::vector<NodeId> visited;
+  // Remove every member not divisible by 3 while walking [10, 190).
+  ForEachMember(s, 10, 190, [&](NodeId u) {
+    visited.push_back(u);
+    if (u % 3 != 0) s.Remove(u);
+  });
+  std::vector<NodeId> want_visited;
+  for (NodeId u = 10; u < 190; ++u) want_visited.push_back(u);
+  EXPECT_EQ(visited, want_visited);
+  for (NodeId u = 0; u < n; ++u) {
+    EXPECT_EQ(s.Contains(u), u < 10 || u >= 190 || u % 3 == 0) << u;
+  }
+  EXPECT_EQ(s.size(), static_cast<NodeId>(MembersByContains(s, 0, n).size()));
 }
 
 UndirectedGraph K4PlusPendant() {

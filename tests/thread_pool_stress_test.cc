@@ -12,9 +12,12 @@
 
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <future>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -91,6 +94,60 @@ TEST(ThreadPoolStressTest, ParallelForInterleavedWithSubmit) {
     for (std::future<void>& f : futures) f.get();
     EXPECT_EQ(submitted_ran.load(), kTasksPerProducer);
     EXPECT_EQ(parallel_ran.load(), 8 * 16);
+  }
+}
+
+// A ParallelFor region: the caller and at most min(count, num_threads())
+// - 1 woken workers claim indices from one counter. Every index runs
+// exactly once, at every count around the worker count and at a count
+// far above it, and no region runs on more threads than the pool has,
+// caller included.
+TEST(ThreadPoolStressTest, ParallelForRunsEachIndexOnceOnAtMostPoolThreads) {
+  for (size_t workers : {1u, 2u, 4u}) {
+    ThreadPool pool(workers);
+    const size_t counts[] = {2, workers - 1, workers, workers + 1, 10000};
+    for (size_t count : counts) {
+      const std::string label = "workers=" + std::to_string(workers) +
+                                " count=" + std::to_string(count);
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<std::atomic<int>> hits(count);
+        std::vector<std::thread::id> ran_on(count);
+        pool.ParallelFor(count, [&](size_t i) {
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+          ran_on[i] = std::this_thread::get_id();  // index i's own slot
+        });
+        for (size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(hits[i].load(), 1) << label << " index " << i;
+        }
+        std::set<std::thread::id> threads(ran_on.begin(), ran_on.end());
+        EXPECT_LE(threads.size(), std::min(count, pool.num_threads()))
+            << label;
+      }
+    }
+  }
+}
+
+// The caller works: a region whose every worker is held by a Submitted
+// task that waits for the region's own progress still completes, because
+// the caller claims indices itself. A region that only queued its indices
+// behind those tasks would wait forever.
+TEST(ThreadPoolStressTest, ParallelForCallerWorksWhileWorkersAreBusy) {
+  for (size_t workers : {1u, 2u}) {
+    ThreadPool pool(workers);
+    std::atomic<bool> body_ran{false};
+    std::vector<std::future<void>> held;
+    for (size_t w = 0; w < workers; ++w) {
+      held.push_back(pool.Submit([&body_ran] {
+        while (!body_ran.load()) std::this_thread::yield();
+      }));
+    }
+    std::atomic<int> ran{0};
+    pool.ParallelFor(64, [&](size_t) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+      body_ran.store(true);
+    });
+    EXPECT_EQ(ran.load(), 64) << workers;
+    for (std::future<void>& f : held) f.get();
   }
 }
 
