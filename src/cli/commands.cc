@@ -5,6 +5,7 @@
 #include <chrono>
 #include <fstream>
 #include <memory>
+#include <new>  // lint:allow(naked-new) — std::bad_alloc, no allocation
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -956,7 +957,18 @@ Status RunCliCommand(const std::string& command, const Args& args,
     }
     obs::TraceRecorder::Get().Start();
   }
-  const Status status = run(args, out);
+  // Node arrays are sized by the largest id an input names, so a file
+  // naming a node near 2^32 asks for tens of GiB on the main thread before
+  // any worker starts: fail the command with a status instead of
+  // terminating on the uncaught std::bad_alloc.
+  Status status;
+  try {
+    status = run(args, out);
+  } catch (const std::bad_alloc&) {
+    status = Status::Internal(
+        command + " ran out of memory (node arrays are sized by the "
+                  "largest node id the input names)");
+  }
   // Write the artifacts even when the command failed — a chaos or serve
   // failure is exactly when the timeline and counters are wanted — but
   // never let an artifact-write error mask the command's own status.

@@ -2,30 +2,32 @@
 // The writer->reader epoch handoff primitive behind the serving planes: a
 // seqlock whose sequence word doubles as a publication epoch.
 //
-// One writer publishes a payload of relaxed atomics; any number of readers
+// One writer publishes a payload of atomic words; any number of readers
 // snapshot it wait-free-with-retry and never block the writer. The
 // protocol (Boehm, "Can seqlocks get along with programming language
-// memory models?", MSPC 2012 — the formulation that is race-free under
-// the C++ memory model AND under ThreadSanitizer):
+// memory models?", MSPC 2012, the variant that needs no fences):
 //
 //   writer                                reader
 //   ------                                ------
 //   seq.store(s+1, relaxed)   [odd]       s1 = seq.load(acquire)  [retry odd]
-//   atomic_thread_fence(release)          payload loads, relaxed
-//   payload stores, relaxed               atomic_thread_fence(acquire)
+//   payload stores, release               payload loads, acquire
 //   seq.store(s+2, release)   [even]      s2 = seq.load(relaxed)
 //                                         retry unless s2 == s1
 //
-// Why this shape: the release fence orders the odd store before every
-// payload store, so a reader that acquires an even s1 and then re-reads
-// the same value at s2 knows no writer entered the critical section while
-// it copied — the payload words it read all belong to publication s1/2.
-// The payload MUST be relaxed atomics, not plain memory: a plain-memory
+// Why this shape: each payload store is a release, so the odd store that
+// precedes it in the writer is visible to any reader whose acquire load
+// reads that payload word. A reader that copied any word of a later
+// publication therefore re-reads at least s+1 at s2 and retries; one that
+// sees s2 == s1 copied publication s1/2 and nothing else. The acquire
+// payload loads also keep the s2 load after them, and EndWrite's release
+// store publishes the whole payload to the reader that acquires s1.
+// The payload MUST be atomics, not plain memory: a plain-memory
 // seqlock's speculative reads race with the writer by definition (the
 // retry loop only discards the values after the fact), which is exactly
-// what TSan flags. Relaxed atomic payload words make every access a
-// non-racing atomic op while compiling to the same plain loads and stores
-// on x86-64 and ARM64.
+// what TSan flags. Every access here is an atomic load or store that
+// TSan models directly (it does not model atomic_thread_fence, and the
+// TSan build fails on one: -Werror=tsan), and on x86-64 a release store
+// and an acquire load compile to the same plain moves as relaxed ones.
 //
 // Epochs: publication k leaves the sequence word at 2k, so epoch() ==
 // seq/2 names the current publication and readers can tag the snapshots
@@ -45,21 +47,20 @@
 namespace densest {
 
 /// \brief Seqlock sequence word with epoch accounting. Holds no payload —
-/// the owner declares its payload fields as relaxed std::atomic members
-/// and brackets writes with BeginWrite()/EndWrite(), reads with
-/// ReadBegin()/ReadRetry().
+/// the owner declares its payload fields as std::atomic members, stores
+/// them with memory_order_release between BeginWrite()/EndWrite(), and
+/// loads them with memory_order_acquire between ReadBegin()/ReadRetry().
 class EpochSeqLock {
  public:
   EpochSeqLock() = default;
   EpochSeqLock(const EpochSeqLock&) = delete;
   EpochSeqLock& operator=(const EpochSeqLock&) = delete;
 
-  /// Writer: enters the critical section (sequence goes odd) and orders
-  /// the transition before the caller's subsequent relaxed payload stores.
+  /// Writer: enters the critical section (sequence goes odd). The
+  /// caller's release payload stores order the transition before them.
   void BeginWrite() {
     seq_.store(seq_.load(std::memory_order_relaxed) + 1,
                std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
   }
 
   /// Writer: publishes (sequence goes even) with release semantics, making
@@ -81,10 +82,9 @@ class EpochSeqLock {
 
   /// Reader: true when the snapshot copied since ReadBegin() may be torn
   /// (a writer entered the critical section meanwhile) and must be
-  /// retried. The acquire fence orders the caller's relaxed payload loads
-  /// before the re-read of the sequence word.
+  /// retried. The caller's acquire payload loads order this re-read of
+  /// the sequence word after them.
   bool ReadRetry(uint64_t begin) const {
-    std::atomic_thread_fence(std::memory_order_acquire);
     return seq_.load(std::memory_order_relaxed) != begin;
   }
 

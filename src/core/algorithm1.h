@@ -36,7 +36,9 @@ struct Algorithm1Options {
   /// result is bit-identical to the uncompacted run — only IO changes —
   /// for unit weights on any stream, and for weighted record streams too:
   /// a buffer pass adds the same values in the same order as the stream
-  /// pass it replaces. 0 disables compaction.
+  /// pass it replaces. A buffer pass polls `cancel` between rounds like a
+  /// stream pass; a cancelled one leaves the buffer as it was, and the
+  /// run reports the cancellation. 0 disables compaction.
   EdgeId compact_below_edges = 0;
   /// Pass engine that drives the run (a one-run PassEngine drive, the same
   /// scheduler every sweep uses). nullptr uses the shared

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
 #include <deque>
 #include <thread>
 #include <type_traits>
@@ -79,16 +78,30 @@ void ZeroLiveRows(const NodeSet& set, std::vector<double>& deg) {
                 [d = deg.data()](NodeId u) { d[u] = 0.0; });
 }
 
+/// Appends every edge of `g` with both endpoints in `alive` to `out`, in
+/// the order a scan of the graph delivers them: row u, then its entries
+/// v >= u in row order (a self-loop once).
+void AppendLiveEdges(const UndirectedGraph& g, const NodeSet& alive,
+                     std::vector<Edge>& out) {
+  ForEachMember(alive, 0, alive.universe_size(), [&](NodeId u) {
+    const std::span<const NodeId> nbrs = g.Neighbors(u);
+    const std::span<const Weight> ws = g.NeighborWeights(u);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      if (nbrs[i] >= u && alive.Contains(nbrs[i])) {
+        out.push_back({u, nbrs[i], ws.empty() ? 1.0 : ws[i]});
+      }
+    }
+  });
+}
+
 /// Peel logic of a bare one-pass drive (RunUndirected): one pass over a
 /// fixed alive set, keeping its totals.
 class UndirectedPass {
  public:
-  UndirectedPass(const NodeSet& alive, std::vector<Edge>* survivors)
-      : alive_(alive), survivors_(survivors) {}
+  explicit UndirectedPass(const NodeSet& alive) : alive_(alive) {}
 
   bool done() const { return done_; }
   const NodeSet& alive() const { return alive_; }
-  std::vector<Edge>* survivors() const { return survivors_; }
   void ApplyPass(const UndirectedPassResult& stats,
                  const std::vector<double>&) {
     stats_ = stats;
@@ -98,7 +111,6 @@ class UndirectedPass {
 
  private:
   const NodeSet& alive_;
-  std::vector<Edge>* survivors_;
   UndirectedPassResult stats_;
   bool done_ = false;
 };
@@ -128,11 +140,9 @@ class DirectedPass {
 };
 
 /// An undirected run (Algorithm 1 or 2, or a bare pass): peel logic plus
-/// its degree accumulation on either schedule. Algorithm 1 honors §6.3
-/// compaction: in kCollectPass mode the pass also collects survivors in
-/// stream order — directly in record rounds, or shard by shard through the
-/// pull's finish — after which the run finishes over its buffer via
-/// FinishOffStream, costing no further physical scans.
+/// its degree accumulation on either schedule. Algorithm 1 also owns its
+/// §6.3 compaction: its collect pass buffers the surviving edges, and that
+/// pass's FinishPass runs every remaining pass over the buffer.
 template <typename Logic>
 class UndirectedRun final : public PassEngine::FusedRun {
   static constexpr bool kCompacts = std::is_same_v<Logic, Algorithm1Run>;
@@ -144,33 +154,31 @@ class UndirectedRun final : public PassEngine::FusedRun {
   /// A peeling run over n nodes; owns its degree array.
   template <typename Options>
   UndirectedRun(NodeId n, const Options& options)
-      : logic_(n, options), own_(n) {}
+      : logic_(n, options), own_(n), cancel_(options.cancel) {}
   /// A bare pass accumulating into the caller's `degrees`.
-  UndirectedRun(const NodeSet& alive, std::vector<double>& degrees,
-                std::vector<Edge>* survivors)
-      : logic_(alive, survivors), deg_(&degrees) {}
+  UndirectedRun(const NodeSet& alive, std::vector<double>& degrees)
+      : logic_(alive), deg_(&degrees) {}
   UndirectedRun(const UndirectedRun&) = delete;
   UndirectedRun& operator=(const UndirectedRun&) = delete;
 
   bool done() const override { return logic_.done(); }
-  bool wants_stream() const override {
-    if constexpr (kCompacts) {
-      return !done() && logic_.mode() != Algorithm1Run::PassMode::kBuffer;
-    }
-    return !done();
-  }
   bool CanPull(const CsrView& view) const override {
     return view.undirected != nullptr;
   }
   void BeginPass(const CsrView* view) override {
-    pulled_ = view != nullptr;
-    collect_ = CollectTarget();
-    if (pulled_) {
-      pull_.Begin(view->shards.size(), collect_ != nullptr);
-    } else {
-      if constexpr (!kBare) ZeroLiveRows(logic_.alive(), *deg_);
-      totals_ = {};
+    view_ = view;
+    collect_ = nullptr;
+    if (view != nullptr) {
+      pull_.Begin(view->shards.size());
+      return;
     }
+    if constexpr (!kBare) ZeroLiveRows(logic_.alive(), *deg_);
+    if constexpr (kCompacts) {
+      if (logic_.mode() == Algorithm1Run::PassMode::kCollectPass) {
+        collect_ = &logic_.buffer();
+      }
+    }
+    totals_ = {};
   }
   void PullShard(const CsrView& view, size_t shard) override {
     pull_.Undirected(view, shard, logic_.alive(), degrees());
@@ -193,20 +201,14 @@ class UndirectedRun final : public PassEngine::FusedRun {
     totals_ = {edges, weight};
   }
   void FinishPass() override {
-    logic_.ApplyPass(pulled_ ? pull_.FinishUndirected(collect_) : totals_,
+    logic_.ApplyPass(view_ != nullptr ? pull_.FinishUndirected() : totals_,
                      degrees());
-  }
-  void FinishOffStream(PassEngine& engine,
-                       const CancelToken* cancel) override {
     if constexpr (kCompacts) {
-      while (!logic_.done() && !ShouldStop(cancel)) {
-        UndirectedPassResult stats = engine.RunUndirectedBuffer(
-            logic_.buffer(), logic_.alive(), degrees(), /*compact=*/true,
-            cancel);
-        // A cancelled buffer pass is partial: stop before peeling on it;
-        // Drive reports the cancellation.
-        if (ShouldStop(cancel)) break;
-        logic_.ApplyPass(stats, degrees());
+      // Only the collect pass ends in buffer mode: the run never returns
+      // to the stream.
+      if (logic_.mode() == Algorithm1Run::PassMode::kBuffer &&
+          !logic_.done()) {
+        RunBufferPasses();
       }
     }
   }
@@ -214,25 +216,48 @@ class UndirectedRun final : public PassEngine::FusedRun {
 
  private:
   std::vector<double>& degrees() { return *deg_; }
-  /// Where this pass appends its survivors, if it collects.
-  std::vector<Edge>* CollectTarget() {
-    if constexpr (kCompacts) {
-      if (logic_.mode() == Algorithm1Run::PassMode::kCollectPass) {
-        return &logic_.buffer();
+
+  /// §6.3: every pass after the collect pass, each a record pass over the
+  /// buffer in buffer order, so it sums what the stream pass it replaces
+  /// would. A record collect pass appended its survivors in stream order;
+  /// a pulled one fills the buffer here from the surviving rows. Dead
+  /// edges leave the buffer after every peel step. Polls cancel_ between
+  /// rounds of kRoundShards * kShardEdges edges, on the calling thread
+  /// (never a nested ParallelFor); a cancelled pass returns with the
+  /// buffer as it was and the run not done.
+  void RunBufferPasses() {
+    constexpr size_t kRound =
+        PassEngine::kRoundShards * PassEngine::kShardEdges;
+    std::vector<Edge>& buffer = logic_.buffer();
+    const NodeSet& alive = logic_.alive();
+    if (view_ != nullptr) AppendLiveEdges(*view_->undirected, alive, buffer);
+    while (!logic_.done()) {
+      std::erase_if(buffer, [&alive](const Edge& e) {
+        return !alive.ContainsBoth(e.u, e.v);
+      });
+      DENSEST_TRACE_SPAN("core.pass_undirected");
+      DENSEST_METRIC_COUNTER("core.passes").Inc();
+      BeginPass(nullptr);
+      for (size_t start = 0; start < buffer.size(); start += kRound) {
+        if (ShouldStop(cancel_)) return;
+        DENSEST_TRACE_SPAN("core.pass_round");
+        DENSEST_METRIC_COUNTER("core.pass_rounds").Inc();
+        DENSEST_METRIC_COUNTER("core.pass_shards").Inc();
+        AccumulateShard(std::span<const Edge>(buffer).subspan(
+            start, std::min(kRound, buffer.size() - start)));
       }
-    } else if constexpr (kBare) {
-      return logic_.survivors();
+      logic_.ApplyPass(totals_, degrees());
     }
-    return nullptr;
   }
 
   Logic logic_;
   std::vector<double> own_;           // the degree array of a peeling run,
   std::vector<double>* deg_ = &own_;  // or the caller's, for a bare pass
+  const CancelToken* cancel_ = nullptr;  // polled by buffer passes
   UndirectedPassResult totals_;       // record passes: stream-order sums
   RowPull pull_;
-  bool pulled_ = false;
-  std::vector<Edge>* collect_ = nullptr;  // set for a collecting pass
+  const CsrView* view_ = nullptr;     // the view this pass pulls, if any
+  std::vector<Edge>* collect_ = nullptr;  // set for a record collect pass
 };
 
 /// A directed run (Algorithm 3, or a bare pass): peel logic plus its two
@@ -334,38 +359,24 @@ CsrView CsrView::Of(const EdgeStream& stream) {
   return view;
 }
 
-void RowPull::Begin(size_t shards, bool collect) {
+void RowPull::Begin(size_t shards) {
   weight_.assign(shards, 0.0);
   count_.assign(shards, 0);
-  survivors_.resize(collect ? shards : 0);
-  for (std::vector<Edge>& run : survivors_) run.clear();
 }
 
 void RowPull::Undirected(const CsrView& view, size_t shard,
                          const NodeSet& alive, std::vector<double>& degrees) {
   const UndirectedGraph& g = *view.undirected;
   const auto keep = [&alive](NodeId v) { return alive.Contains(v); };
-  const bool collect = !survivors_.empty();
-  std::vector<Edge> survivors;
-  if (collect) survivors.swap(survivors_[shard]);
   double weight = 0.0;
   EdgeId count = 0;
   const RowShard rows = view.shards[shard];
   ForEachMember(alive, rows.begin, rows.end, [&](NodeId u) {
-    const std::span<const NodeId> nbrs = g.Neighbors(u);
-    const std::span<const Weight> ws = g.NeighborWeights(u);
-    degrees[u] = PullRow(nbrs, ws, u, keep, count);
+    degrees[u] = PullRow(g.Neighbors(u), g.NeighborWeights(u), u, keep, count);
     weight += degrees[u];
-    if (!collect) return;
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      if (nbrs[i] >= u && alive.Contains(nbrs[i])) {
-        survivors.push_back({u, nbrs[i], ws.empty() ? 1.0 : ws[i]});
-      }
-    }
   });
   weight_[shard] = weight;
   count_[shard] = count;
-  if (collect) survivors_[shard].swap(survivors);
 }
 
 void RowPull::Directed(const CsrView& view, size_t shard, const NodeSet& s,
@@ -401,17 +412,12 @@ void RowPull::Directed(const CsrView& view, size_t shard, const NodeSet& s,
   count_[shard] = sides.out ? out_count : in_count;
 }
 
-UndirectedPassResult RowPull::FinishUndirected(std::vector<Edge>* survivors) {
+UndirectedPassResult RowPull::FinishUndirected() const {
   double twice_weight = 0.0;
   EdgeId twice_edges = 0;
   for (size_t i = 0; i < weight_.size(); ++i) {
     twice_weight += weight_[i];
     twice_edges += count_[i];
-  }
-  if (survivors != nullptr) {
-    for (const std::vector<Edge>& run : survivors_) {
-      survivors->insert(survivors->end(), run.begin(), run.end());
-    }
   }
   UndirectedPassResult out;
   out.weight = twice_weight / 2.0;
@@ -516,26 +522,9 @@ Status PassEngine::Drive(EdgeStream& stream, std::span<FusedRun* const> runs,
       view.undirected != nullptr || view.directed != nullptr ? &view
                                                              : nullptr;
 
-  std::vector<FusedRun*> active;
-  active.reserve(runs.size());
-  auto refresh_active = [&] {
-    active.clear();
-    for (FusedRun* run : runs) {
-      if (run->done()) continue;
-      if (run->wants_stream()) {
-        active.push_back(run);
-        continue;
-      }
-      // The run no longer needs the stream (Algorithm 1 compaction):
-      // finish it over its private buffer, off the shared scan. Only
-      // cancellation stops it short of done.
-      run->FinishOffStream(*this, cancel);
-      if (Status c = CheckCancel(cancel); !c.ok()) return c;
-    }
-    return Status::OK();
-  };
-  if (Status s = refresh_active(); !s.ok()) return finish(s);
-
+  const auto finished = [](const FusedRun* run) { return run->done(); };
+  std::vector<FusedRun*> active(runs.begin(), runs.end());
+  std::erase_if(active, finished);
   while (!active.empty()) {
     DENSEST_METRIC_COUNTER("core.passes").Inc();
     for (FusedRun* run : active) run->BeginPass(pulled);
@@ -561,8 +550,11 @@ Status PassEngine::Drive(EdgeStream& stream, std::span<FusedRun* const> runs,
     if (status.ok()) status = CheckCancel(cancel);
     if (!status.ok()) return finish(status);
     // Combine + peel, one task per run: only run-private state mutates.
+    // A run that takes passes of its own there polls the token and stops
+    // short of done when it trips.
     Dispatch(active.size(), [&](size_t i) { active[i]->FinishPass(); });
-    if (Status s = refresh_active(); !s.ok()) return finish(s);
+    if (Status c = CheckCancel(cancel); !c.ok()) return finish(c);
+    std::erase_if(active, finished);
   }
   return finish(Status::OK());
 }
@@ -581,18 +573,19 @@ StatusOr<std::vector<ResultT>> PassEngine::RunFused(
     if (Status s = check(options, n); !s.ok()) return s;
   }
 
-  std::deque<RunT> states;  // stable addresses: runs are not movable
-  std::vector<FusedRun*> fused;
-  fused.reserve(runs.size());
-  for (const OptionsT& options : runs) {
-    fused.push_back(&states.emplace_back(n, options));
-  }
   // One token governs the shared scan: the first non-null per-run token.
   // The scan is physically shared, so one run cannot be cancelled without
-  // stopping the whole sweep; sweep builders set one token on every run.
+  // stopping the whole sweep; every run polls that token too.
   const CancelToken* cancel = nullptr;
   for (const OptionsT& options : runs) {
     if (cancel == nullptr) cancel = options.cancel;
+  }
+  std::deque<RunT> states;  // stable addresses: runs are not movable
+  std::vector<FusedRun*> fused;
+  fused.reserve(runs.size());
+  for (OptionsT options : runs) {
+    options.cancel = cancel;
+    fused.push_back(&states.emplace_back(n, options));
   }
   if (Status s = Drive(stream, fused, cancel); !s.ok()) return s;
 
@@ -637,12 +630,11 @@ StatusOr<std::vector<UndirectedDensestResult>> PassEngine::RunUndirectedRuns(
 UndirectedPassResult PassEngine::RunUndirected(EdgeStream& stream,
                                                const NodeSet& alive,
                                                std::vector<double>& degrees,
-                                               const CancelToken* cancel,
-                                               std::vector<Edge>* survivors) {
+                                               const CancelToken* cancel) {
   DENSEST_TRACE_SPAN("core.pass_undirected");
   // A pass writes alive rows only; the caller is promised every row.
   std::fill(degrees.begin(), degrees.end(), 0.0);
-  UndirectedRun<UndirectedPass> run(alive, degrees, survivors);
+  UndirectedRun<UndirectedPass> run(alive, degrees);
   FusedRun* runs[] = {&run};
   // A failed pass leaves zero stats; the caller checks the stream status
   // and the token itself.
@@ -663,53 +655,6 @@ DirectedPassResult PassEngine::RunDirected(EdgeStream& stream,
   FusedRun* runs[] = {&run};
   (void)Drive(stream, runs, cancel);
   return run.logic().stats();
-}
-
-UndirectedPassResult PassEngine::RunUndirectedBuffer(
-    std::vector<Edge>& edges, const NodeSet& alive,
-    std::vector<double>& degrees, bool compact, const CancelToken* cancel) {
-  DENSEST_TRACE_SPAN("core.pass_undirected");
-  DENSEST_METRIC_COUNTER("core.passes").Inc();
-  std::fill(degrees.begin(), degrees.end(), 0.0);
-  double* acc = degrees.data();
-  Edge* data = edges.data();
-  const size_t total = edges.size();
-  const size_t round_cap = kRoundShards * kShardEdges;
-  UndirectedPassResult out;
-  size_t write = 0;  // survivors kept so far sit in [0, write)
-  size_t start = 0;
-  for (; start < total && !ShouldStop(cancel); start += round_cap) {
-    const size_t end = std::min(total, start + round_cap);
-    DispatchRound(1, /*runs=*/1, [&](size_t) {
-      double weight = out.weight;
-      EdgeId kept = out.edges;
-      size_t w = write;
-      for (size_t i = start; i < end; ++i) {
-        const Edge e = data[i];
-        if (alive.ContainsBoth(e.u, e.v)) {
-          acc[e.u] += e.w;
-          acc[e.v] += e.w;
-          weight += e.w;
-          ++kept;
-          if (compact) data[w++] = e;
-        }
-      }
-      out = {kept, weight};
-      write = w;
-    });
-  }
-  if (compact) {
-    // A pass abandoned mid-buffer must not drop the rounds it never
-    // scanned: keep the unscanned tail verbatim behind the survivors, so
-    // the buffer stays a superset of the surviving edges (the caller
-    // discards the pass).
-    if (start < total) {
-      std::memmove(data + write, data + start, (total - start) * sizeof(Edge));
-      write += total - start;
-    }
-    edges.resize(write);
-  }
-  return out;
 }
 
 PassEngine& DefaultPassEngine() {

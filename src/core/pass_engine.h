@@ -8,7 +8,9 @@
 // solo run is just the one-run case. RunAlgorithm1/2/3, the sketched
 // driver, the eps- and c-sweeps and the dynamic service's fallback
 // recompute all drive their runs through Drive(); RunUndirected and
-// RunDirected are one-pass drives.
+// RunDirected are one-pass drives. The engine knows nothing of the
+// paper's §6.3 compaction: that is Algorithm 1's run's own decision, taken
+// inside FinishPass (see RunUndirectedRuns).
 //
 // A pass takes one of two schedules, picked by the stream's shape:
 //   row pull      — a stream backed by an in-memory CSR graph exposes it,
@@ -119,15 +121,13 @@ struct CsrView {
 /// rows of S; directed, the out-rows of S and the in-rows of T) and leaves
 /// every dead row as it was, so distinct shards of a pass may be pulled
 /// concurrently, and a pass over a shrunken S costs its live rows only. A
-/// shard sums its totals and stages its survivors in locals and stores its
-/// totals and survivor entries once, at its end: neighbouring shards'
-/// entries share cache lines. Finish* sums the totals in shard order.
-/// Every run holds its own.
+/// shard sums its totals in locals and stores them once, at its end:
+/// neighbouring shards' totals share cache lines. Finish* sums the totals
+/// in shard order. Every run holds its own.
 class RowPull {
  public:
-  /// Starts a pass over `shards` shards. With `collect`, Undirected also
-  /// stages the surviving edges of each shard for FinishUndirected.
-  void Begin(size_t shards, bool collect = false);
+  /// Starts a pass over `shards` shards.
+  void Begin(size_t shards);
 
   /// deg_S(u) for every row u in S of shard `shard` of `view.undirected`;
   /// rows not in S are left untouched. A self-loop occupies one adjacency
@@ -145,9 +145,8 @@ class RowPull {
                 std::vector<double>& out_to_t,
                 std::vector<double>& in_from_s);
 
-  /// Pass totals; with `survivors`, appends the staged survivors in the
-  /// stream's own order (row u, then v >= u in row order).
-  UndirectedPassResult FinishUndirected(std::vector<Edge>* survivors);
+  /// Pass totals.
+  UndirectedPassResult FinishUndirected() const;
   DirectedPassResult FinishDirected() const;
 
  private:
@@ -155,7 +154,6 @@ class RowPull {
   // counts once from each endpoint row and the finish halves the sums.
   std::vector<double> weight_;
   std::vector<EdgeId> count_;
-  std::vector<std::vector<Edge>> survivors_;  // empty unless collecting
 };
 
 /// \brief Knobs for a PassEngine.
@@ -193,13 +191,8 @@ class PassEngine {
    public:
     virtual ~FusedRun() = default;
 
-    /// True once the run needs no further passes of any kind.
+    /// True once the run needs no further passes.
     virtual bool done() const = 0;
-    /// True while the run needs the next pass over the shared stream.
-    /// A run that is not done yet returns false to leave the scan (e.g.
-    /// Algorithm 1 after §6.3 compaction); Drive() then calls
-    /// FinishOffStream once and excludes it from further passes.
-    virtual bool wants_stream() const { return !done(); }
     /// Whether the run can take its passes as row pulls of `view`. False
     /// (the default) for runs that must see edges in stream order.
     virtual bool CanPull(const CsrView&) const { return false; }
@@ -221,16 +214,12 @@ class PassEngine {
     /// stream-order sum (a Count-Sketch or a survivor buffer may rely on
     /// that order too).
     virtual void AccumulateShard(std::span<const Edge> shard) = 0;
-    /// Ends a pass: combine the pass totals, apply the peel step.
+    /// Ends a pass: combine the pass totals, apply the peel step. A run
+    /// may take further passes of its own here, over its private state
+    /// and on the calling thread (Algorithm 1 after §6.3 compaction runs
+    /// all of its remaining passes over its edge buffer); it polls the
+    /// token Drive() polls and, when that trips, returns not done().
     virtual void FinishPass() = 0;
-    /// Finishes a run that left the scan (wants_stream() false, done()
-    /// false) over its private state on `engine`, polling `cancel`; costs
-    /// no physical scans.
-    virtual void FinishOffStream(PassEngine& engine,
-                                 const CancelToken* cancel) {
-      (void)engine;
-      (void)cancel;
-    }
   };
 
   explicit PassEngine(const PassEngineOptions& options = {});
@@ -250,8 +239,9 @@ class PassEngine {
   /// silently, and peeling on truncated statistics would yield
   /// plausible-looking wrong answers. A non-null `cancel` is polled once
   /// per record round (each active run folds ≤ kRoundShards * kShardEdges
-  /// edges between polls) or row shard; on cancellation Drive abandons the
-  /// runs the same way and returns kCancelled / kDeadlineExceeded.
+  /// edges between polls) or row shard, and once more after every
+  /// FinishPass; on cancellation Drive abandons the runs the same way and
+  /// returns kCancelled / kDeadlineExceeded.
   Status Drive(EdgeStream& stream, std::span<FusedRun* const> runs,
                const CancelToken* cancel = nullptr);
 
@@ -267,9 +257,12 @@ class PassEngine {
       EdgeStream& stream, const std::vector<Algorithm3Options>& runs);
 
   /// Algorithm 1 (RunAlgorithm1 is the one-entry call). §6.3 compaction is
-  /// honored per run: once a run buffers its survivors it leaves the shared
-  /// scan and finishes over its private buffer, costing no further
-  /// physical scans.
+  /// honored per run: a run's collect pass buffers the surviving edges,
+  /// and its FinishPass then runs every remaining pass as a record pass
+  /// over that buffer (in buffer order, dropping dead edges after each
+  /// peel step), costing no further physical scans. Every run polls the
+  /// shared scan's token between buffer rounds; a cancelled buffer pass
+  /// leaves the buffer as it was.
   StatusOr<std::vector<UndirectedDensestResult>> RunUndirectedRuns(
       EdgeStream& stream, const std::vector<Algorithm1Options>& runs);
 
@@ -279,9 +272,7 @@ class PassEngine {
 
   /// One pass: streams all edges once and accumulates deg_S for alive
   /// nodes. `degrees` must have size num_nodes and is overwritten, dead
-  /// rows with 0. With
-  /// `survivors`, also appends every edge with both endpoints alive in
-  /// stream order — the ingestion step of the paper's §6.3 compaction.
+  /// rows with 0.
   ///
   /// Cancellation and IO errors (RunUndirected, RunDirected): the pass
   /// stops early and returns zero stats; the caller must poll the token
@@ -289,8 +280,7 @@ class PassEngine {
   /// not peel on the outputs.
   UndirectedPassResult RunUndirected(EdgeStream& stream, const NodeSet& alive,
                                      std::vector<double>& degrees,
-                                     const CancelToken* cancel = nullptr,
-                                     std::vector<Edge>* survivors = nullptr);
+                                     const CancelToken* cancel = nullptr);
 
   /// One pass: streams all arcs once; accumulates out_to_t[u] over u in S
   /// and in_from_s[v] over v in T. Both vectors must have size num_nodes
@@ -300,19 +290,6 @@ class PassEngine {
                                  std::vector<double>& out_to_t,
                                  std::vector<double>& in_from_s,
                                  const CancelToken* cancel = nullptr);
-
-  /// In-memory pass over an edge buffer (the post-compaction §6.3 path):
-  /// one sequential loop in buffer order, polling `cancel` once per round
-  /// of kRoundShards * kShardEdges edges, so its sums are the stream-order
-  /// sums of a record pass over the same edges. When `compact` is true,
-  /// dead edges are filtered out of `edges` in place (preserving order),
-  /// so the buffer keeps shrinking with S. A cancelled pass keeps the
-  /// unscanned tail, so the buffer stays a superset of the surviving edges.
-  UndirectedPassResult RunUndirectedBuffer(std::vector<Edge>& edges,
-                                           const NodeSet& alive,
-                                           std::vector<double>& degrees,
-                                           bool compact,
-                                           const CancelToken* cancel = nullptr);
 
   /// Physical scans of the stream the last Drive() performed.
   uint64_t last_physical_passes() const { return last_physical_passes_; }

@@ -28,17 +28,19 @@ inline constexpr std::string_view kCounterNames[] = {
     // The subset of core.pass_rounds that fed two or more runs at once (a
     // fused sweep while several of its runs are still active).
     "core.fused_rounds",
-    // Rounds PassEngine dispatched, solo and fused alike: one per record
-    // round (<= kRoundShards * kShardEdges edges), one per row-pull pass,
-    // one per round of a §6.3 buffer pass.
+    // Rounds of passes, solo and fused alike: one per record round
+    // (<= kRoundShards * kShardEdges edges) PassEngine dispatched, one per
+    // row-pull pass, and one per round of the same size that an Algorithm 1
+    // run folds from its §6.3 edge buffer.
     "core.pass_rounds",
     // Tasks executed inside those rounds (fan-out width signal): one per
     // active run in record rounds, row shards in row-pull rounds, one per
     // buffer round.
     "core.pass_shards",
-    // Passes PassEngine started: one per physical scan of a Drive however
-    // many runs it feeds (solo runs, sweeps, RunUndirected/RunDirected),
-    // plus one per §6.3 buffer pass.
+    // Passes started: one per physical scan of a Drive however many runs
+    // it feeds (solo runs, sweeps, RunUndirected/RunDirected), plus one per
+    // pass an Algorithm 1 run takes over its §6.3 edge buffer, so a solo
+    // run adds exactly its `passes`.
     "core.passes",
     // Deletions applied by DynamicDensest.
     "dynamic.deletes",
@@ -123,10 +125,12 @@ inline constexpr std::string_view kTraceSpanNames[] = {
     // One bare directed pass (PassEngine::RunDirected).
     "core.pass_directed",
     // One round feeding a single run: a solo run, the last active run of a
-    // sweep, a bare pass, or a round of a §6.3 buffer pass.
+    // sweep, a bare pass, or a round an Algorithm 1 run folds from its §6.3
+    // edge buffer (on the thread that runs its FinishPass).
     "core.pass_round",
-    // One bare undirected pass (PassEngine::RunUndirected) or §6.3 buffer
-    // pass; the passes of a peeling run show as their rounds.
+    // One bare undirected pass (PassEngine::RunUndirected), or one pass an
+    // Algorithm 1 run takes over its §6.3 edge buffer; the stream passes of
+    // a peeling run show as their rounds.
     "core.pass_undirected",
     // One ApplyBatch run on the dynamic engine (writer thread).
     "dynamic.apply_batch",

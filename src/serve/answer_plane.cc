@@ -25,24 +25,24 @@ void AnswerPlane::Publish(const Answer& answer,
                           uint64_t prefix_updates) {
   WallTimer publish_timer;
   seq_.BeginWrite();
-  density_.store(answer.density, std::memory_order_relaxed);
-  upper_bound_.store(answer.upper_bound, std::memory_order_relaxed);
-  size_.store(answer.size, std::memory_order_relaxed);
+  density_.store(answer.density, std::memory_order_release);
+  upper_bound_.store(answer.upper_bound, std::memory_order_release);
+  size_.store(answer.size, std::memory_order_release);
   flags_.store((answer.certified ? kCertifiedBit : 0u) |
                    (answer.stale ? kStaleBit : 0u),
-               std::memory_order_relaxed);
-  prefix_updates_.store(prefix_updates, std::memory_order_relaxed);
-  // Full clear + set: n/64 + |S| relaxed stores. Cheap against the ~1k
+               std::memory_order_release);
+  prefix_updates_.store(prefix_updates, std::memory_order_release);
+  // Full clear + set: n/64 + |S| release stores. Cheap against the ~1k
   // updates a publication typically amortizes over, and it keeps the
   // payload free of any cross-publication state a torn writer could leak.
   for (std::atomic<uint64_t>& w : member_words_) {
-    w.store(0, std::memory_order_relaxed);
+    w.store(0, std::memory_order_release);
   }
   for (NodeId v : members) {
     if (v >= num_nodes_) continue;
     std::atomic<uint64_t>& w = member_words_[v >> 6];
     w.store(w.load(std::memory_order_relaxed) | (uint64_t{1} << (v & 63)),
-            std::memory_order_relaxed);
+            std::memory_order_release);
   }
   seq_.EndWrite();
   last_publish_us_.store(static_cast<int64_t>(age_clock_.ElapsedMicros()),
@@ -72,7 +72,7 @@ double AnswerPlane::AgeMicros() const {
 }
 
 /// Runs `copy_payload` under the seqlock read protocol until it copied one
-/// untorn publication. The callback does relaxed payload loads only.
+/// untorn publication. The callback does acquire payload loads only.
 template <typename Fn>
 void AnswerPlane::ReadConsistent(Fn&& copy_payload) const {
   while (true) {
@@ -85,10 +85,10 @@ void AnswerPlane::ReadConsistent(Fn&& copy_payload) const {
 Answer AnswerPlane::ReadAnswer() const {
   Answer out;
   ReadConsistent([&](uint64_t epoch) {
-    out.density = density_.load(std::memory_order_relaxed);
-    out.upper_bound = upper_bound_.load(std::memory_order_relaxed);
-    out.size = size_.load(std::memory_order_relaxed);
-    const uint32_t flags = flags_.load(std::memory_order_relaxed);
+    out.density = density_.load(std::memory_order_acquire);
+    out.upper_bound = upper_bound_.load(std::memory_order_acquire);
+    out.size = size_.load(std::memory_order_acquire);
+    const uint32_t flags = flags_.load(std::memory_order_acquire);
     out.certified = (flags & kCertifiedBit) != 0;
     out.stale = (flags & kStaleBit) != 0;
     out.epoch = epoch;
@@ -101,12 +101,12 @@ AnswerPlane::Membership AnswerPlane::ReadMembership(NodeId v) const {
   ReadConsistent([&](uint64_t epoch) {
     out.member =
         v < num_nodes_ &&
-        (member_words_[v >> 6].load(std::memory_order_relaxed) >>
+        (member_words_[v >> 6].load(std::memory_order_acquire) >>
              (v & 63) & 1) != 0;
-    out.answer.density = density_.load(std::memory_order_relaxed);
-    out.answer.upper_bound = upper_bound_.load(std::memory_order_relaxed);
-    out.answer.size = size_.load(std::memory_order_relaxed);
-    const uint32_t flags = flags_.load(std::memory_order_relaxed);
+    out.answer.density = density_.load(std::memory_order_acquire);
+    out.answer.upper_bound = upper_bound_.load(std::memory_order_acquire);
+    out.answer.size = size_.load(std::memory_order_acquire);
+    const uint32_t flags = flags_.load(std::memory_order_acquire);
     out.answer.certified = (flags & kCertifiedBit) != 0;
     out.answer.stale = (flags & kStaleBit) != 0;
     out.answer.epoch = epoch;
@@ -118,16 +118,16 @@ PlaneSnapshot AnswerPlane::ReadSnapshot() const {
   PlaneSnapshot out;
   std::vector<uint64_t> words(member_words_.size());
   ReadConsistent([&](uint64_t epoch) {
-    out.answer.density = density_.load(std::memory_order_relaxed);
-    out.answer.upper_bound = upper_bound_.load(std::memory_order_relaxed);
-    out.answer.size = size_.load(std::memory_order_relaxed);
-    const uint32_t flags = flags_.load(std::memory_order_relaxed);
+    out.answer.density = density_.load(std::memory_order_acquire);
+    out.answer.upper_bound = upper_bound_.load(std::memory_order_acquire);
+    out.answer.size = size_.load(std::memory_order_acquire);
+    const uint32_t flags = flags_.load(std::memory_order_acquire);
     out.answer.certified = (flags & kCertifiedBit) != 0;
     out.answer.stale = (flags & kStaleBit) != 0;
     out.answer.epoch = epoch;
-    out.prefix_updates = prefix_updates_.load(std::memory_order_relaxed);
+    out.prefix_updates = prefix_updates_.load(std::memory_order_acquire);
     for (size_t i = 0; i < member_words_.size(); ++i) {
-      words[i] = member_words_[i].load(std::memory_order_relaxed);
+      words[i] = member_words_[i].load(std::memory_order_acquire);
     }
   });
   out.members.clear();

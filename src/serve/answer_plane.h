@@ -9,16 +9,17 @@
 //
 // Memory-ordering contract (the seqlock discipline, spelled out once here
 // and relied on by QueryService and the chaos/stress harnesses):
-//   - Publish() is writer-only: BeginWrite (odd, release fence), relaxed
-//     stores of every payload word, EndWrite (even, release store).
-//   - Every Read* runs ReadBegin (acquire, skips odd) -> relaxed payload
-//     loads -> ReadRetry (acquire fence, re-read) and retries on mismatch,
-//     so a returned snapshot is bit-for-bit one publication's payload —
-//     never a blend of two — and carries that publication's epoch.
-//   - Payload words are relaxed std::atomics, not plain memory: the
-//     speculative reads a plain-memory seqlock discards after the fact
-//     are data races under the C++ model and under TSan; relaxed atomics
-//     make them defined while compiling to plain moves on x86-64/ARM64.
+//   - Publish() is writer-only: BeginWrite (odd, relaxed), a release
+//     store of every payload word, EndWrite (even, release store).
+//   - Every Read* runs ReadBegin (acquire, skips odd) -> acquire payload
+//     loads -> ReadRetry (relaxed re-read) and retries on mismatch, so a
+//     returned snapshot is bit-for-bit one publication's payload — never
+//     a blend of two — and carries that publication's epoch.
+//   - Payload words are std::atomics, not plain memory: the speculative
+//     reads a plain-memory seqlock discards after the fact are data races
+//     under the C++ model and under TSan. No fence is involved, so TSan
+//     sees every ordering edge; on x86-64 the release stores and acquire
+//     loads are the same plain moves as relaxed ones.
 //
 // The writer never blocks (no reader can hold it up), and readers never
 // block each other; a reader only retries while a write is actually in
@@ -110,7 +111,8 @@ class AnswerPlane final : public AnswerSink {
 
   NodeId num_nodes_;
   EpochSeqLock seq_;
-  // Payload: relaxed atomics only (see the file comment).
+  // Payload: atomics, stored with release and loaded with acquire (see
+  // the file comment).
   std::atomic<double> density_{0};
   std::atomic<double> upper_bound_{0};
   std::atomic<uint32_t> size_{0};

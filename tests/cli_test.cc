@@ -1,8 +1,10 @@
 // Tests for the CLI argument parser and command layer.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -678,6 +680,62 @@ TEST(CliCorruptInputTest, OversizedTextNodeIdFails) {
       << status.ToString();
   EXPECT_EQ(out.str().find("rho="), std::string::npos) << out.str();
   std::remove(path.c_str());
+}
+
+// Sanitizer runtimes reserve terabytes of shadow address space, which an
+// RLIMIT_AS cap breaks before the test's own allocation can fail.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DENSEST_SANITIZED_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define DENSEST_SANITIZED_BUILD 1
+#endif
+#endif
+
+/// Runs `command` on `tokens` as densest_cli does, with the address space
+/// capped at 4 GiB, and exits 1 (printing the error) or 0.
+[[noreturn]] void RunUnderAddressSpaceCap(
+    const std::string& command, const std::vector<std::string>& tokens) {
+  constexpr rlim_t kCap = rlim_t{4} << 30;
+  const rlimit cap{kCap, kCap};
+  setrlimit(RLIMIT_AS, &cap);
+  StatusOr<Args> args = Args::Parse(tokens);
+  std::ostringstream out;
+  const Status status =
+      args.ok() ? RunCliCommand(command, *args, out) : args.status();
+  if (!status.ok()) {
+    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+  }
+  std::fflush(stderr);
+  std::_Exit(status.ok() ? 0 : 1);
+}
+
+TEST(CliCorruptInputDeathTest, HugeNodeIdFailsEveryCommandWithAStatus) {
+#ifdef DENSEST_SANITIZED_BUILD
+  GTEST_SKIP() << "sanitizer runtimes do not run under an RLIMIT_AS cap";
+#else
+  // Node 2^32 - 2 loads, and the CSR offsets and degree arrays sized by it
+  // need tens of GiB: more than the cap allows, so the allocation fails.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string path = ::testing::TempDir() + "/cli_huge_id.txt";
+  {
+    std::ofstream out(path);
+    out << "0 1\n1 2\n0 4294967294\n";
+  }
+  const std::vector<std::pair<std::string, std::vector<std::string>>> runs = {
+      {"stats", {}},     {"undirected", {}}, {"directed", {"--c=1"}},
+      {"mapreduce", {}}, {"dynamic", {}},    {"serve", {}},
+      {"exact", {}},     {"enumerate", {}}};
+  for (const auto& [command, flags] : runs) {
+    std::vector<std::string> tokens = {path};
+    tokens.insert(tokens.end(), flags.begin(), flags.end());
+    EXPECT_EXIT(RunUnderAddressSpaceCap(command, tokens),
+                ::testing::ExitedWithCode(1), "error: .*out of memory")
+        << command;
+  }
+  std::remove(path.c_str());
+#endif
 }
 
 TEST(CliGenerateTest, RejectsUnknownDatasetAndFormat) {

@@ -27,6 +27,7 @@
 #include "gen/erdos_renyi.h"
 #include "gen/planted.h"
 #include "graph/graph_builder.h"
+#include "obs/metrics.h"
 #include "stream/file_stream.h"
 #include "stream/generated_stream.h"
 #include "stream/memory_stream.h"
@@ -354,92 +355,6 @@ TEST(PassEngineTest, DirectedIdenticalAcrossThreadCounts) {
     EXPECT_EQ(outN, out1) << threads;
     EXPECT_EQ(inN, in1) << threads;
   }
-}
-
-TEST(PassEngineTest, CollectPreservesStreamOrder) {
-  const NodeId n = 200;
-  EdgeList el = ErdosRenyiGnm(n, 3000, 41);
-  EdgeListStream stream(el);
-  NodeSet alive = EveryThirdDead(n);
-
-  // Expected survivors: the filtered stream in original order.
-  std::vector<Edge> want;
-  for (const Edge& e : el.edges()) {
-    if (alive.Contains(e.u) && alive.Contains(e.v)) want.push_back(e);
-  }
-
-  for (size_t threads : {1u, 4u}) {
-    PassEngine engine(PassEngineOptions{.num_threads = threads});
-    std::vector<double> degrees(n);
-    std::vector<Edge> survivors;
-    UndirectedPassResult r =
-        engine.RunUndirected(stream, alive, degrees, nullptr, &survivors);
-    EXPECT_EQ(r.edges, want.size()) << threads;
-    EXPECT_EQ(survivors, want) << threads;
-  }
-}
-
-TEST(PassEngineTest, BufferPassCompactsInPlace) {
-  const NodeId n = 200;
-  EdgeList el = ErdosRenyiGnm(n, 3000, 47);
-  NodeSet alive = EveryThirdDead(n);
-
-  std::vector<Edge> want;
-  for (const Edge& e : el.edges()) {
-    if (alive.Contains(e.u) && alive.Contains(e.v)) want.push_back(e);
-  }
-
-  for (size_t threads : {1u, 4u}) {
-    PassEngine engine(PassEngineOptions{.num_threads = threads});
-    std::vector<Edge> buffer = el.edges();
-    std::vector<double> degrees(n);
-    UndirectedPassResult r =
-        engine.RunUndirectedBuffer(buffer, alive, degrees, /*compact=*/true);
-    EXPECT_EQ(r.edges, want.size()) << threads;
-    EXPECT_EQ(buffer, want) << threads;
-
-    // A second pass over the compacted buffer sees the same statistics.
-    std::vector<double> degrees2(n);
-    UndirectedPassResult r2 =
-        engine.RunUndirectedBuffer(buffer, alive, degrees2, /*compact=*/false);
-    EXPECT_EQ(r2.edges, r.edges);
-    EXPECT_EQ(degrees2, degrees);
-  }
-
-  // Weighted records over several rounds: the buffer pass adds the same
-  // values in the same order as a stream pass over the same edges.
-  const NodeId wn = 2000;
-  const EdgeList weighted = WeightedRecords(wn, 317);
-  EdgeListStream weighted_stream(weighted);
-  const NodeSet weighted_alive = EveryThirdDead(wn);
-  std::vector<double> want_degrees(wn);
-  const UndirectedPassResult ref =
-      ScalarUndirectedPass(weighted_stream, weighted_alive, want_degrees);
-  std::vector<Edge> want_weighted;
-  for (const Edge& e : weighted.edges()) {
-    if (weighted_alive.ContainsBoth(e.u, e.v)) want_weighted.push_back(e);
-  }
-  for (size_t threads : {1u, 4u}) {
-    PassEngine engine(PassEngineOptions{.num_threads = threads});
-    std::vector<Edge> buffer = weighted.edges();
-    std::vector<double> degrees(wn, -1.0);
-    const UndirectedPassResult r = engine.RunUndirectedBuffer(
-        buffer, weighted_alive, degrees, /*compact=*/true);
-    EXPECT_EQ(r.edges, ref.edges) << threads;
-    EXPECT_EQ(r.weight, ref.weight) << threads;  // bits, not NEAR
-    EXPECT_EQ(degrees, want_degrees) << threads;
-    EXPECT_EQ(buffer, want_weighted) << threads;
-  }
-
-  // A pass cancelled before its first round leaves the buffer unchanged.
-  CancelToken cancelled;
-  cancelled.Cancel();
-  PassEngine engine(PassEngineOptions{.num_threads = 4});
-  std::vector<Edge> buffer = weighted.edges();
-  std::vector<double> degrees(wn);
-  (void)engine.RunUndirectedBuffer(buffer, weighted_alive, degrees,
-                                   /*compact=*/true, &cancelled);
-  EXPECT_EQ(buffer, weighted.edges());
 }
 
 TEST(PassEngineTest, AlgorithmsIdenticalAcrossInjectedEngines) {
@@ -896,7 +811,7 @@ std::vector<double> PullUndirectedShards(const CsrView& view,
     ThreadPool pool(threads);
     pool.ParallelFor(view.shards.size(), shard);
   }
-  *totals = pull.FinishUndirected(nullptr);
+  *totals = pull.FinishUndirected();
   return degrees;
 }
 
@@ -1102,33 +1017,141 @@ TEST(DirectedFormatTest, RowPullMatchesRecordRoundsOnUnitWeights) {
   }
 }
 
-TEST(RowPullTest, CollectEmitsSurvivorsInStreamOrder) {
-  const NodeId n = 3000;
-  UndirectedGraph g =
-      UndirectedGraph::FromEdgeList(PullTestEdges(n, /*weighted=*/true, 229));
-  UndirectedGraphStream stream(g);
-  ASSERT_GE(CsrView::Of(stream).shards.size(), 4u);
-  NodeSet alive = EveryThirdDead(n);
+// ---------------------------------------------------------------------------
+// §6.3 compaction inside Algorithm 1's run: the collect pass buffers the
+// surviving edges and its FinishPass runs every later pass over them.
 
-  std::vector<Edge> want;
-  for (const Edge& e : DrainScalar(stream)) {
-    if (alive.Contains(e.u) && alive.Contains(e.v)) want.push_back(e);
+/// Cancels `token` as pass `pass` (1-based) of the stream ends.
+class CancelAtEndOfPass final : public EdgeStream {
+ public:
+  CancelAtEndOfPass(EdgeStream& inner, CancelToken& token, uint64_t pass)
+      : inner_(inner), token_(token), pass_(pass) {}
+
+  void Reset() override {
+    inner_.Reset();
+    ++passes_;
   }
-  std::vector<double> plain(n);
-  PassEngine reference(PassEngineOptions{.num_threads = 1});
-  const UndirectedPassResult r0 = reference.RunUndirected(stream, alive, plain);
+  std::span<const Edge> NextView(Edge* scratch, size_t cap) override {
+    std::span<const Edge> view = inner_.NextView(scratch, cap);
+    if (view.empty() && passes_ == pass_) token_.Cancel();
+    return view;
+  }
+  NodeId num_nodes() const override { return inner_.num_nodes(); }
 
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
+ private:
+  EdgeStream& inner_;
+  CancelToken& token_;
+  const uint64_t pass_;
+  uint64_t passes_ = 0;
+};
+
+/// Node set, density bits, pass counts and every field of every trace
+/// entry agree.
+void ExpectSameRun(const UndirectedDensestResult& got,
+                   const UndirectedDensestResult& want,
+                   const std::string& label) {
+  EXPECT_EQ(got.nodes, want.nodes) << label;
+  EXPECT_EQ(got.density, want.density) << label;
+  EXPECT_EQ(got.passes, want.passes) << label;
+  EXPECT_EQ(got.io_passes, want.io_passes) << label;
+  ASSERT_EQ(got.trace.size(), want.trace.size()) << label;
+  for (size_t i = 0; i < want.trace.size(); ++i) {
+    const PassSnapshot& g = got.trace[i];
+    const PassSnapshot& w = want.trace[i];
+    const std::string at = label + " pass " + std::to_string(i + 1);
+    EXPECT_EQ(g.pass, w.pass) << at;
+    EXPECT_EQ(g.nodes, w.nodes) << at;
+    EXPECT_EQ(g.edges, w.edges) << at;
+    EXPECT_EQ(g.weight, w.weight) << at;
+    EXPECT_EQ(g.density, w.density) << at;
+    EXPECT_EQ(g.threshold, w.threshold) << at;
+    EXPECT_EQ(g.removed, w.removed) << at;
+  }
+}
+
+/// A token that trips as the collect pass ends stops the run before any
+/// buffer pass (Drive polls it right after the scan, before FinishPass),
+/// and leaves nothing behind in the engine: the next run on it matches a
+/// never-cancelled run bit for bit.
+TEST(CompactionTest, CancelledAtTheCollectPassLeavesTheEngineClean) {
+  const EdgeList el = WeightedRecords(8000, 337);
+  EdgeListStream stream(el);
+  Algorithm1Options options;
+  options.epsilon = 0.0;
+  options.compact_below_edges = el.num_edges();
+  for (size_t threads : {1u, 4u}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    PassEngine reference(PassEngineOptions{.num_threads = threads});
+    options.engine = &reference;
+    auto want = RunAlgorithm1(stream, options);
+    ASSERT_TRUE(want.ok()) << label;
+    ASSERT_EQ(want->io_passes, 2u) << label;
+    ASSERT_GT(want->passes, want->io_passes + 1) << label;
+
     PassEngine engine(PassEngineOptions{.num_threads = threads});
-    std::vector<double> degrees(n);
-    std::vector<Edge> survivors;
-    const UndirectedPassResult r =
-        engine.RunUndirected(stream, alive, degrees, nullptr, &survivors);
-    EXPECT_EQ(survivors, want) << threads;
-    EXPECT_EQ(r.edges, want.size()) << threads;
-    // Collecting changes nothing about the pulled statistics.
-    EXPECT_EQ(r.weight, r0.weight) << threads;
-    EXPECT_EQ(degrees, plain) << threads;
+    CancelToken token;
+    CancelAtEndOfPass cancelling(stream, token, want->io_passes);
+    Algorithm1Options cancelled = options;
+    cancelled.engine = &engine;
+    cancelled.cancel = &token;
+    auto got = RunAlgorithm1(cancelling, cancelled);
+    EXPECT_TRUE(token.cancelled()) << label;
+    EXPECT_EQ(got.status().code(), Status::Code::kCancelled) << label;
+
+    options.engine = &engine;
+    auto again = RunAlgorithm1(stream, options);
+    ASSERT_TRUE(again.ok()) << label;
+    ExpectSameRun(*again, *want, label);
+  }
+}
+
+/// Every buffer pass counts in core.passes, as a stream pass does, on the
+/// record and the pulled path.
+TEST(CompactionTest, BufferPassesCountAsPasses) {
+  const obs::Counter& counted =
+      obs::MetricsRegistry::Get().GetCounter("core.passes");
+  const EdgeList el = ErdosRenyiGnm(1000, 8000, 22);
+  const UndirectedGraph g = UndirectedGraph::FromEdgeList(el);
+  EdgeListStream records(el);
+  UndirectedGraphStream csr(g);
+  PassEngine engine(PassEngineOptions{.num_threads = 1});
+  Algorithm1Options options;
+  options.epsilon = 0.25;
+  options.compact_below_edges = el.num_edges() / 2;
+  options.engine = &engine;
+  EdgeStream* streams[] = {&records, &csr};
+  for (EdgeStream* stream : streams) {
+    const uint64_t before = counted.Value();
+    auto r = RunAlgorithm1(*stream, options);
+    ASSERT_TRUE(r.ok());
+    EXPECT_LT(r->io_passes, r->passes);
+    EXPECT_EQ(counted.Value() - before, r->passes);
+  }
+}
+
+/// Unit weights make every sum exact, so a CSR graph's compacting run
+/// (pulled collect pass, buffer filled from its rows) and a record
+/// stream's (buffer filled in stream order) agree on everything, self-loops
+/// and parallel edges included, at every thread count.
+TEST(CompactionTest, CsrMatchesRecordsAtEveryThreadCount) {
+  const EdgeList el = PullTestEdges(3000, /*weighted=*/false, 241);
+  const UndirectedGraph g = UndirectedGraph::FromEdgeList(el);
+  UndirectedGraphStream csr(g);
+  ASSERT_GE(CsrView::Of(csr).shards.size(), 4u);
+  EdgeListStream records(el);
+  Algorithm1Options options;
+  options.epsilon = 0.1;
+  options.compact_below_edges = el.num_edges() / 2;
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    PassEngine engine(PassEngineOptions{.num_threads = threads});
+    options.engine = &engine;
+    auto want = RunAlgorithm1(records, options);
+    ASSERT_TRUE(want.ok()) << label;
+    EXPECT_LT(want->io_passes, want->passes) << label;
+    auto got = RunAlgorithm1(csr, options);
+    ASSERT_TRUE(got.ok()) << label;
+    ExpectSameRun(*got, *want, label);
   }
 }
 
